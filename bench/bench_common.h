@@ -14,8 +14,8 @@ namespace rpqlearn::bench {
 
 /// A malformed knob value aborts the driver immediately with the offending
 /// value and the accepted forms on stderr. Silent fallback to a default is
-/// exactly wrong for benchmark configuration: a typoed RPQ_EVAL_SHARDS=fuor
-/// would otherwise publish monolithic numbers labeled as sharded ones.
+/// exactly wrong for benchmark configuration: a typoed RPQ_EVAL_THREADS=fuor
+/// would otherwise publish default-thread numbers labeled as pinned ones.
 [[noreturn]] inline void DieBadKnob(const char* knob, const char* value,
                                     const char* expected) {
   std::fprintf(stderr, "%s: malformed value \"%s\" (expected %s)\n", knob,
@@ -51,8 +51,8 @@ inline uint32_t ParsePositiveKnob(const char* knob, const char* value) {
 /// `default_value` when `knob` is unset, otherwise the parsed positive
 /// integer — dying loudly on anything malformed (see DieBadKnob). The
 /// default itself may be 0 ("feature off"), but a value the user actually
-/// set must be ≥ 1: every knob this reads (thread counts, shard counts,
-/// ports, bounds, deadlines) means "off" by absence, not by zero.
+/// set must be ≥ 1: every knob this reads (thread counts, ports, bounds,
+/// deadlines) means "off" by absence, not by zero.
 inline uint32_t ParseEnvOrDie(const char* knob, uint32_t default_value) {
   const char* env = std::getenv(knob);
   if (env == nullptr) return default_value;
@@ -116,11 +116,6 @@ inline EvalMode EvalForceMode() {
   DieBadKnob("RPQ_EVAL_MODE", env, "\"auto\", \"sparse\" or \"dense\"");
 }
 
-/// Node-range shard count, selected with RPQ_EVAL_SHARDS (default 1, the
-/// monolithic path). Results are bit-identical for every count (see
-/// "Sharded evaluation" in docs/ARCHITECTURE.md).
-inline uint32_t EvalShards() { return ParseEnvOrDie("RPQ_EVAL_SHARDS", 1); }
-
 /// SCC-condensation policy of the kleene-star planner step, selected with
 /// RPQ_EVAL_CONDENSE (`auto` — the summary-gated default — or `on` / `off`
 /// to pin it). Results are bit-identical for every mode (see "SCC
@@ -146,7 +141,7 @@ inline uint32_t EvalDeadlineMs() {
 
 /// Evaluation scratch budget in MiB, selected with RPQ_EVAL_MEM_BUDGET_MB
 /// (unset = unlimited). Covers the byte-accounted product-space scratch of
-/// the round engines — bitmaps, lane masks, outboxes, condensation heaps —
+/// the round engines — bitmaps, lane masks, condensation heaps —
 /// not the graph or index structures themselves.
 inline uint32_t EvalMemBudgetMb() {
   return ParseEnvOrDie("RPQ_EVAL_MEM_BUDGET_MB", 0);
@@ -199,16 +194,14 @@ inline ExecContext* EnvExecContext() {
 }
 
 /// EvalOptions for the current environment: RPQ_EVAL_THREADS workers, the
-/// RPQ_EVAL_DENSE_THRESHOLD / RPQ_EVAL_MODE direction knobs,
-/// RPQ_EVAL_SHARDS node-range shards, the RPQ_EVAL_CONDENSE kleene-star
-/// condensation policy, and the RPQ_EVAL_DEADLINE_MS /
-/// RPQ_EVAL_MEM_BUDGET_MB execution-control limits.
+/// RPQ_EVAL_DENSE_THRESHOLD / RPQ_EVAL_MODE direction knobs, the
+/// RPQ_EVAL_CONDENSE kleene-star condensation policy, and the
+/// RPQ_EVAL_DEADLINE_MS / RPQ_EVAL_MEM_BUDGET_MB execution-control limits.
 inline EvalOptions EvalConfig() {
   EvalOptions options;
   options.threads = EvalThreads();
   options.dense_threshold = EvalDenseThreshold();
   options.force_mode = EvalForceMode();
-  options.shards = EvalShards();
   options.condense = EvalCondense();
   options.exec = EnvExecContext();
   return options;

@@ -17,7 +17,6 @@
 #include "graph/condense.h"
 #include "graph/dynamic.h"
 #include "graph/generators.h"
-#include "graph/shard.h"
 #include "learn/rpni.h"
 #include "query/engine.h"
 #include "query/eval.h"
@@ -336,91 +335,6 @@ void PrintDirectionFixture(const char* name,
               static_cast<unsigned long long>(r.hybrid_dense_batches));
 }
 
-struct ShardPointResult {
-  uint32_t shards = 0;
-  size_t boundary_edges = 0;
-  double binary_seconds = 0;
-  double monadic_seconds = 0;
-  uint64_t supersteps = 0;
-  uint64_t cross_shard_pairs = 0;
-};
-
-struct ShardSweepResult {
-  uint32_t nodes = 0;
-  size_t edges = 0;
-  std::vector<ShardPointResult> points;
-};
-
-/// Sharded vs monolithic evaluation over K ∈ {1, 2, 4, 8} node-range
-/// shards on one scale-free fixture (threads from RPQ_EVAL_THREADS so the
-/// shard count is the only variable per run). Every K is checked
-/// bit-identical to K = 1 before timing; the per-batch supersteps and
-/// exchanged frontier pairs are recorded so the JSON shows the BSP traffic
-/// a distributed deployment would put on the wire.
-ShardSweepResult BenchShardSweep(uint32_t num_nodes, size_t edges_per_node,
-                                 int trials) {
-  ScaleFreeOptions graph_options;
-  graph_options.num_nodes = num_nodes;
-  graph_options.num_edges = edges_per_node * static_cast<size_t>(num_nodes);
-  graph_options.num_labels = 8;
-  graph_options.seed = 7;
-  Graph graph = GenerateScaleFree(graph_options);
-  Dfa query = CompileQuery("(l0+l1)*.l2", graph);
-
-  ShardSweepResult result;
-  result.nodes = graph.num_nodes();
-  result.edges = graph.num_edges();
-
-  EvalOptions base = bench::EvalConfig();
-  base.shards = 1;
-  auto monolithic_pairs = EvalBinary(graph, query, base);
-  auto monolithic_monadic = EvalMonadic(graph, query, base);
-  RPQ_CHECK(monolithic_pairs.ok() && monolithic_monadic.ok());
-
-  for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-    EvalOptions options = base;
-    options.shards = shards;
-    EvalStats stats;
-    options.stats = &stats;
-
-    ShardPointResult point;
-    point.shards = shards;
-    point.boundary_edges =
-        ShardedGraph::Partition(graph, shards).num_boundary_edges();
-
-    auto pairs = EvalBinary(graph, query, options);
-    RPQ_CHECK(pairs.ok());
-    RPQ_CHECK(*pairs == *monolithic_pairs)
-        << "sharded EvalBinary diverged from shards=1 at K=" << shards;
-    auto monadic = EvalMonadic(graph, query, options);
-    RPQ_CHECK(monadic.ok());
-    RPQ_CHECK(*monadic == *monolithic_monadic)
-        << "sharded EvalMonadic diverged from shards=1 at K=" << shards;
-    stats.Reset();
-
-    WallTimer timer;
-    for (int t = 0; t < trials; ++t) {
-      auto p = EvalBinary(graph, query, options);
-      RPQ_CHECK_EQ(p->size(), monolithic_pairs->size());
-    }
-    point.binary_seconds = timer.ElapsedSeconds() / trials;
-    // Per-trial BSP traffic (identical every trial: deterministic).
-    point.supersteps = stats.supersteps.load() / static_cast<uint64_t>(trials);
-    point.cross_shard_pairs =
-        stats.cross_shard_pairs.load() / static_cast<uint64_t>(trials);
-
-    const int monadic_trials = trials * 5;
-    timer.Restart();
-    for (int t = 0; t < monadic_trials; ++t) {
-      auto r = EvalMonadic(graph, query, options);
-      RPQ_CHECK_EQ(r->Count(), monolithic_monadic->Count());
-    }
-    point.monadic_seconds = timer.ElapsedSeconds() / monadic_trials;
-    result.points.push_back(point);
-  }
-  return result;
-}
-
 struct CondensedQueryResult {
   const char* name = "";
   const char* pattern = "";
@@ -442,10 +356,10 @@ struct CondensedFixtureResult {
 
 /// SCC-condensed vs per-edge kleene-star evaluation on the high-density
 /// fixture (large per-label SCCs) with star-heavy queries, pinned to one
-/// thread and one shard so the condensation planner step is the only
-/// variable. Outputs are checked bit-identical across the three condense
-/// modes before timing; the `on` run records its expansion counters so the
-/// JSON proves the component path engaged.
+/// thread so the condensation planner step is the only variable. Outputs
+/// are checked bit-identical across the three condense modes before
+/// timing; the `on` run records its expansion counters so the JSON proves
+/// the component path engaged.
 CondensedFixtureResult BenchCondensed(uint32_t num_nodes,
                                       size_t edges_per_node, int trials) {
   ScaleFreeOptions graph_options;
@@ -1028,8 +942,8 @@ void PrintDynamicJson(FILE* out, const DynamicBenchResult& r) {
 }
 
 /// Full configuration-cube identity check on a reduced high-density
-/// fixture: condense {off, on, auto} × shards {1, 4} × threads {1, 8} ×
-/// force modes {auto, sparse, dense}, binary vs the seed reference and
+/// fixture: condense {off, on, auto} × threads {1, 8} × force modes
+/// {auto, sparse, dense}, binary vs the seed reference and
 /// monadic vs the seed reference. Runs at a fixed small size on every
 /// bench scale so the CI perf job always re-proves the cube.
 void CheckCondensedIdentityCube() {
@@ -1046,29 +960,26 @@ void CheckCondensedIdentityCube() {
 
   for (CondenseMode condense :
        {CondenseMode::kOff, CondenseMode::kOn, CondenseMode::kAuto}) {
-    for (uint32_t shards : {1u, 4u}) {
-      for (uint32_t threads : {1u, 8u}) {
-        for (EvalMode mode :
-             {EvalMode::kAuto, EvalMode::kSparse, EvalMode::kDense}) {
-          EvalOptions options;
-          options.condense = condense;
-          options.shards = shards;
-          options.threads = threads;
-          options.force_mode = mode;
-          options.parallel_threshold_pairs = 0;
-          auto pairs = EvalBinary(graph, query, options);
-          RPQ_CHECK(pairs.ok());
-          RPQ_CHECK(*pairs == expected_pairs)
-              << "condensed identity cube: binary diverged at condense="
-              << static_cast<int>(condense) << " shards=" << shards
-              << " threads=" << threads << " mode=" << static_cast<int>(mode);
-          auto monadic = EvalMonadic(graph, query, options);
-          RPQ_CHECK(monadic.ok());
-          RPQ_CHECK(*monadic == expected_monadic)
-              << "condensed identity cube: monadic diverged at condense="
-              << static_cast<int>(condense) << " shards=" << shards
-              << " threads=" << threads << " mode=" << static_cast<int>(mode);
-        }
+    for (uint32_t threads : {1u, 8u}) {
+      for (EvalMode mode :
+           {EvalMode::kAuto, EvalMode::kSparse, EvalMode::kDense}) {
+        EvalOptions options;
+        options.condense = condense;
+        options.threads = threads;
+        options.force_mode = mode;
+        options.parallel_threshold_pairs = 0;
+        auto pairs = EvalBinary(graph, query, options);
+        RPQ_CHECK(pairs.ok());
+        RPQ_CHECK(*pairs == expected_pairs)
+            << "condensed identity cube: binary diverged at condense="
+            << static_cast<int>(condense) << " threads=" << threads
+            << " mode=" << static_cast<int>(mode);
+        auto monadic = EvalMonadic(graph, query, options);
+        RPQ_CHECK(monadic.ok());
+        RPQ_CHECK(*monadic == expected_monadic)
+            << "condensed identity cube: monadic diverged at condense="
+            << static_cast<int>(condense) << " threads=" << threads
+            << " mode=" << static_cast<int>(mode);
       }
     }
   }
@@ -1123,50 +1034,6 @@ void PrintCondensedJson(FILE* out, const CondensedFixtureResult& r) {
                  i + 1 < r.queries.size() ? "," : "");
   }
   std::fprintf(out, "  },\n");
-}
-
-void PrintShardSweep(const char* name, const ShardSweepResult& r) {
-  std::printf("sharded eval, %s fixture (%u nodes, %zu edges, "
-              "RPQ_EVAL_SHARDS to pin):\n",
-              name, r.nodes, r.edges);
-  const double base_binary = r.points.front().binary_seconds;
-  const double base_monadic = r.points.front().monadic_seconds;
-  for (const ShardPointResult& p : r.points) {
-    std::printf("  K=%u  binary %8.3fs (vs K=1 %.2fx)  monadic %8.4fs "
-                "(%.2fx)  boundary edges %zu, %llu supersteps, %llu "
-                "exchanged pairs\n",
-                p.shards, p.binary_seconds,
-                Speedup(base_binary, p.binary_seconds), p.monadic_seconds,
-                Speedup(base_monadic, p.monadic_seconds), p.boundary_edges,
-                static_cast<unsigned long long>(p.supersteps),
-                static_cast<unsigned long long>(p.cross_shard_pairs));
-  }
-}
-
-void PrintShardSweepJson(FILE* out, const char* name,
-                         const ShardSweepResult& r, bool last) {
-  std::fprintf(out,
-               "    \"%s\": {\n"
-               "      \"nodes\": %u,\n"
-               "      \"edges\": %zu,\n",
-               name, r.nodes, r.edges);
-  for (size_t i = 0; i < r.points.size(); ++i) {
-    const ShardPointResult& p = r.points[i];
-    std::fprintf(out,
-                 "      \"k%u\": {\n"
-                 "        \"boundary_edges\": %zu,\n"
-                 "        \"binary_seconds\": %.6f,\n"
-                 "        \"monadic_seconds\": %.6f,\n"
-                 "        \"supersteps_per_call\": %llu,\n"
-                 "        \"cross_shard_pairs_per_call\": %llu\n"
-                 "      }%s\n",
-                 p.shards, p.boundary_edges, p.binary_seconds,
-                 p.monadic_seconds,
-                 static_cast<unsigned long long>(p.supersteps),
-                 static_cast<unsigned long long>(p.cross_shard_pairs),
-                 i + 1 < r.points.size() ? "," : "");
-  }
-  std::fprintf(out, "    }%s\n", last ? "" : ",");
 }
 
 void PrintDirectionJson(FILE* out, const char* name,
@@ -1255,24 +1122,14 @@ int main() {
   PrintDirectionFixture("standard", dir_standard);
   PrintDirectionFixture("high-density", dir_high);
 
-  // --- sharded evaluation ----------------------------------------------
-  // Node-range shards (BSP supersteps + cross-shard outboxes) vs the
-  // monolithic engine, K ∈ {1, 2, 4, 8}, on the same standard and
-  // high-density fixtures; RPQ_EVAL_SHARDS pins a count for every other
-  // driver.
-  auto shard_standard = BenchShardSweep(eval_nodes, 3, trials);
-  auto shard_high = BenchShardSweep(eval_nodes, 10, trials);
-  PrintShardSweep("standard", shard_standard);
-  PrintShardSweep("high-density", shard_high);
-
   // --- SCC-condensed kleene-star evaluation ----------------------------
   // The condensation planner step on the high-density fixture (large
   // per-label SCCs) with star-heavy queries, plus the full
-  // condense × shards × threads × mode identity cube against the seed
-  // reference on a fixed reduced fixture.
+  // condense × threads × mode identity cube against the seed reference on
+  // a fixed reduced fixture.
   CheckCondensedIdentityCube();
-  std::printf("condensed identity cube: ok (condense x shards x threads x "
-              "mode vs seed reference)\n");
+  std::printf("condensed identity cube: ok (condense x threads x mode vs "
+              "seed reference)\n");
   auto condensed = BenchCondensed(eval_nodes, 10, trials);
   PrintCondensed("high-density", condensed);
 
@@ -1349,11 +1206,6 @@ int main() {
                par_monadic_speedup);
   PrintDirectionJson(out, "standard", dir_standard, /*last=*/false);
   PrintDirectionJson(out, "high_density", dir_high, /*last=*/true);
-  std::fprintf(out,
-               "  },\n"
-               "  \"eval_sharded\": {\n");
-  PrintShardSweepJson(out, "standard", shard_standard, /*last=*/false);
-  PrintShardSweepJson(out, "high_density", shard_high, /*last=*/true);
   std::fprintf(out, "  },\n");
   PrintCondensedJson(out, condensed);
   PrintDynamicJson(out, dynamic);

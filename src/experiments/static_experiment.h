@@ -30,7 +30,7 @@ struct StaticSweepOptions {
   uint64_t seed = 1;
   LearnerOptions learner;
   /// Evaluation knobs (thread count, direction-optimizing mode/threshold,
-  /// node-range shard count) for scoring learned queries against the goal.
+  /// condensation policy) for scoring learned queries against the goal.
   /// An ExecContext in `eval.exec` governs the whole sweep (it is also
   /// handed to the learner when `learner.exec` is unset); its trip Status —
   /// like any evaluation failure — propagates out of the sweep instead of

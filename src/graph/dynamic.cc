@@ -4,10 +4,6 @@
 
 namespace rpqlearn {
 
-void DynamicGraph::MaintainSharding(uint32_t num_shards) {
-  sharded_.emplace(ShardedGraph::Partition(graph_, num_shards));
-}
-
 void DynamicGraph::MaintainCondensation() {
   condensed_.emplace(CondensedGraph::Build(graph_));
 }
@@ -43,7 +39,7 @@ bool DynamicGraph::InsertEdge(NodeId src, Symbol a, NodeId dst) {
     return false;
   }
   ++stats_.inserts;
-  ApplyToSnapshots(a, src, dst, /*inserted=*/true);
+  ApplyToCondensation(a, src, dst, /*inserted=*/true);
   for (const auto& view : materialized_) view->OnInsertEdge(src, a, dst);
   MaybeAutoCompact();
   return true;
@@ -55,7 +51,7 @@ bool DynamicGraph::DeleteEdge(NodeId src, Symbol a, NodeId dst) {
     return false;
   }
   ++stats_.deletes;
-  ApplyToSnapshots(a, src, dst, /*inserted=*/false);
+  ApplyToCondensation(a, src, dst, /*inserted=*/false);
   for (const auto& view : materialized_) view->OnDeleteEdge(src, a, dst);
   MaybeAutoCompact();
   return true;
@@ -68,48 +64,32 @@ void DynamicGraph::MaybeAutoCompact() {
   ++stats_.auto_compactions;
 }
 
-void DynamicGraph::ApplyToSnapshots(Symbol a, NodeId src, NodeId dst,
-                                    bool inserted) {
-  if (sharded_) {
-    const bool same_shard = sharded_->ShardOf(src) == sharded_->ShardOf(dst);
-    sharded_->ApplyEdgeUpdate(graph_, a, src, dst, inserted);
-    if (same_shard) {
-      ++stats_.shard_same_shard_updates;
-    } else {
-      ++stats_.shard_cross_shard_updates;
-    }
-  }
-  if (condensed_) {
-    switch (condensed_->ApplyEdgeUpdate(graph_, a, src, dst, inserted)) {
-      case CondenseRepair::kUntouchedLabel:
-        ++stats_.condense_untouched_labels;
-        break;
-      case CondenseRepair::kNoStructuralChange:
-        ++stats_.condense_no_structural_change;
-        break;
-      case CondenseRepair::kDagRebuilt:
-        ++stats_.condense_dag_rebuilds;
-        break;
-      case CondenseRepair::kLabelRetarjaned:
-        ++stats_.condense_retarjans;
-        break;
-    }
+void DynamicGraph::ApplyToCondensation(Symbol a, NodeId src, NodeId dst,
+                                       bool inserted) {
+  if (!condensed_) return;
+  switch (condensed_->ApplyEdgeUpdate(graph_, a, src, dst, inserted)) {
+    case CondenseRepair::kUntouchedLabel:
+      ++stats_.condense_untouched_labels;
+      break;
+    case CondenseRepair::kNoStructuralChange:
+      ++stats_.condense_no_structural_change;
+      break;
+    case CondenseRepair::kDagRebuilt:
+      ++stats_.condense_dag_rebuilds;
+      break;
+    case CondenseRepair::kLabelRetarjaned:
+      ++stats_.condense_retarjans;
+      break;
   }
 }
 
 void DynamicGraph::Compact() {
   graph_.Compact();
   ++stats_.compactions;
-  if (sharded_) {
-    sharded_.emplace(ShardedGraph::Partition(graph_, sharded_->num_shards()));
-  }
   for (const auto& view : materialized_) view->OnCompact();
 }
 
 EvalOptions DynamicGraph::WithCaches(EvalOptions options) const {
-  if (options.sharded_cache == nullptr && sharded_) {
-    options.sharded_cache = &*sharded_;
-  }
   if (options.condensed_cache == nullptr && condensed_) {
     options.condensed_cache = &*condensed_;
   }

@@ -10,7 +10,6 @@
 
 #include "graph/condense.h"
 #include "graph/graph.h"
-#include "graph/shard.h"
 #include "query/eval.h"
 #include "query/eval_incremental.h"
 #include "util/status.h"
@@ -28,10 +27,6 @@ struct MaintenanceStats {
   /// No-op calls: inserting a live edge or deleting an absent one.
   uint64_t rejected_updates = 0;
   uint64_t compactions = 0;
-  /// Updates routed into the maintained ShardedGraph (internal cells for
-  /// same-shard edges, boundary cells of both owners for cross-shard).
-  uint64_t shard_same_shard_updates = 0;
-  uint64_t shard_cross_shard_updates = 0;
   /// CondenseRepair outcome tallies.
   uint64_t condense_untouched_labels = 0;
   uint64_t condense_no_structural_change = 0;
@@ -42,21 +37,21 @@ struct MaintenanceStats {
   uint64_t auto_compactions = 0;
 };
 
-/// Owns a Graph plus optional *maintained* derived-structure snapshots — a
-/// ShardedGraph partition view and a per-label CondensedGraph — kept
-/// consistent with the live edge set across InsertEdge / DeleteEdge by
-/// incremental repair instead of rebuild-from-scratch. This is the serving
-/// shape for a mutating graph: the interactive loop (and any evaluation
-/// call) borrows the snapshots through WithCaches(), and the version keying
-/// (Graph::version ↔ graph_version of each snapshot) guarantees the
-/// evaluation engines can never read a snapshot that missed an update.
+/// Owns a Graph plus an optional *maintained* derived-structure snapshot —
+/// a per-label CondensedGraph — kept consistent with the live edge set
+/// across InsertEdge / DeleteEdge by incremental repair instead of
+/// rebuild-from-scratch. This is the serving shape for a mutating graph:
+/// the query server's Engine (and any evaluation call) borrows the snapshot
+/// through WithCaches(), and the version keying (Graph::version ↔ the
+/// snapshot's graph_version) guarantees the evaluation engines can never
+/// read a snapshot that missed an update.
 /// Materialized query results (Materialize / MaterializeMonadic) ride the
 /// same update routing: their retained fixed points are repaired in place by
 /// delta-frontier re-seeding as edges arrive.
 ///
 /// Mutations must be externally synchronized against readers, exactly like
 /// Graph itself. All maintenance is deterministic: a DynamicGraph that
-/// replayed the same updates holds bit-identical snapshots.
+/// replayed the same updates holds a bit-identical snapshot.
 class DynamicGraph {
  public:
   static constexpr size_t kDefaultAutoCompactThreshold = 256;
@@ -65,9 +60,6 @@ class DynamicGraph {
 
   const Graph& graph() const { return graph_; }
 
-  /// Builds (or re-builds at a new shard count) the maintained partition
-  /// view; subsequent updates patch it in place.
-  void MaintainSharding(uint32_t num_shards);
   /// Builds the maintained condensation over every label / over `labels`;
   /// subsequent updates repair it per affected label.
   void MaintainCondensation();
@@ -76,9 +68,9 @@ class DynamicGraph {
   /// Registers a materialized binary query (src/query/eval_incremental.h)
   /// maintained by this DynamicGraph: every subsequent successful update is
   /// routed to it (delta-frontier repair on inserts, per-label invalidation
-  /// on deletes) in registration order, after the maintained structure
-  /// snapshots were repaired. The returned pointer is owned by this
-  /// DynamicGraph and stays valid for its lifetime.
+  /// on deletes) in registration order, after the maintained condensation
+  /// was repaired. The returned pointer is owned by this DynamicGraph and
+  /// stays valid for its lifetime.
   StatusOr<MaterializedQuery*> Materialize(const Dfa& query,
                                            std::span<const NodeId> sources,
                                            const EvalOptions& options = {});
@@ -86,11 +78,12 @@ class DynamicGraph {
   StatusOr<MaterializedMonadic*> MaterializeMonadic(
       const Dfa& query, const EvalOptions& options = {});
 
-  /// Graph::InsertEdge / DeleteEdge plus incremental repair of every
-  /// maintained snapshot and registered materialized query. Returns whether
-  /// the graph mutated. After repairs, the auto-compaction policy may fold
-  /// the delta overlay (see set_auto_compact_threshold) — by construction
-  /// never mid-evaluation, since evaluations only run between updates.
+  /// Graph::InsertEdge / DeleteEdge plus incremental repair of the
+  /// maintained condensation and every registered materialized query.
+  /// Returns whether the graph mutated. After repairs, the auto-compaction
+  /// policy may fold the delta overlay (see set_auto_compact_threshold) — by
+  /// construction never mid-evaluation, since evaluations only run between
+  /// updates.
   bool InsertEdge(NodeId src, Symbol a, NodeId dst);
   bool DeleteEdge(NodeId src, Symbol a, NodeId dst);
 
@@ -106,34 +99,28 @@ class DynamicGraph {
   }
   size_t auto_compact_threshold() const { return auto_compact_threshold_; }
 
-  /// Graph::Compact(), then folds the maintained partition view's cell
-  /// patches by re-partitioning over the fresh CSR (same shard count;
-  /// boundaries re-balance to the compacted weights). The condensation is
-  /// exact at all times and carries no patch state, so it is left untouched.
-  /// Versions are preserved throughout — snapshots stay valid.
+  /// Graph::Compact(). The condensation is exact at all times and carries
+  /// no patch state, so it is left untouched; versions are preserved, so it
+  /// stays valid.
   void Compact();
 
-  /// Maintained snapshots; null until the matching Maintain* call.
-  const ShardedGraph* sharded() const {
-    return sharded_ ? &*sharded_ : nullptr;
-  }
+  /// Maintained snapshot; null until MaintainCondensation.
   const CondensedGraph* condensed() const {
     return condensed_ ? &*condensed_ : nullptr;
   }
 
-  /// Returns `options` with the cache pointers of every maintained snapshot
-  /// filled in (caller-supplied cache pointers win). The evaluation engines
-  /// still re-validate by version, so handing these out is always safe.
+  /// Returns `options` with the maintained condensation filled in as its
+  /// cache pointer (a caller-supplied pointer wins). The evaluation engines
+  /// still re-validate by version, so handing it out is always safe.
   EvalOptions WithCaches(EvalOptions options) const;
 
   const MaintenanceStats& stats() const { return stats_; }
 
  private:
-  void ApplyToSnapshots(Symbol a, NodeId src, NodeId dst, bool inserted);
+  void ApplyToCondensation(Symbol a, NodeId src, NodeId dst, bool inserted);
   void MaybeAutoCompact();
 
   Graph graph_;
-  std::optional<ShardedGraph> sharded_;
   std::optional<CondensedGraph> condensed_;
   /// Registered materialized queries, notified in registration order.
   std::vector<std::unique_ptr<MaterializedView>> materialized_;

@@ -168,10 +168,10 @@ class Graph {
   size_t num_pending_deltas() const;
 
   /// Mutation counter: bumped by every successful InsertEdge/DeleteEdge,
-  /// preserved by Compact(). Derived structures (ShardedGraph,
-  /// CondensedGraph) record it at build/update time and the evaluation
-  /// engines reject caches whose recorded version mismatches — a stale
-  /// cache can therefore never serve a mutated graph.
+  /// preserved by Compact(). Derived structures (CondensedGraph) record it
+  /// at build/update time and the evaluation engines reject caches whose
+  /// recorded version mismatches — a stale cache can therefore never serve
+  /// a mutated graph.
   uint64_t version() const { return version_; }
 
   /// Per-label mutation counter: bumped only by updates carrying `a`.

@@ -21,9 +21,9 @@ class Oracle {
   explicit Oracle(BitVector goal) : goal_(std::move(goal)) {}
 
   /// Evaluates the goal query on the graph once and labels from the result.
-  /// `eval` selects the evaluation thread and shard counts; invalid options
-  /// abort (the simulated user is experiment harness code, not a fallible
-  /// API).
+  /// `eval` selects the evaluation knobs (threads, direction mode,
+  /// condensation); invalid options abort (the simulated user is
+  /// experiment harness code, not a fallible API).
   static Oracle FromQuery(const Graph& graph, const Dfa& goal_query,
                           const EvalOptions& eval = {}) {
     StatusOr<Oracle> oracle = TryFromQuery(graph, goal_query, eval);

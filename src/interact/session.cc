@@ -24,10 +24,10 @@ SessionResult RunInteractiveSession(const Graph& graph, const Oracle& oracle,
   // back to an earlier query), and the session graph never mutates, so a
   // repeat hypothesis hits the engine's plan cache and is answered from the
   // plan's retained monadic fixed point without any sweep. The engine also
-  // owns the graph-only evaluation structures the options may call for (the
-  // node-range partition, the per-label SCC condensation), building each
-  // lazily once instead of per call. Results are bit-identical to
-  // EvalMonadic — plans and snapshots are pure reuse.
+  // owns the graph-only evaluation structure the options may call for (the
+  // per-label SCC condensation), building it lazily once instead of per
+  // call. Results are bit-identical to EvalMonadic — plans and snapshots
+  // are pure reuse.
   ExecContext* exec = options.eval.exec;
   EngineOptions engine_options;
   engine_options.eval = options.eval;

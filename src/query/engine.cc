@@ -75,8 +75,7 @@ StatusOr<MonadicNodes> QueryPlan::RunMonadic(ExecContext* exec) const {
     // Create() uses `exec` for this one build only (see build_exec).
     EvalOptions retained = *options;
     retained.exec = engine_->options_.eval.exec;
-    retained.sharded_cache = nullptr;    // materializations repair
-    retained.condensed_cache = nullptr;  // sequentially, snapshot-free
+    retained.condensed_cache = nullptr;  // materializations are snapshot-free
     StatusOr<std::unique_ptr<MaterializedMonadic>> created =
         MaterializedMonadic::Create(engine_->graph(), dfa_, retained,
                                     options->exec);
@@ -159,6 +158,11 @@ Engine::Engine(const DynamicGraph& dynamic, EngineOptions options)
 
 StatusOr<Engine::PlanPtr> Engine::Plan(const Dfa& query) const {
   if (!validated_.ok()) return validated_.status();
+  if (query.num_symbols() > graph_->num_symbols()) {
+    return Status::InvalidArgument(
+        "query alphabet has " + std::to_string(query.num_symbols()) +
+        " symbols but the graph has " + std::to_string(graph_->num_symbols()));
+  }
   Dfa canonical = Canonicalize(query);
   const FrozenDfa frozen(canonical);
   const uint64_t fingerprint = DfaFingerprint(frozen);
@@ -222,19 +226,12 @@ StatusOr<EvalOptions> Engine::PrepareRun(
   if (!validated_.ok()) return validated_.status();
   EvalOptions options = *validated_;
   if (dynamic_ != nullptr) {
-    // Borrow the DynamicGraph's incrementally maintained snapshots; the
-    // holder stays empty (the DynamicGraph owns their lifetime).
+    // Borrow the DynamicGraph's incrementally maintained snapshot; the
+    // holder stays empty (the DynamicGraph owns its lifetime).
     options = dynamic_->WithCaches(options);
   } else {
     *holder = CurrentSnapshots();
-    if (*holder != nullptr) {
-      if ((*holder)->sharded.has_value()) {
-        options.sharded_cache = &*(*holder)->sharded;
-      }
-      if ((*holder)->condensed.has_value()) {
-        options.condensed_cache = &*(*holder)->condensed;
-      }
-    }
+    if (*holder != nullptr) options.condensed_cache = &(*holder)->condensed;
   }
   if (request.exec != nullptr) options.exec = request.exec;
   if (request.stats != nullptr) options.stats = request.stats;
@@ -246,26 +243,15 @@ StatusOr<EvalOptions> Engine::PrepareRun(
 }
 
 std::shared_ptr<const Engine::Snapshots> Engine::CurrentSnapshots() const {
-  const EvalOptions& base = *validated_;
-  const bool wants_sharded =
-      base.shards > 1 && EffectiveShardCount(base, graph_->num_nodes()) > 1;
-  const bool wants_condensed = base.condense != CondenseMode::kOff;
-  if (!wants_sharded && !wants_condensed) return nullptr;
+  if (validated_->condense == CondenseMode::kOff) return nullptr;
 
   const uint64_t version = graph_->version();
   std::lock_guard<std::mutex> lock(mutex_);
   if (snapshots_ != nullptr && snapshots_->graph_version == version) {
     return snapshots_;
   }
-  auto fresh = std::make_shared<Snapshots>();
-  fresh->graph_version = version;
-  if (wants_sharded) {
-    fresh->sharded.emplace(ShardedGraph::Partition(
-        *graph_, EffectiveShardCount(base, graph_->num_nodes())));
-  }
-  if (wants_condensed) {
-    fresh->condensed.emplace(CondensedGraph::Build(*graph_));
-  }
+  auto fresh = std::make_shared<Snapshots>(
+      Snapshots{version, CondensedGraph::Build(*graph_)});
   ++counters_.snapshot_builds;
   snapshots_ = std::move(fresh);
   return snapshots_;

@@ -20,14 +20,14 @@
 ///     structural comparison), so a repeat query — the interactive loop's
 ///     recurring hypotheses, a server's hot queries — reuses its frozen
 ///     transition tables, parse/canonicalization work, and warm results;
-///   - **graph snapshots**: the node-range partition (ShardedGraph) and the
-///     per-label SCC condensation (CondensedGraph) the round engines
-///     consult, built lazily and re-validated against Graph::version() per
-///     run — a mutated graph triggers one rebuild, never a stale read
-///     (the evaluation engines independently reject mismatched snapshots,
-///     so the version keying here is belt over braces). An Engine
-///     constructed over a DynamicGraph borrows that graph's incrementally
-///     *maintained* snapshots instead of rebuilding from scratch.
+///   - a **graph snapshot**: the per-label SCC condensation
+///     (CondensedGraph) the round engines consult, built lazily and
+///     re-validated against Graph::version() per run — a mutated graph
+///     triggers one rebuild, never a stale read (the evaluation engines
+///     independently reject mismatched snapshots, so the version keying
+///     here is belt over braces). An Engine constructed over a DynamicGraph
+///     borrows that graph's incrementally *maintained* snapshot instead of
+///     rebuilding from scratch.
 ///
 /// A `QueryPlan` owns, per query:
 ///   - the canonical Dfa and its FrozenDfa (flat + reverse-CSR tables);
@@ -35,8 +35,7 @@
 ///   - a lazily-built MaterializedMonadic (src/query/eval_incremental.h)
 ///     retaining the monadic fixed point, so a repeat monadic request
 ///     against an unchanged graph is answered without any sweep — the warm
-///     path the interactive session previously reached through
-///     MonadicResultCache.
+///     path of the interactive session's recurring hypotheses.
 ///
 /// Every result is bit-identical to the corresponding free-function call
 /// with the same options: plans and snapshots are pure reuse, never a
@@ -66,7 +65,6 @@
 #include "automata/dfa.h"
 #include "automata/dfa_csr.h"
 #include "graph/condense.h"
-#include "graph/shard.h"
 #include "query/eval.h"
 #include "query/eval_incremental.h"
 #include "util/bit_vector.h"
@@ -85,8 +83,8 @@ struct EngineCounters {
   uint64_t plan_misses = 0;
   /// Plans dropped by the LRU policy (capacity overflow).
   uint64_t plan_evictions = 0;
-  /// Sharded/condensed snapshot (re)builds — 1 per configuration on a
-  /// static graph; one more per graph version the engine actually served.
+  /// Condensation snapshot (re)builds — 1 on a static graph; one more per
+  /// graph version the engine actually served.
   uint64_t snapshot_builds = 0;
   /// QueryPlan::Run dispatches through this engine.
   uint64_t runs = 0;
@@ -206,8 +204,8 @@ class QueryPlan {
 /// Engine configuration. The eval options are validated at construction
 /// (Plan/Run surface the Status of an invalid configuration).
 struct EngineOptions {
-  /// Base evaluation knobs for every run: threads, direction mode, shard
-  /// count, condensation policy, default ExecContext and stats sink.
+  /// Base evaluation knobs for every run: threads, direction mode,
+  /// condensation policy, default ExecContext and stats sink.
   EvalOptions eval;
   /// Plans kept by the LRU cache; 0 disables caching (every Plan() call
   /// compiles afresh — for tests and cold-path benchmarks).
@@ -225,9 +223,9 @@ class Engine {
 
   /// An engine over a borrowed graph; `graph` must outlive the engine.
   explicit Engine(const Graph& graph, EngineOptions options = {});
-  /// An engine borrowing a DynamicGraph's *maintained* snapshots: runs
-  /// consult dynamic.sharded()/condensed() (incrementally repaired on every
-  /// update) instead of engine-built ones. `dynamic` must outlive the
+  /// An engine borrowing a DynamicGraph's *maintained* snapshot: runs
+  /// consult dynamic.condensed() (incrementally repaired on every update)
+  /// instead of an engine-built one. `dynamic` must outlive the
   /// engine; updates still require external serialization against runs.
   explicit Engine(const DynamicGraph& dynamic, EngineOptions options = {});
 
@@ -236,8 +234,8 @@ class Engine {
 
   /// Compiles (or fetches from the plan cache) the plan of `query`. The
   /// query DFA is canonicalized first, so equivalent DFAs share one plan.
-  /// Status when the engine was constructed with invalid EvalOptions or the
-  /// query's alphabet exceeds the graph's.
+  /// InvalidArgument when the engine was constructed with invalid
+  /// EvalOptions or the query's alphabet exceeds the graph's.
   StatusOr<PlanPtr> Plan(const Dfa& query) const;
 
   /// Parses `regex` against the graph's alphabet (the paper's syntax, see
@@ -248,8 +246,8 @@ class Engine {
   StatusOr<QueryResult> Run(const Dfa& query, const QueryRequest& request) const;
 
   const Graph& graph() const { return *graph_; }
-  /// The validated base EvalOptions every run starts from (snapshot cache
-  /// pointers are filled per run and never set here).
+  /// The validated base EvalOptions every run starts from (the snapshot
+  /// cache pointer is filled per run and never set here).
   const StatusOr<EvalOptions>& eval_options() const { return validated_; }
 
   EngineCounters counters() const;
@@ -262,13 +260,12 @@ class Engine {
   /// can never pull structures out from under an in-flight evaluation.
   struct Snapshots {
     uint64_t graph_version = 0;
-    std::optional<ShardedGraph> sharded;
-    std::optional<CondensedGraph> condensed;
+    CondensedGraph condensed;
   };
 
-  /// The engine's EvalOptions for one run: snapshot cache pointers filled
+  /// The engine's EvalOptions for one run: snapshot cache pointer filled
   /// in, per-request exec/stats overrides applied. `holder` receives the
-  /// snapshot bundle keeping those pointers alive.
+  /// snapshot bundle keeping that pointer alive.
   StatusOr<EvalOptions> PrepareRun(const QueryRequest& request,
                                    std::shared_ptr<const Snapshots>* holder) const;
 
@@ -277,12 +274,12 @@ class Engine {
   void CountMonadicWarmHit() const;
 
   const Graph* graph_;
-  const DynamicGraph* dynamic_ = nullptr;  ///< non-null: borrow maintained snapshots
+  const DynamicGraph* dynamic_ = nullptr;  ///< non-null: borrow its snapshot
   EngineOptions options_;
   StatusOr<EvalOptions> validated_;
 
   mutable std::mutex mutex_;
-  /// Most-recently-used first (same policy as MonadicResultCache).
+  /// Most-recently-used first.
   mutable std::vector<std::shared_ptr<QueryPlan>> plans_;
   mutable std::shared_ptr<const Snapshots> snapshots_;
   mutable EngineCounters counters_;

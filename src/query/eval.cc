@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 #include <span>
 #include <thread>
 #include <utility>
 
 #include "automata/dfa_csr.h"
-#include "graph/shard.h"
 #include "query/eval_binary_sweeper.h"
 #include "query/eval_internal.h"
 #include "query/eval_monadic_sweeper.h"
@@ -23,11 +21,9 @@ namespace rpqlearn {
 // plans, direction policy, round counters, the dense-pull kernel) and the
 // sweeper headers (the round machinery, instantiated over the adjacency
 // views of eval_views.h). This TU keeps the drivers: worker scheduling,
-// batch slicing, the BSP exchanges, result recovery, and the public entry
-// points.
+// batch slicing, result recovery, and the public entry points.
 using eval_internal::ApplyCondensePlanToTables;
 using eval_internal::BinaryScratchBytes;
-using eval_internal::BinaryShardScratchBytes;
 using eval_internal::BinarySweeper;
 using eval_internal::BinaryTables;
 using eval_internal::BuildBinaryTables;
@@ -40,9 +36,7 @@ using eval_internal::MonadicSweeper;
 using eval_internal::MonadicSweepScratchBytes;
 using eval_internal::ResolveDirectionPolicy;
 using eval_internal::RoundCounters;
-using eval_internal::ShardGraphView;
 using eval_internal::SharedSymbolCount;
-using eval_internal::StateTransition;
 
 namespace {
 
@@ -67,68 +61,18 @@ uint32_t ResolveWorkers(const EvalOptions& validated, size_t num_pairs,
       std::min<size_t>(validated.threads, num_items));
 }
 
-/// Runs `fn(worker, index)` over [0, count): inline when one worker is
-/// requested, on the shared pool otherwise. The sharded supersteps use this
-/// so a threads = 1 sharded evaluation never touches the pool. A tripped
-/// `exec` stops fresh indices from being issued (units already running bail
-/// at their own checkpoints).
-void RunIndexed(uint32_t workers, size_t count,
-                const std::function<void(uint32_t, size_t)>& fn,
-                const ExecContext* exec = nullptr) {
-  if (workers <= 1) {
-    for (size_t index = 0; index < count; ++index) {
-      if (exec != nullptr && exec->tripped()) return;
-      fn(0, index);
-    }
-    return;
-  }
-  EvalPool().ParallelFor(workers, count, fn, exec);
-}
-
 /// The typed Status an engine surfaces after an ExecContext trip: the
 /// context's latched code and message, annotated with the progress the
 /// evaluation banked before unwinding (the same counts folded into
 /// EvalOptions.stats, so callers can also read them programmatically).
 Status TripStatusWithProgress(const ExecContext& exec,
-                              const RoundCounters& totals,
-                              uint64_t supersteps) {
+                              const RoundCounters& totals) {
   const Status trip = exec.TripStatus();
   return Status(trip.code(),
                 trip.message() + "; progress: rounds=" +
                     std::to_string(totals.sparse + totals.dense) +
-                    ", supersteps=" + std::to_string(supersteps) +
                     ", pairs_settled=" + std::to_string(totals.pairs));
 }
-
-/// Tracks the transient bytes of the BSP outboxes between supersteps:
-/// Update charges only the growth over the previous superstep (and releases
-/// shrinkage), so the context sees the outboxes' high-water mark rather than
-/// a sum over supersteps; the destructor releases whatever is still charged.
-/// An overflowing Update trips the context — the driver unwinds at its next
-/// superstep checkpoint.
-class TransientCharge {
- public:
-  explicit TransientCharge(ExecContext* exec) : exec_(exec) {}
-  ~TransientCharge() {
-    if (exec_ != nullptr) exec_->Release(charged_);
-  }
-  TransientCharge(const TransientCharge&) = delete;
-  TransientCharge& operator=(const TransientCharge&) = delete;
-
-  void Update(size_t bytes) {
-    if (exec_ == nullptr) return;
-    if (bytes > charged_) {
-      if (exec_->Charge(bytes - charged_).ok()) charged_ = bytes;
-    } else {
-      exec_->Release(charged_ - bytes);
-      charged_ = bytes;
-    }
-  }
-
- private:
-  ExecContext* exec_;
-  size_t charged_ = 0;
-};
 
 // --------------------------------------------------------------- monadic
 
@@ -198,291 +142,16 @@ BitVector MonadicSweepRange(const Graph& graph, const BinaryTables& tables,
   return result;
 }
 
-/// One (local node, state) product cell delivered to a destination shard by
-/// the monadic BSP exchange.
-struct MonadicPush {
-  NodeId local;
-  StateId state;
-};
-
-/// Per-shard state of the sharded monadic sweep: a shard-local sweeper plus
-/// double-buffered outboxes (cur written this superstep, prev drained by
-/// receivers) and the border list — fresh discoveries whose in-boundary
-/// predecessors live in other shards.
-class ShardMonadicState {
- public:
-  ShardMonadicState(const ShardedGraph& sharded, uint32_t self,
-                    const BinaryTables& tables, const CondensePlan& plan,
-                    const EvalOptions& validated)
-      : sharded_(&sharded),
-        shard_(&sharded.shard(self)),
-        tables_(&tables),
-        exec_(validated.exec),
-        sweeper_(ShardGraphView{shard_}, tables, plan,
-                 ResolveDirectionPolicy(
-                     validated, static_cast<size_t>(
-                                    shard_->num_local_nodes()) *
-                                    tables.nq),
-                 validated.exec),
-        outbox_cur_(sharded.num_shards()),
-        outbox_prev_(sharded.num_shards()) {}
-
-  size_t frontier_pairs() const { return sweeper_.frontier_pairs(); }
-  const BitVector& reached() const { return sweeper_.reached(); }
-  const GraphShard& shard() const { return *shard_; }
-  RoundCounters* rounds() { return &rounds_; }
-  const RoundCounters& rounds() const { return rounds_; }
-
-  /// The sweeper visit hook: discoveries with in-boundary predecessors are
-  /// queued for the next cross-shard exchange.
-  auto BorderHook() {
-    return [this](NodeId v, StateId q) {
-      if (shard_->HasInBoundary(v)) border_.emplace_back(v, q);
-    };
-  }
-
-  /// Seeds every (local node, accepting state) pair of this shard, then
-  /// closes the seeds over the condensation (a no-op for bounded sweeps,
-  /// whose plan is inactive), so seed-round border discoveries include the
-  /// condensed cones.
-  void Seed() {
-    for (StateId q : tables_->accepting_states) {
-      const uint32_t local_nodes = shard_->num_local_nodes();
-      for (NodeId v = 0; v < local_nodes; ++v) {
-        sweeper_.Visit(v, q, BorderHook());
-      }
-    }
-    sweeper_.RunCondenseClosure(BorderHook(), &rounds_);
-  }
-
-  /// One BSP superstep. Unbounded: drain deliveries, run local rounds to
-  /// exhaustion. Bounded: run exactly one level round, then drain — the
-  /// delivered cells are discoveries *of this level* (their senders found
-  /// them one superstep ago), so they join the level the round just
-  /// produced and expand next superstep, keeping every level globally
-  /// exact.
-  void RunSuperstep(std::span<ShardMonadicState> all, uint32_t self,
-                    bool single_round) {
-    // Checkpoints gate each shard-local round (the superstep's work units);
-    // a trip abandons the rest of the superstep — the driver observes it at
-    // its own checkpoint and discards the partial sweep.
-    if (single_round) {
-      // Bounded sweeps: the plan is inactive, so the closure calls below
-      // are no-ops and every level round is exactly one edge hop.
-      if (sweeper_.frontier_pairs() > 0 &&
-          (exec_ == nullptr || exec_->Checkpoint())) {
-        sweeper_.RunRound(BorderHook(), &rounds_);
-      }
-      Drain(all, self);
-    } else {
-      Drain(all, self);
-      sweeper_.RunCondenseClosure(BorderHook(), &rounds_);
-      while (sweeper_.frontier_pairs() > 0 &&
-             (exec_ == nullptr || exec_->Checkpoint())) {
-        sweeper_.RunRound(BorderHook(), &rounds_);
-        sweeper_.RunCondenseClosure(BorderHook(), &rounds_);
-      }
-    }
-    if (exec_ != nullptr && exec_->tripped()) return;
-    EmitPushes();
-  }
-
-  /// Emits the cross-shard predecessors of every border discovery into the
-  /// current outboxes. Called once after seeding (so seed pushes are
-  /// drained in superstep 0) and at the end of every superstep.
-  void EmitPushes() {
-    for (auto [v, q] : border_) {
-      for (const auto& entry : tables_->frozen->ReverseInto(q)) {
-        if (entry.symbol >= tables_->num_shared) break;
-        for (NodeId u_global : shard_->InBoundary(v, entry.symbol)) {
-          const uint32_t dest = sharded_->ShardOf(u_global);
-          const NodeId local =
-              u_global - sharded_->shard(dest).node_begin();
-          for (StateId p : tables_->frozen->EntrySources(entry)) {
-            outbox_cur_[dest].push_back(MonadicPush{local, p});
-          }
-        }
-      }
-    }
-    border_.clear();
-  }
-
-  /// Swaps the outbox buffers (consumed prev ↔ freshly written cur) and
-  /// returns how many pushes the new prev holds. Driver-sequential, between
-  /// supersteps.
-  size_t FlipOutboxes() {
-    size_t pushes = 0;
-    for (size_t d = 0; d < outbox_cur_.size(); ++d) {
-      outbox_prev_[d].clear();
-      outbox_prev_[d].swap(outbox_cur_[d]);
-      pushes += outbox_prev_[d].size();
-    }
-    return pushes;
-  }
-
- private:
-  /// Applies every delivery addressed to this shard, in sender order (a
-  /// deterministic merge; the closure is order-independent anyway).
-  void Drain(std::span<ShardMonadicState> all, uint32_t self) {
-    for (ShardMonadicState& sender : all) {
-      for (const MonadicPush& push : sender.outbox_prev_[self]) {
-        sweeper_.Visit(push.local, push.state, BorderHook());
-      }
-    }
-  }
-
-  const ShardedGraph* sharded_;
-  const GraphShard* shard_;
-  const BinaryTables* tables_;
-  ExecContext* exec_;
-  MonadicSweeper<ShardGraphView> sweeper_;
-  std::vector<std::pair<NodeId, StateId>> border_;
-  std::vector<std::vector<MonadicPush>> outbox_cur_;
-  std::vector<std::vector<MonadicPush>> outbox_prev_;
-  RoundCounters rounds_;
-};
-
-/// Sharded monadic evaluation: every shard runs backward sweeps over its
-/// internal edges; discoveries on in-boundary nodes are exchanged through
-/// per-shard outboxes between supersteps. The visited table is the same
-/// monotone closure the monolithic sweep computes (bounded: the same level
-/// sets), so the result is bit-identical for every shard count.
-/// The partition a sharded evaluation runs over: the caller's
-/// EvalOptions.sharded_cache when it matches (same node and shard count),
-/// else a fresh partition placed in `owned`. Partitioning is deterministic,
-/// so the two are identical layouts.
-const ShardedGraph& ResolveShardedGraph(const Graph& graph,
-                                        const EvalOptions& validated,
-                                        uint32_t num_shards,
-                                        std::optional<ShardedGraph>* owned) {
-  const ShardedGraph* cache = validated.sharded_cache;
-  if (cache != nullptr && cache->num_nodes() == graph.num_nodes() &&
-      cache->num_graph_edges() == graph.num_edges() &&
-      cache->graph_version() == graph.version() &&
-      cache->num_shards() == num_shards) {
-    return *cache;
-  }
-  owned->emplace(ShardedGraph::Partition(graph, num_shards));
-  return **owned;
-}
-
-StatusOr<BitVector> EvalMonadicShardedImpl(
-    const Graph& graph, const BinaryTables& tables, const CondensePlan& plan,
-    const EvalOptions& validated, bool bounded, uint32_t max_length,
-    uint32_t num_shards) {
-  const uint32_t nv = graph.num_nodes();
-  const uint32_t nq = tables.nq;
-  ExecContext* exec = validated.exec;
-  std::optional<ShardedGraph> owned_partition;
-  const ShardedGraph& sharded =
-      ResolveShardedGraph(graph, validated, num_shards, &owned_partition);
-
-  // Charge every shard's sweeper scratch up front — the shards coexist for
-  // the whole call. On overflow the sweep is skipped entirely and the trip
-  // surfaces through the shared exit below.
-  size_t scratch_bytes = 0;
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    scratch_bytes += MonadicSweepScratchBytes(
-        static_cast<size_t>(sharded.shard(s).num_local_nodes()) * nq, plan);
-  }
-  ScopedExecCharge charge(exec, scratch_bytes);
-
-  std::vector<ShardMonadicState> shards;
-  uint64_t supersteps = 0;
-  uint64_t delivered = 0;
-  if (charge.ok()) {
-    shards.reserve(num_shards);
-    for (uint32_t s = 0; s < num_shards; ++s) {
-      shards.emplace_back(sharded, s, tables, plan, validated);
-    }
-    for (ShardMonadicState& shard : shards) {
-      shard.Seed();
-      shard.EmitPushes();
-    }
-    TransientCharge outbox_charge(exec);
-    size_t pending_pushes = 0;
-    for (ShardMonadicState& shard : shards) {
-      pending_pushes += shard.FlipOutboxes();
-    }
-    outbox_charge.Update(pending_pushes * sizeof(MonadicPush));
-
-    const uint32_t workers = ResolveWorkers(
-        validated, static_cast<size_t>(nv) * nq, num_shards);
-    uint32_t step = 0;
-    for (;;) {
-      bool any_frontier = pending_pushes > 0;
-      for (const ShardMonadicState& shard : shards) {
-        any_frontier = any_frontier || shard.frontier_pairs() > 0;
-      }
-      if (!any_frontier || (bounded && step >= max_length)) break;
-      if (exec != nullptr && !exec->Checkpoint()) break;
-      delivered += pending_pushes;
-      ++supersteps;
-      ++step;
-      RunIndexed(
-          workers, num_shards,
-          [&](uint32_t /*worker*/, size_t s) {
-            shards[s].RunSuperstep(shards, static_cast<uint32_t>(s), bounded);
-          },
-          exec);
-      pending_pushes = 0;
-      for (ShardMonadicState& shard : shards) {
-        pending_pushes += shard.FlipOutboxes();
-      }
-      outbox_charge.Update(pending_pushes * sizeof(MonadicPush));
-    }
-    // Bounded sweeps that hit the level bound drop their still-undelivered
-    // pushes: superstep k runs its round before its drain, so deliveries of
-    // superstep k mark cells of level k + 1 — after max_length supersteps
-    // every level ≤ max_length is marked and the pending pushes all name
-    // cells beyond the bound.
-  }
-
-  std::vector<RoundCounters> per_sweep;
-  per_sweep.reserve(shards.size());
-  for (const ShardMonadicState& shard : shards) {
-    per_sweep.push_back(shard.rounds());
-  }
-  const RoundCounters totals = AccumulateMonadicRounds(validated, per_sweep);
-  if (validated.stats != nullptr) {
-    validated.stats->supersteps.fetch_add(supersteps,
-                                          std::memory_order_relaxed);
-    validated.stats->cross_shard_pairs.fetch_add(delivered,
-                                                 std::memory_order_relaxed);
-  }
-  if (exec != nullptr && exec->tripped()) {
-    return TripStatusWithProgress(*exec, totals, supersteps);
-  }
-
-  BitVector result(nv);
-  const StateId q0 = tables.q0;
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    const GraphShard& shard = sharded.shard(s);
-    const uint32_t local_nodes = shard.num_local_nodes();
-    for (NodeId v = 0; v < local_nodes; ++v) {
-      if (shards[s].reached().Test(static_cast<size_t>(v) * nq + q0)) {
-        result.Set(shard.node_begin() + v);
-      }
-    }
-  }
-  return result;
-}
-
-/// Effective shard count of one evaluation; 1 means the monolithic path.
-/// Shares the exported clamping rule so EvalOptions.sharded_cache holders
-/// (the interactive session) always partition at the count the engines
-/// resolve.
-uint32_t ResolveShards(const EvalOptions& validated, uint32_t nv) {
-  return EffectiveShardCount(validated, nv);
-}
-
 /// Runs per-node-range monadic sweeps (bounded iff max_length != none) on
-/// `workers` contexts and unions the per-range selected sets; with
-/// shards > 1, dispatches to the BSP sharded engine instead.
+/// `workers` contexts and unions the per-range selected sets.
 StatusOr<BitVector> EvalMonadicImpl(const Graph& graph, const Dfa& query,
                                     bool bounded, uint32_t max_length,
                                     const EvalOptions& validated) {
-  RPQ_CHECK_LE(query.num_symbols(), graph.num_symbols());
+  if (query.num_symbols() > graph.num_symbols()) {
+    return Status::InvalidArgument(
+        "monadic query alphabet has " + std::to_string(query.num_symbols()) +
+        " symbols but the graph has " + std::to_string(graph.num_symbols()));
+  }
   const uint32_t nq = query.num_states();
   const uint32_t nv = graph.num_nodes();
   ExecContext* exec = validated.exec;
@@ -494,12 +163,6 @@ StatusOr<BitVector> EvalMonadicImpl(const Graph& graph, const Dfa& query,
   ApplyCondensePlanToTables(plan, &tables);
   const size_t num_pairs = static_cast<size_t>(nv) * nq;
   const DirectionPolicy policy = ResolveDirectionPolicy(validated, num_pairs);
-
-  const uint32_t num_shards = ResolveShards(validated, nv);
-  if (num_shards > 1) {
-    return EvalMonadicShardedImpl(graph, tables, plan, validated, bounded,
-                                  max_length, num_shards);
-  }
 
   uint32_t workers = ResolveWorkers(validated, num_pairs, nv);
   if (workers > 1) {
@@ -517,7 +180,7 @@ StatusOr<BitVector> EvalMonadicImpl(const Graph& graph, const Dfa& query,
     const RoundCounters totals =
         AccumulateMonadicRounds(validated, {&rounds, 1});
     if (exec != nullptr && exec->tripped()) {
-      return TripStatusWithProgress(*exec, totals, /*supersteps=*/0);
+      return TripStatusWithProgress(*exec, totals);
     }
     return result;
   }
@@ -540,7 +203,7 @@ StatusOr<BitVector> EvalMonadicImpl(const Graph& graph, const Dfa& query,
       exec);
   const RoundCounters totals = AccumulateMonadicRounds(validated, per_sweep);
   if (exec != nullptr && exec->tripped()) {
-    return TripStatusWithProgress(*exec, totals, /*supersteps=*/0);
+    return TripStatusWithProgress(*exec, totals);
   }
   BitVector result = std::move(partial[0]);
   for (uint32_t chunk = 1; chunk < workers; ++chunk) {
@@ -603,10 +266,8 @@ class BinaryBatchScratch {
 /// Sums per-batch round counters into EvalOptions.stats, if present. The
 /// totals are deterministic: each batch's counts are a pure function of
 /// (graph, query, batch sources, policy), independent of scheduling.
-/// `per_batch` must hold one row per *batch* — both the monolithic and the
-/// sharded engine fold their counts into per-batch rows, so dense_batches
-/// (batches in which at least one dense round ran) means the same thing on
-/// every engine and shard count.
+/// `per_batch` must hold one row per *batch*, so dense_batches counts
+/// batches in which at least one dense round ran.
 RoundCounters AccumulateStats(const EvalOptions& validated,
                               std::span<const RoundCounters> per_batch) {
   RoundCounters totals;
@@ -631,247 +292,10 @@ RoundCounters AccumulateStats(const EvalOptions& validated,
   return totals;
 }
 
-/// One (local node, state, lanes) delivery of the binary BSP exchange.
-struct BinaryPush {
-  NodeId local;
-  StateId state;
-  uint64_t lanes;
-};
-
-/// Per-shard driver of the sharded batched binary BFS: a BinarySweeper over
-/// the shard's internal edges — the shard view tracks changed cells for
-/// boundary re-push — plus the BSP machinery: double-buffered
-/// per-destination outboxes and this shard's round counters.
-class ShardBinaryState {
- public:
-  ShardBinaryState(const ShardedGraph& sharded, uint32_t self,
-                   const BinaryTables& tables, const CondensePlan& plan,
-                   const EvalOptions& validated)
-      : sharded_(&sharded),
-        shard_(&sharded.shard(self)),
-        tables_(&tables),
-        exec_(validated.exec),
-        outbox_cur_(sharded.num_shards()),
-        outbox_prev_(sharded.num_shards()) {
-    sweeper_.Prepare(
-        ShardGraphView{shard_}, tables, plan,
-        ResolveDirectionPolicy(
-            validated,
-            static_cast<size_t>(shard_->num_local_nodes()) * tables.nq),
-        validated.exec);
-  }
-
-  /// True iff this shard still has local work: frontier pairs to expand or
-  /// star components awaiting the condensation closure.
-  bool has_local_work() const { return sweeper_.has_local_work(); }
-
-  /// Returns the round counts accumulated since the last take, resetting
-  /// them. The driver folds the takes of one batch into one RoundCounters
-  /// row, so AccumulateStats sees per-batch rows — and dense_batches counts
-  /// batches, exactly like the monolithic engine, instead of
-  /// (shard × batch) combinations.
-  RoundCounters TakeBatchRounds() {
-    RoundCounters taken = rounds_;
-    rounds_ = RoundCounters{};
-    return taken;
-  }
-
-  /// Resets the per-batch sweeper state for a batch whose full-lane mask is
-  /// `batch_full`.
-  void BeginBatch(uint64_t batch_full) { sweeper_.BeginBatch(batch_full); }
-
-  /// Seeds lane `lane` at global source `src` (which this shard owns).
-  void SeedLane(NodeId src, uint32_t lane) {
-    sweeper_.Deliver(src - shard_->node_begin(), tables_->q0,
-                     uint64_t{1} << lane);
-  }
-
-  /// One BSP superstep: apply every delivery addressed to this shard (in
-  /// sender order — deterministic), run the local rounds to exhaustion,
-  /// then emit the current masks of every changed boundary cell to the
-  /// destination shards' inboxes.
-  void RunSuperstep(std::span<ShardBinaryState> all, uint32_t self) {
-    for (ShardBinaryState& sender : all) {
-      for (const BinaryPush& push : sender.outbox_prev_[self]) {
-        sweeper_.Deliver(push.local, push.state, push.lanes);
-      }
-    }
-    sweeper_.RunRounds(&rounds_);
-    if (exec_ != nullptr && exec_->tripped()) return;
-    EmitPushes();
-  }
-
-  /// Pushes the full current mask of every cell that gained lanes since the
-  /// last emission along its boundary out-edges. Monotone re-push: a
-  /// receiver merges only the fresh lanes, so repeated masks are no-ops.
-  void EmitPushes() {
-    sweeper_.ForEachChangedCell([&](NodeId v, StateId q, uint64_t lanes) {
-      for (const StateTransition& tr : tables_->transitions[q]) {
-        for (NodeId u_global : shard_->OutBoundary(v, tr.symbol)) {
-          const uint32_t dest = sharded_->ShardOf(u_global);
-          const NodeId local =
-              u_global - sharded_->shard(dest).node_begin();
-          outbox_cur_[dest].push_back(BinaryPush{local, tr.target, lanes});
-        }
-      }
-    });
-  }
-
-  /// Swaps the outbox buffers; returns the pushes the new prev holds.
-  size_t FlipOutboxes() {
-    size_t pushes = 0;
-    for (size_t d = 0; d < outbox_cur_.size(); ++d) {
-      outbox_prev_[d].clear();
-      outbox_prev_[d].swap(outbox_cur_[d]);
-      pushes += outbox_prev_[d].size();
-    }
-    return pushes;
-  }
-
-  /// Appends this shard's per-lane destinations (ascending, global ids) to
-  /// `per_lane`. Shards are drained in ascending order by the driver, so
-  /// concatenation keeps each lane's destination list ascending overall.
-  void CollectLanes(uint32_t lanes,
-                    std::vector<NodeId> (*per_lane)[kLaneBatch]) {
-    sweeper_.CollectLanes(lanes, *per_lane);
-  }
-
- private:
-  const ShardedGraph* sharded_;
-  const GraphShard* shard_;
-  const BinaryTables* tables_;
-  ExecContext* exec_;
-  BinarySweeper<ShardGraphView> sweeper_;
-  std::vector<std::vector<BinaryPush>> outbox_cur_;
-  std::vector<std::vector<BinaryPush>> outbox_prev_;
-  RoundCounters rounds_;
-};
-
-/// Sharded batched binary evaluation: every 64-lane batch runs the product
-/// BFS shard-locally with cross-shard lane masks exchanged through
-/// per-shard outboxes between supersteps, to the same monotone fixed point
-/// as the monolithic engine — so the recovered (src, dst) pairs are
-/// bit-identical for every shard count. Within a batch the shards run
-/// concurrently (one ThreadPool worker each, up to `threads`); batches run
-/// back to back, reusing the per-shard state.
-StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinaryShardedImpl(
-    const Graph& graph, const BinaryTables& tables,
-    const CondensePlan& plan, std::span<const NodeId> sources,
-    const EvalOptions& validated, uint32_t num_shards) {
-  ExecContext* exec = validated.exec;
-  std::optional<ShardedGraph> owned_partition;
-  const ShardedGraph& sharded =
-      ResolveShardedGraph(graph, validated, num_shards, &owned_partition);
-
-  // Per-shard product-space scratch is live for the whole call; charge the
-  // sum before building any of it.
-  size_t scratch_bytes = 0;
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    scratch_bytes += BinaryShardScratchBytes(
-        static_cast<size_t>(sharded.shard(s).num_local_nodes()) * tables.nq,
-        plan);
-  }
-  ScopedExecCharge charge(exec, scratch_bytes);
-
-  std::vector<ShardBinaryState> shards;
-  std::vector<std::pair<NodeId, NodeId>> result;
-  // One row per batch (not per shard), so AccumulateStats' dense_batches
-  // matches the monolithic engine's meaning for every shard count.
-  std::vector<RoundCounters> per_batch_rounds;
-  uint64_t supersteps = 0;
-  uint64_t delivered = 0;
-  if (charge.ok()) {
-    shards.reserve(num_shards);
-    for (uint32_t s = 0; s < num_shards; ++s) {
-      shards.emplace_back(sharded, s, tables, plan, validated);
-    }
-    const uint32_t workers = ResolveWorkers(
-        validated, static_cast<size_t>(tables.nv) * tables.nq, num_shards);
-
-    TransientCharge outbox_charge(exec);
-    const size_t num_batches = (sources.size() + kLaneBatch - 1) / kLaneBatch;
-    per_batch_rounds.resize(num_batches);
-    std::vector<NodeId> per_lane[kLaneBatch];
-    for (size_t batch = 0; batch < num_batches; ++batch) {
-      if (exec != nullptr && exec->tripped()) break;
-      const size_t base = batch * kLaneBatch;
-      const auto batch_sources = sources.subspan(
-          base, std::min<size_t>(kLaneBatch, sources.size() - base));
-      const uint32_t lanes = static_cast<uint32_t>(batch_sources.size());
-      const uint64_t batch_full =
-          lanes == kLaneBatch ? ~uint64_t{0} : (uint64_t{1} << lanes) - 1;
-
-      for (ShardBinaryState& shard : shards) shard.BeginBatch(batch_full);
-      for (uint32_t lane = 0; lane < lanes; ++lane) {
-        const NodeId src = batch_sources[lane];
-        shards[sharded.ShardOf(src)].SeedLane(src, lane);
-      }
-
-      // BSP loop: local rounds to exhaustion, then one exchange, until no
-      // shard received anything new. Seed lanes count as superstep-0 work.
-      size_t pending_pushes = 0;
-      for (;;) {
-        bool any_work = pending_pushes > 0;
-        for (const ShardBinaryState& shard : shards) {
-          any_work = any_work || shard.has_local_work();
-        }
-        if (!any_work) break;
-        if (exec != nullptr && !exec->Checkpoint()) break;
-        delivered += pending_pushes;
-        ++supersteps;
-        RunIndexed(
-            workers, num_shards,
-            [&](uint32_t /*worker*/, size_t s) {
-              shards[s].RunSuperstep(shards, static_cast<uint32_t>(s));
-            },
-            exec);
-        pending_pushes = 0;
-        for (ShardBinaryState& shard : shards) {
-          pending_pushes += shard.FlipOutboxes();
-        }
-        outbox_charge.Update(pending_pushes * sizeof(BinaryPush));
-        if (pending_pushes == 0) break;
-      }
-      // Fold every shard's counts for this batch into the batch's row —
-      // including a torn batch's partial counts, which the totals (and the
-      // trip status' progress annotation) must still cover.
-      for (ShardBinaryState& shard : shards) {
-        per_batch_rounds[batch] += shard.TakeBatchRounds();
-      }
-      if (exec != nullptr && exec->tripped()) break;  // torn batch: discard
-
-      // Recover this batch's pairs: ascending shards append ascending
-      // global destinations, so each lane's list is ascending overall — the
-      // same order the monolithic recovery produces.
-      for (uint32_t lane = 0; lane < lanes; ++lane) per_lane[lane].clear();
-      for (ShardBinaryState& shard : shards) {
-        shard.CollectLanes(lanes, &per_lane);
-      }
-      for (uint32_t lane = 0; lane < lanes; ++lane) {
-        const NodeId src = batch_sources[lane];
-        for (NodeId dst : per_lane[lane]) result.emplace_back(src, dst);
-      }
-    }
-  }
-
-  const RoundCounters totals = AccumulateStats(validated, per_batch_rounds);
-  if (validated.stats != nullptr) {
-    validated.stats->supersteps.fetch_add(supersteps,
-                                          std::memory_order_relaxed);
-    validated.stats->cross_shard_pairs.fetch_add(delivered,
-                                                 std::memory_order_relaxed);
-  }
-  if (exec != nullptr && exec->tripped()) {
-    return TripStatusWithProgress(*exec, totals, supersteps);
-  }
-  return result;
-}
-
 /// Batched binary evaluation over an explicit source list. Batches are
 /// independent given private scratch, so with workers > 1 each batch writes
 /// its pairs into its own slot and the slots are concatenated in batch
 /// order — byte-identical to the sequential loop for every thread count.
-/// With shards > 1, dispatches to the BSP sharded engine instead.
 StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinaryImpl(
     const Graph& graph, const Dfa& query, std::span<const NodeId> sources,
     const EvalOptions& validated) {
@@ -887,13 +311,6 @@ StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinaryImpl(
                     /*auto_needs_cache=*/false, &plan);
   ApplyCondensePlanToTables(plan, &tables);
   const size_t num_pairs = static_cast<size_t>(tables.nv) * nq;
-
-  const uint32_t num_shards = ResolveShards(validated, tables.nv);
-  if (num_shards > 1) {
-    return EvalBinaryShardedImpl(graph, tables, plan, sources, validated,
-                                 num_shards);
-  }
-
   const DirectionPolicy policy = ResolveDirectionPolicy(validated, num_pairs);
   const size_t num_batches = (sources.size() + kLaneBatch - 1) / kLaneBatch;
   auto batch_sources = [&](size_t batch) {
@@ -917,7 +334,7 @@ StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinaryImpl(
     }
     const RoundCounters totals = AccumulateStats(validated, per_batch_rounds);
     if (exec != nullptr && exec->tripped()) {
-      return TripStatusWithProgress(*exec, totals, /*supersteps=*/0);
+      return TripStatusWithProgress(*exec, totals);
     }
     return result;
   }
@@ -941,7 +358,7 @@ StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinaryImpl(
   }
   const RoundCounters totals = AccumulateStats(validated, per_batch_rounds);
   if (exec != nullptr && exec->tripped()) {
-    return TripStatusWithProgress(*exec, totals, /*supersteps=*/0);
+    return TripStatusWithProgress(*exec, totals);
   }
   size_t total = 0;
   for (const auto& pairs : per_batch) total += pairs.size();
@@ -978,12 +395,6 @@ StatusOr<EvalOptions> ValidateEvalOptions(EvalOptions options) {
         "DefaultEvalThreads() for one worker per hardware thread");
   }
   options.threads = std::min(options.threads, kMaxEvalThreads);
-  if (options.shards == 0) {
-    return Status::InvalidArgument(
-        "EvalOptions.shards must be at least 1 (0 requests no graph "
-        "partition); use shards = 1 for the monolithic path");
-  }
-  options.shards = std::min(options.shards, kMaxEvalShards);
   // `!(x >= 0 && x <= 1)` rather than `x < 0 || x > 1` so NaN is rejected.
   if (!(options.dense_threshold >= 0.0 && options.dense_threshold <= 1.0)) {
     return Status::InvalidArgument(
@@ -1015,12 +426,6 @@ StatusOr<EvalOptions> ValidateEvalOptions(EvalOptions options) {
           std::to_string(static_cast<int>(options.condense)) + ")");
   }
   return options;
-}
-
-uint32_t EffectiveShardCount(const EvalOptions& options, uint32_t num_nodes) {
-  const uint32_t shards =
-      std::min(std::max<uint32_t>(options.shards, 1), kMaxEvalShards);
-  return std::min(shards, std::max<uint32_t>(num_nodes, 1));
 }
 
 BitVector EvalMonadic(const Graph& graph, const Dfa& query) {

@@ -16,7 +16,6 @@ namespace rpqlearn {
 
 class CondensedGraph;
 class ExecContext;
-class ShardedGraph;
 
 /// Worker count used by default-constructed EvalOptions: every hardware
 /// thread (at least 1, capped at kMaxEvalThreads).
@@ -24,9 +23,6 @@ uint32_t DefaultEvalThreads();
 
 /// Hard cap on EvalOptions.threads; ValidateEvalOptions clamps to it.
 inline constexpr uint32_t kMaxEvalThreads = 256;
-
-/// Hard cap on EvalOptions.shards; ValidateEvalOptions clamps to it.
-inline constexpr uint32_t kMaxEvalShards = 256;
 
 /// Traversal-direction policy of the batched product BFS (EvalBinary and
 /// EvalBinaryFromSources). The engine is direction-optimizing: each round it
@@ -78,12 +74,6 @@ struct EvalStats {
   /// separately from the batched binary rounds above).
   std::atomic<uint64_t> monadic_sparse_rounds{0};
   std::atomic<uint64_t> monadic_dense_rounds{0};
-  /// BSP supersteps of sharded evaluations (shards > 1): one superstep =
-  /// every shard running its local rounds plus one cross-shard exchange.
-  std::atomic<uint64_t> supersteps{0};
-  /// Frontier pairs delivered through per-shard outboxes between
-  /// supersteps, summed over every shard. 0 whenever shards = 1.
-  std::atomic<uint64_t> cross_shard_pairs{0};
   /// Component expansions performed by the SCC-condensation planner step:
   /// each count is one (star state, component) whose fresh lanes were
   /// scattered to the component's members and DAG successors in one hop.
@@ -94,9 +84,9 @@ struct EvalStats {
   std::atomic<uint64_t> components_collapsed{0};
   /// Product (node, state) pairs expanded from round frontiers, summed over
   /// every round of every engine — the progress measure an ExecContext trip
-  /// status reports alongside rounds and supersteps. A pair counts once per
-  /// round it is expanded in, so the counter is monotone within one
-  /// evaluation and scheduling-independent in total.
+  /// status reports alongside rounds. A pair counts once per round it is
+  /// expanded in, so the counter is monotone within one evaluation and
+  /// scheduling-independent in total.
   std::atomic<uint64_t> pairs_settled{0};
 
   void Reset() {
@@ -105,8 +95,6 @@ struct EvalStats {
     dense_batches.store(0, std::memory_order_relaxed);
     monadic_sparse_rounds.store(0, std::memory_order_relaxed);
     monadic_dense_rounds.store(0, std::memory_order_relaxed);
-    supersteps.store(0, std::memory_order_relaxed);
-    cross_shard_pairs.store(0, std::memory_order_relaxed);
     condensed_expansions.store(0, std::memory_order_relaxed);
     components_collapsed.store(0, std::memory_order_relaxed);
     pairs_settled.store(0, std::memory_order_relaxed);
@@ -147,38 +135,20 @@ struct EvalOptions {
   /// density; kAuto applies the dense_threshold heuristic. For tests and
   /// benchmarks — results are identical in every mode.
   EvalMode force_mode = EvalMode::kAuto;
-  /// Node-range shards the graph is partitioned into for this evaluation
-  /// (ShardedGraph, src/graph/shard.h). 1 — the default — dispatches to the
-  /// exact monolithic code path; K > 1 runs the product-BFS rounds
-  /// shard-locally and exchanges cross-shard frontier pairs through
-  /// per-shard outboxes between BSP supersteps. 0 is InvalidArgument;
-  /// values above kMaxEvalShards (or the node count) are clamped. Pure
-  /// scheduling: the monotone fixed point is shard-count-independent, so
-  /// results are bit-identical for every value.
-  uint32_t shards = 1;
   /// SCC-condensation policy of the kleene-star planner step (see
   /// CondenseMode). Pure scheduling — results are bit-identical for every
   /// value; kOff restores the exact pre-condensation code path.
   CondenseMode condense = CondenseMode::kAuto;
   /// Optional pre-built condensation of the evaluated graph. When non-null
-  /// and matching (same node and edge counts, covering the star labels the
-  /// planner needs), the evaluation consults it instead of condensing per
-  /// call — the interactive loop caches one per session. Mismatching
-  /// caches are ignored (a fresh per-call condensation is built); the
-  /// pointee must outlive the evaluation call. The match test is the
-  /// node/edge counts only — passing a cache built from a *different*
-  /// graph that happens to share both counts is a caller contract
-  /// violation the engine cannot detect.
+  /// and matching (same node count, edge count and Graph::version(),
+  /// covering the star labels the planner needs), the evaluation consults
+  /// it instead of condensing per call; Engine and DynamicGraph fill it
+  /// from their version-keyed snapshots. Mismatching caches are ignored (a
+  /// fresh per-call condensation is built); the pointee must outlive the
+  /// evaluation call. A cache built from a *different* graph that happens
+  /// to share all three values is a caller contract violation the engine
+  /// cannot detect.
   const CondensedGraph* condensed_cache = nullptr;
-  /// Optional pre-built node-range partition of the evaluated graph. When
-  /// non-null and matching (same node and edge counts and the effective
-  /// shard count of this call, see EffectiveShardCount), sharded
-  /// evaluations reuse it instead of re-partitioning per call.
-  /// Mismatching caches are ignored; the same caller contract as
-  /// condensed_cache applies. The pointee must outlive the evaluation
-  /// call. Partitioning is deterministic, so caching never changes
-  /// results.
-  const ShardedGraph* sharded_cache = nullptr;
   /// Optional round counters; when non-null, every batched binary evaluation
   /// through these options adds its sparse/dense round counts. The pointee
   /// must outlive the evaluation call. Never read, only added to.
@@ -186,44 +156,40 @@ struct EvalOptions {
   /// Optional cooperative execution control: a wall-clock deadline, an
   /// externally-triggerable cancellation token, and a byte-accounted memory
   /// budget (src/util/exec_context.h). When non-null, every engine polls
-  /// ExecContext::Checkpoint at round / superstep / closure-wave granularity
-  /// — never per edge — and charges its product-space scratch (sweep
-  /// bitmaps, per-worker BinaryBatchScratch, per-shard state, condensation
-  /// pending heaps, BSP outboxes) against the budget before allocating. A
-  /// trip discards the partial result, folds the progress made into `stats`,
-  /// and unwinds to the context's typed Status (kDeadlineExceeded /
-  /// kCancelled / kResourceExhausted) annotated with rounds, supersteps, and
-  /// pairs settled, so callers can degrade gracefully. Null — the default —
-  /// keeps every code path behaviorally identical to the uncontrolled
-  /// engine; the plain (options-free) entry points never trip. The pointee
-  /// must outlive the evaluation call and may be shared across calls
-  /// (checkpoint ordinals then span all of them; a trip stops them all).
+  /// ExecContext::Checkpoint at round / closure-wave granularity — never
+  /// per edge — and charges its product-space scratch (sweep bitmaps,
+  /// per-worker BinaryBatchScratch, condensation pending heaps) against the
+  /// budget before allocating. A trip discards the partial result, folds
+  /// the progress made into `stats`, and unwinds to the context's typed
+  /// Status (kDeadlineExceeded / kCancelled / kResourceExhausted) annotated
+  /// with rounds and pairs settled, so callers can degrade gracefully.
+  /// Null — the default — keeps every code path behaviorally identical to
+  /// the uncontrolled engine; the plain (options-free) entry points never
+  /// trip. The pointee must outlive the evaluation call and may be shared
+  /// across calls (checkpoint ordinals then span all of them; a trip stops
+  /// them all).
   ExecContext* exec = nullptr;
 };
 
 /// The single validation point for EvalOptions: rejects threads == 0,
-/// shards == 0, dense_threshold outside [0, 1] (or NaN), and unknown
-/// force_mode / condense values with InvalidArgument, and clamps
-/// threads/shards to kMaxEvalThreads/kMaxEvalShards. All options-taking
-/// evaluation entry points call this first.
+/// dense_threshold outside [0, 1] (or NaN), and unknown force_mode /
+/// condense values with InvalidArgument, and clamps threads to
+/// kMaxEvalThreads. All options-taking evaluation entry points call this
+/// first.
 StatusOr<EvalOptions> ValidateEvalOptions(EvalOptions options);
-
-/// The shard count an evaluation over a `num_nodes`-node graph actually
-/// runs with: options.shards clamped to kMaxEvalShards and to the node
-/// count (surplus shards would only be empty ranges). Callers that keep a
-/// ShardedGraph partition cache (EvalOptions.sharded_cache) partition at
-/// this count so the cache matches.
-uint32_t EffectiveShardCount(const EvalOptions& options, uint32_t num_nodes);
 
 /// Monadic evaluation q(G) = {ν | L(q) ∩ paths_G(ν) ≠ ∅} (Sec. 2).
 /// Backward reachability on the product G × DFA from all accepting pairs;
-/// O(|E|·|Q|) time, O(|V|·|Q|) space. The query DFA may be partial.
+/// O(|E|·|Q|) time, O(|V|·|Q|) space. The query DFA may be partial; its
+/// alphabet must not exceed the graph's (checked — the options overload
+/// reports it as a Status instead).
 BitVector EvalMonadic(const Graph& graph, const Dfa& query);
 
 /// EvalMonadic with explicit options: with threads > 1 the accepting seed
 /// pairs are partitioned by node range and each worker runs an independent
 /// backward sweep; the result is the union of the per-range sweeps, which
-/// equals the single sweep exactly.
+/// equals the single sweep exactly. A query over more symbols than the
+/// graph is InvalidArgument.
 StatusOr<BitVector> EvalMonadic(const Graph& graph, const Dfa& query,
                                 const EvalOptions& options);
 
@@ -233,7 +199,8 @@ BitVector EvalMonadicBounded(const Graph& graph, const Dfa& query,
                              uint32_t max_length);
 
 /// EvalMonadicBounded with explicit options (same node-range partitioning
-/// as EvalMonadic; level-synchronous, so the bound is exact per sweep).
+/// and alphabet check as EvalMonadic; level-synchronous, so the bound is
+/// exact per sweep).
 StatusOr<BitVector> EvalMonadicBounded(const Graph& graph, const Dfa& query,
                                        uint32_t max_length,
                                        const EvalOptions& options);

@@ -19,9 +19,9 @@ namespace eval_internal {
 
 /// The 64-lane batched product-BFS round machinery, written once over an
 /// adjacency view (eval_views.h). One BinarySweeper owns the per-worker (or
-/// per-shard) scratch of the batched multi-source BFS and runs the
-/// direction-optimized rounds plus the condensation closure to the monotone
-/// lane-mask fixed point of the view's adjacency:
+/// per-materialized-batch) scratch of the batched multi-source BFS and runs
+/// the direction-optimized rounds plus the condensation closure to the
+/// monotone lane-mask fixed point of the view's adjacency:
 ///
 ///   - `mask[(v, q)]` holds the lane set that has reached the product pair,
 ///     `pending` marks pairs queued in a sparse frontier,
@@ -43,21 +43,19 @@ namespace eval_internal {
 ///     sequence;
 ///   - the condensation closure (HeapPush / TriggerCondense /
 ///     RunCondenseClosure) expands engaged kleene-star components
-///     reverse-topologically between rounds, scattering to owned members
-///     only (`view.OwnsGlobal`), so one instantiation serves both the
-///     monolithic engine and the BSP sharded engine;
+///     reverse-topologically between rounds;
 ///   - when the view tracks changed cells (View::kTracksChanged), every
-///     mask gain on a node with boundary out-edges is recorded for the
-///     sharded engine's re-push (ForEachChangedCell); the global
-///     instantiation compiles all of that away;
+///     mask gain is recorded for the incremental repair's result-list
+///     patching (ForEachChangedCell); the global instantiation compiles all
+///     of that away;
 ///   - ExecContext checkpoints gate every round and every closure wave — in
 ///     exactly one place each. An early return leaves the scratch torn
 ///     (masks uncleared, frontier mid-representation) — safe because a
 ///     tripped evaluation discards every scratch and unwinds.
 ///
-/// Drivers (src/query/eval.cc) own everything around the fixed point: batch
-/// slicing, seeding/delivery order, the BSP outbox exchange, and result
-/// recovery ordering.
+/// Drivers (src/query/eval.cc, src/query/eval_incremental.cc) own
+/// everything around the fixed point: batch slicing, seeding/delivery
+/// order, and result recovery ordering.
 template <typename View>
 class BinarySweeper {
  public:
@@ -98,20 +96,12 @@ class BinarySweeper {
 
   const BinaryTables& tables() const { return *tables_; }
 
-  /// Lane mask currently settled at cell (v, q), in the view's local id
-  /// space. Readable between rounds, like Deliver — the incremental
-  /// delta-frontier seeding (src/query/eval_incremental.h) reads the
-  /// retained fixed point through this to decide which cells a new edge can
-  /// actually grow.
+  /// Lane mask currently settled at cell (v, q). Readable between rounds,
+  /// like Deliver — the incremental delta-frontier seeding
+  /// (src/query/eval_incremental.h) reads the retained fixed point through
+  /// this to decide which cells a new edge can actually grow.
   uint64_t LaneMask(NodeId v, StateId q) const {
     return mask_[static_cast<size_t>(v) * tables_->nq + q];
-  }
-
-  /// True iff the sweep still has local work: frontier pairs to expand or
-  /// star components awaiting the condensation closure (a pure-star query
-  /// seeds no per-edge frontier at all — the closure is its only engine).
-  bool has_local_work() const {
-    return !frontier_.empty() || !cond_heap_.empty();
   }
 
   /// Resets the per-batch state (masks via the touched list, changed cells,
@@ -134,18 +124,18 @@ class BinarySweeper {
     dense_ = false;
   }
 
-  /// Merges `lanes` into local cell (v, q): fresh lanes update the mask,
-  /// mark the cell changed (when the view tracks re-pushes), queue the
-  /// condensation closure when q is a star state, and enqueue it in the
-  /// sparse frontier. Callable between rounds only (seeding, inbox drain),
-  /// when the frontier representation is sparse.
+  /// Merges `lanes` into cell (v, q): fresh lanes update the mask, mark the
+  /// cell changed (when the view tracks changes), queue the condensation
+  /// closure when q is a star state, and enqueue it in the sparse frontier.
+  /// Callable between rounds only (seeding, delta-frontier repair), when
+  /// the frontier representation is sparse.
   void Deliver(NodeId v, StateId q, uint64_t lanes) {
     const size_t cell = static_cast<size_t>(v) * tables_->nq + q;
     const uint64_t fresh = lanes & ~mask_[cell];
     if (fresh == 0) return;
     if (mask_[cell] == 0) touched_.push_back(cell);
     mask_[cell] |= fresh;
-    MarkChanged(cell, v);
+    MarkChanged(cell);
     if (plan_->active && plan_->engaged_any[q]) {
       TriggerCondense(v, q, fresh);
     }
@@ -156,11 +146,11 @@ class BinarySweeper {
   }
 
   /// Runs the direction-optimized rounds until the frontier drains (the
-  /// local fixed point given everything delivered so far), adding round
-  /// counts to `rounds`. The condensation closure runs before the first
-  /// round (seed and inbox gains) and after every round. On an ExecContext
-  /// trip the scratch is left torn — callers must check tripped() before
-  /// recovering or emitting anything.
+  /// fixed point given everything delivered so far), adding round counts
+  /// to `rounds`. The condensation closure runs before the first round
+  /// (seed and delta gains) and after every round. On an ExecContext trip
+  /// the scratch is left torn — callers must check tripped() before
+  /// recovering anything.
   void RunRounds(RoundCounters* rounds) {
     size_t frontier_pairs = frontier_.size();
     frontier_pairs += RunCondenseClosure(rounds);
@@ -188,26 +178,23 @@ class BinarySweeper {
     dense_ = false;  // frontier is empty; both representations agree
   }
 
-  /// Appends this view's per-lane destinations (ascending, global ids) to
-  /// `lanes_out[lane]`. When the BFS saturated the pair space a dense node
-  /// sweep is cheapest; otherwise only the touched cells are inspected
-  /// (sort+unique restores ascending order and drops nodes reached in
-  /// several accepting states). Sharded drivers drain views in ascending
-  /// node-range order, so concatenation keeps each lane ascending overall.
+  /// Appends the per-lane destinations (ascending) to `lanes_out[lane]`.
+  /// When the BFS saturated the pair space a dense node sweep is cheapest;
+  /// otherwise only the touched cells are inspected (sort+unique restores
+  /// ascending order and drops nodes reached in several accepting states).
   void CollectLanes(uint32_t lanes, std::vector<NodeId>* lanes_out) {
     const uint32_t nq = tables_->nq;
     const size_t num_pairs = mask_.size();
     if (num_pairs > 0 && touched_.size() >= num_pairs / 4) {
-      const uint32_t local_nodes = view_.num_nodes();
-      for (NodeId u = 0; u < local_nodes; ++u) {
+      const uint32_t nv = view_.num_nodes();
+      for (NodeId u = 0; u < nv; ++u) {
         uint64_t h = 0;
         for (StateId q : tables_->accepting_states) {
           h |= mask_[static_cast<size_t>(u) * nq + q];
         }
-        const NodeId global = view_.ToGlobal(u);
         while (h != 0) {
           const int lane = std::countr_zero(h);
-          lanes_out[lane].push_back(global);
+          lanes_out[lane].push_back(u);
           h &= h - 1;
         }
       }
@@ -218,11 +205,10 @@ class BinarySweeper {
       const StateId q = static_cast<StateId>(cell % nq);
       if (!tables_->accepting_flag[q]) continue;
       const NodeId u = static_cast<NodeId>(cell / nq);
-      const NodeId global = view_.ToGlobal(u);
       uint64_t h = mask_[cell];
       while (h != 0) {
         const int lane = std::countr_zero(h);
-        scratch_[lane].push_back(global);
+        scratch_[lane].push_back(u);
         h &= h - 1;
       }
     }
@@ -236,9 +222,8 @@ class BinarySweeper {
   }
 
   /// Drains the changed-cell list: `fn(v, q, mask)` fires once per cell
-  /// that gained lanes on a node with boundary out-edges since the last
-  /// drain. Only available on views that track changes (the sharded
-  /// engine's EmitPushes).
+  /// that gained lanes since the last drain. Only available on views that
+  /// track changes (the incremental repair's result-list patching).
   template <typename Fn>
   void ForEachChangedCell(Fn&& fn) {
     static_assert(View::kTracksChanged,
@@ -253,15 +238,14 @@ class BinarySweeper {
   }
 
  private:
-  void MarkChanged(size_t cell, NodeId v) {
+  void MarkChanged(size_t cell) {
     if constexpr (View::kTracksChanged) {
-      if (!changed_flag_[cell] && view_.HasOutBoundary(v)) {
+      if (!changed_flag_[cell]) {
         changed_flag_[cell] = 1;
         changed_.push_back(cell);
       }
     } else {
       (void)cell;
-      (void)v;
     }
   }
 
@@ -279,9 +263,8 @@ class BinarySweeper {
   /// closure wave scatters a component once with every lane that reached
   /// it, keeping the 64-lane batching intact instead of expanding per gain.
   void TriggerCondense(NodeId v, StateId q, uint64_t lanes) {
-    const NodeId global = view_.ToGlobal(v);
     for (const CondenseLoop& loop : plan_->loops[q]) {
-      const uint32_t c = loop.label->ComponentOf(global);
+      const uint32_t c = loop.label->ComponentOf(v);
       uint64_t& pending = cond_pending_[loop.index][c];
       const uint64_t add = lanes & ~cond_expanded_[loop.index][c] & ~pending;
       if (add == 0) continue;
@@ -296,14 +279,11 @@ class BinarySweeper {
   /// Tarjan numbers every DAG successor below its predecessors — so within
   /// one label each component is scattered at most once per wave, with DAG
   /// successors receiving component-level pending lanes rather than member
-  /// scatters. Scatters reach owned members only (the condensation is built
-  /// on the global graph); components spanning shard cuts propagate through
-  /// the boundary exchange — scattered cells are marked changed, so their
-  /// masks re-push at the next EmitPushes. Newly propagating cells join the
-  /// current frontier representation; returns how many were added. Every
-  /// scattered cell lies in the monotone fixed point (members of an SCC are
-  /// mutually a*-reachable; a DAG successor's members are reachable through
-  /// one a-edge plus intra-SCC a-paths), so the closure never changes the
+  /// scatters. Newly propagating cells join the current frontier
+  /// representation; returns how many were added. Every scattered cell
+  /// lies in the monotone fixed point (members of an SCC are mutually
+  /// a*-reachable; a DAG successor's members are reachable through one
+  /// a-edge plus intra-SCC a-paths), so the closure never changes the
   /// output.
   size_t RunCondenseClosure(RoundCounters* rounds) {
     size_t added = 0;
@@ -330,15 +310,13 @@ class BinarySweeper {
 
       const StateId q = loop.state;
       const bool propagates = plan_->propagates[q] != 0;
-      for (NodeId member : members) {
-        if (!view_.OwnsGlobal(member)) continue;
-        const NodeId u = view_.ToLocal(member);
+      for (NodeId u : members) {
         const size_t cell = static_cast<size_t>(u) * nq + q;
         const uint64_t fresh = lanes & ~mask_[cell];
         if (fresh == 0) continue;
         if (mask_[cell] == 0) touched_.push_back(cell);
         mask_[cell] |= fresh;
-        MarkChanged(cell, u);
+        MarkChanged(cell);
         // Same-loop re-triggers die on the expanded check; this feeds the
         // state's other star labels (e.g. the (a+b)* alternation).
         TriggerCondense(u, q, fresh);
@@ -390,7 +368,7 @@ class BinarySweeper {
           if (fresh == 0) continue;
           if (mask_[ut] == 0) touched_.push_back(ut);
           mask_[ut] |= fresh;
-          MarkChanged(ut, u);
+          MarkChanged(ut);
           if (plan_->active && plan_->engaged_any[tr.target]) {
             TriggerCondense(u, tr.target, fresh);
           }
@@ -423,13 +401,13 @@ class BinarySweeper {
     const FrozenDfa& frozen = *tables_->frozen;
     next_bits_.Clear();
     size_t next_pairs = 0;
-    const uint32_t local_nodes = view_.num_nodes();
+    const uint32_t nv = view_.num_nodes();
     auto in = [this](NodeId u, Symbol a) { return view_.In(u, a); };
     for (StateId t = 0; t < nq; ++t) {
       if (frozen.ReverseInto(t).empty()) continue;
       const bool has_out = plan_->propagates[t] != 0;
       const bool engaged = plan_->active && plan_->engaged_any[t];
-      for (NodeId u = 0; u < local_nodes; ++u) {
+      for (NodeId u = 0; u < nv; ++u) {
         const size_t cell = static_cast<size_t>(u) * nq + t;
         const uint64_t missing = batch_full_ & ~mask_[cell];
         if (missing == 0) continue;  // cell complete, nothing to gain
@@ -439,7 +417,7 @@ class BinarySweeper {
         if (gained == 0) continue;
         if (mask_[cell] == 0) touched_.push_back(cell);
         mask_[cell] |= gained;
-        MarkChanged(cell, u);
+        MarkChanged(cell);
         if (engaged) TriggerCondense(u, t, gained);
         if (has_out) {
           next_bits_.Set(cell);

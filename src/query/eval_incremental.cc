@@ -379,7 +379,6 @@ StatusOr<std::vector<std::pair<NodeId, NodeId>>> MaterializedQuery::Results() {
 MaterializedMonadic::MaterializedMonadic(const Graph& graph, const Dfa& query,
                                          EvalOptions validated)
     : graph_(&graph), frozen_(query), validated_(std::move(validated)) {
-  fingerprint_ = DfaFingerprint(frozen_);
   tables_ = BuildBinaryTables(graph, frozen_);
   BuildCondensePlan(graph, tables_, PinCondenseOff(validated_),
                     /*bounded=*/false, /*auto_needs_cache=*/false, &plan_);
@@ -557,49 +556,6 @@ StatusOr<const BitVector*> MaterializedMonadic::Results(
     ++mstats_.warm_hits;
   }
   return &result_;
-}
-
-// ------------------------------------------------------ MonadicResultCache
-
-MonadicResultCache::MonadicResultCache(const Graph& graph,
-                                       const EvalOptions& options,
-                                       size_t capacity)
-    : graph_(&graph),
-      options_(options),
-      capacity_(capacity == 0 ? 1 : capacity) {}
-
-StatusOr<const BitVector*> MonadicResultCache::Evaluate(const Dfa& query) {
-  const FrozenDfa frozen(query);
-  const uint64_t fingerprint = DfaFingerprint(frozen);
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i]->fingerprint() != fingerprint ||
-        !FrozenDfaStructurallyEqual(entries_[i]->frozen(), frozen)) {
-      continue;
-    }
-    std::unique_ptr<MaterializedMonadic> entry = std::move(entries_[i]);
-    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
-    entries_.insert(entries_.begin(), std::move(entry));
-    MaterializedMonadic* materialized = entries_.front().get();
-    // A graph that mutated since the entry synced forces a rebuild inside
-    // Results() — that is a miss, not a warm start.
-    const bool warm = materialized->in_sync();
-    StatusOr<const BitVector*> result = materialized->Results();
-    if (!result.ok()) return result.status();
-    if (warm) {
-      ++hits_;
-    } else {
-      ++misses_;
-    }
-    return *result;
-  }
-
-  ++misses_;
-  StatusOr<std::unique_ptr<MaterializedMonadic>> created =
-      MaterializedMonadic::Create(*graph_, query, options_);
-  if (!created.ok()) return created.status();
-  entries_.insert(entries_.begin(), std::move(*created));
-  if (entries_.size() > capacity_) entries_.pop_back();
-  return entries_.front()->Results();
 }
 
 }  // namespace rpqlearn

@@ -115,7 +115,7 @@ class MaterializedQuery : public MaterializedView {
   /// Validates `options` and `sources` (each must be a node of `graph`),
   /// builds the initial fixed point, and returns the materialization.
   /// `graph` must outlive it; `options` supplies the direction policy,
-  /// stats sink, and ExecContext (threads/shards are ignored — repairs are
+  /// stats sink, and ExecContext (threads are ignored — repairs are
   /// sequential; condense is forced off, see the header comment).
   static StatusOr<std::unique_ptr<MaterializedQuery>> Create(
       const Graph& graph, const Dfa& query, std::span<const NodeId> sources,
@@ -204,8 +204,8 @@ class MaterializedQuery : public MaterializedView {
 /// newly reaches (u, q) whenever (v, δ(q, a)) was reached), with the same
 /// per-label delete fallback as MaterializedQuery. The selected-node column
 /// is maintained alongside, so Results() is O(1) when in sync — this is the
-/// warm-start path of the interactive session's repeated candidate-query
-/// evaluations (see MonadicResultCache).
+/// warm-start path of a QueryPlan's repeated monadic runs (see
+/// src/query/engine.h).
 class MaterializedMonadic : public MaterializedView {
  public:
   /// `build_exec`, when non-null, governs the *initial* fixed-point build
@@ -230,8 +230,6 @@ class MaterializedMonadic : public MaterializedView {
   StatusOr<const BitVector*> Results(ExecContext* exec_override = nullptr);
 
   bool in_sync() const;
-  uint64_t fingerprint() const { return fingerprint_; }
-  const FrozenDfa& frozen() const { return frozen_; }
   const MaterializedStats& stats() const { return mstats_; }
 
   /// See MaterializedQuery::SkipNextInsertReseedForTesting.
@@ -246,7 +244,6 @@ class MaterializedMonadic : public MaterializedView {
 
   const Graph* graph_;
   FrozenDfa frozen_;
-  uint64_t fingerprint_;
   eval_internal::BinaryTables tables_;
   eval_internal::CondensePlan plan_;  // inactive
   eval_internal::DirectionPolicy policy_;
@@ -261,38 +258,6 @@ class MaterializedMonadic : public MaterializedView {
   bool stale_ = true;
   bool skip_next_reseed_ = false;
   MaterializedStats mstats_;
-};
-
-/// Fingerprint-keyed cache of materialized monadic results for the
-/// interactive loop: the learner re-evaluates candidate queries against a
-/// graph that does not change between interactions, and hypotheses recur as
-/// labels arrive — a repeat (DFA, graph version) pair is answered from the
-/// retained fixed point without any sweep. Entries re-verify
-/// Graph::version() per lookup (falling back to the per-label versions), so
-/// an externally mutated graph can never serve a stale answer. Fingerprint
-/// collisions are resolved by exact structural comparison. LRU over a small
-/// fixed capacity.
-class MonadicResultCache {
- public:
-  explicit MonadicResultCache(const Graph& graph,
-                              const EvalOptions& options = {},
-                              size_t capacity = 16);
-
-  /// The selected-node column of `query` on the cached graph; pointee owned
-  /// by the cache, valid until the entry is evicted or the graph mutates.
-  StatusOr<const BitVector*> Evaluate(const Dfa& query);
-
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-
- private:
-  const Graph* graph_;
-  EvalOptions options_;
-  size_t capacity_;
-  /// Most-recently-used first.
-  std::vector<std::unique_ptr<MaterializedMonadic>> entries_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
 };
 
 }  // namespace rpqlearn

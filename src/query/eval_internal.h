@@ -278,12 +278,11 @@ inline void ApplyCondensePlanToTables(const CondensePlan& plan,
   }
 }
 
-/// Budget estimates of the dominant per-sweep / per-worker / per-shard
-/// scratch arrays, charged against the ExecContext before the arrays are
-/// allocated. Estimates cover the product-space-proportional allocations
-/// (masks, pending flags, bitmap frontiers, condensation expanded/pending
-/// tables); frontier lists and outboxes are workload-dependent and
-/// accounted where they materialize.
+/// Budget estimates of the dominant per-sweep / per-worker scratch arrays,
+/// charged against the ExecContext before the arrays are allocated.
+/// Estimates cover the product-space-proportional allocations (masks,
+/// pending flags, bitmap frontiers, condensation expanded/pending tables);
+/// frontier lists are workload-dependent and not charged.
 inline size_t CondenseScratchBytes(const CondensePlan& plan,
                                    size_t per_component) {
   if (!plan.active) return 0;
@@ -307,18 +306,9 @@ inline size_t BinaryScratchBytes(size_t num_pairs, const CondensePlan& plan) {
          CondenseScratchBytes(plan, 2 * sizeof(uint64_t));
 }
 
-/// BinarySweeper over a shard view: the global-view scratch plus the
-/// changed-cell flag (allocated only when the view tracks changed cells).
-inline size_t BinaryShardScratchBytes(size_t num_pairs,
-                                      const CondensePlan& plan) {
-  return BinaryScratchBytes(num_pairs, plan) + num_pairs;
-}
-
 /// Direction policy of one evaluation call, resolved from validated
 /// EvalOptions by the impl entry points: a round runs dense iff its
-/// frontier holds at least `dense_cutoff_pairs` product pairs. Sharded
-/// evaluations resolve one policy per shard against the shard-local pair
-/// space.
+/// frontier holds at least `dense_cutoff_pairs` product pairs.
 struct DirectionPolicy {
   size_t dense_cutoff_pairs = 0;
 };
@@ -350,11 +340,11 @@ inline DirectionPolicy ResolveDirectionPolicy(const EvalOptions& validated,
 /// The pull of one dense-round cell (u, t): OR together `missing` lanes
 /// from the frontier predecessors of (u, t) — (v, p) with edge (v, a, u)
 /// and δ(p, a) = t — exiting early once every missing lane is gained.
-/// `in(u, a)` spans the per-label in-neighbors of the adjacency being swept
-/// (whole graph or one shard's internal edges). With ≤ 64 query states the
-/// frontier test is word-at-a-time: one BitVector::Window gather of node
-/// v's state window ANDed against the entry's precomputed source mask
-/// replaces the per-bit Test loop; larger queries keep the per-bit path.
+/// `in(u, a)` spans the per-label in-neighbors of the adjacency being swept.
+/// With ≤ 64 query states the frontier test is word-at-a-time: one
+/// BitVector::Window gather of node v's state window ANDed against the
+/// entry's precomputed source mask replaces the per-bit Test loop; larger
+/// queries keep the per-bit path.
 template <typename InNeighborsFn>
 uint64_t PullMissingLanes(const BinaryTables& tables,
                           const CondensePlan& plan,

@@ -13,18 +13,18 @@ namespace rpqlearn {
 namespace eval_internal {
 
 /// Direction-optimized backward product sweep over one adjacency view.
-/// Seeds and cross-shard deliveries are injected with Visit(); RunRound
-/// expands the whole pending frontier one level, choosing per round between
-/// a sparse push (pop each frontier pair, mark its predecessors over
-/// In-neighbors × the frozen DFA's reverse entries) and a dense bottom-up
-/// pull (sweep every unreached pair and probe its forward transitions over
-/// Out-neighbors against a frontier bitmap). Both round kinds compute the
+/// Seeds are injected with Visit(); RunRound expands the whole pending
+/// frontier one level, choosing per round between a sparse push (pop each
+/// frontier pair, mark its predecessors over In-neighbors × the frozen
+/// DFA's reverse entries) and a dense bottom-up pull (sweep every unreached
+/// pair and probe its forward transitions over Out-neighbors against a
+/// frontier bitmap). Both round kinds compute the
 /// same monotone reachability closure and both are exactly level-
 /// synchronous, so the mode sequence changes neither the fixed point nor
 /// any level set — unbounded and bounded sweeps agree with the seed
 /// reference for every policy. `hook(v, q)` fires once per fresh pair; the
-/// sharded path uses it to collect discoveries whose predecessors lie in
-/// other shards.
+/// materialized monadic result (eval_incremental.h) uses it to maintain its
+/// selected-node column.
 template <typename View>
 class MonadicSweeper {
  public:
@@ -70,14 +70,12 @@ class MonadicSweeper {
   /// Expands every pending star-state discovery component-at-a-time:
   /// backward over an engaged self-loop, a discovery (v, q) reaches every
   /// node of v's component and of the component's DAG predecessors, so the
-  /// closure saturates them in one hop (owned members only — a component
-  /// spanning shard cuts propagates through the boundary exchange like any
-  /// other cross-shard edge) and the scatter chains through the worklist
-  /// until the backward a*-cone is exhausted. Every visited cell lies in
-  /// the monotone fixed point, so the closure never changes the result —
-  /// only how many rounds reach it. Callable between rounds only, like
-  /// Visit; a no-op when the plan is inactive (bounded sweeps: collapsing
-  /// an SCC would merge BFS levels).
+  /// closure saturates them in one hop and the scatter chains through the
+  /// worklist until the backward a*-cone is exhausted. Every visited cell
+  /// lies in the monotone fixed point, so the closure never changes the
+  /// result — only how many rounds reach it. Callable between rounds only,
+  /// like Visit; a no-op when the plan is inactive (bounded sweeps:
+  /// collapsing an SCC would merge BFS levels).
   template <typename VisitHook>
   void RunCondenseClosure(VisitHook&& hook, RoundCounters* rounds) {
     while (!cond_worklist_.empty()) {
@@ -88,9 +86,8 @@ class MonadicSweeper {
       if (exec_ != nullptr && !exec_->Checkpoint()) return;
       const auto [v, q] = cond_worklist_.back();
       cond_worklist_.pop_back();
-      const NodeId global = view_.ToGlobal(v);
       for (const CondenseLoop& loop : plan_->loops[q]) {
-        const uint32_t c = loop.label->ComponentOf(global);
+        const uint32_t c = loop.label->ComponentOf(v);
         uint8_t& expanded = cond_expanded_[loop.index][c];
         if (expanded) continue;
         expanded = 1;
@@ -141,10 +138,7 @@ class MonadicSweeper {
   template <typename VisitHook>
   void ScatterComponent(const CondenseLoop& loop, uint32_t c, StateId q,
                         VisitHook&& hook) {
-    for (NodeId member : loop.label->Members(c)) {
-      if (!view_.OwnsGlobal(member)) continue;
-      Visit(view_.ToLocal(member), q, hook);
-    }
+    for (NodeId member : loop.label->Members(c)) Visit(member, q, hook);
   }
 
   template <typename VisitHook>

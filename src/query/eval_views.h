@@ -3,36 +3,29 @@
 
 /// Adjacency views the round-engine sweepers (MonadicSweeper<View>,
 /// BinarySweeper<View>) are instantiated over. A view supplies everything a
-/// sweep needs to run the same round machinery against different backing
+/// sweep needs to run the same round machinery against its backing
 /// adjacency:
 ///
-///   - `num_nodes()` — the node count of the view's (local) id space;
-///   - `Out(v, a)` / `In(v, a)` — per-label adjacency in local ids;
-///   - `OwnsGlobal(g)` / `ToLocal(g)` / `ToGlobal(v)` — the local↔global id
-///     map and the ownership filter the condensation closure scatters
-///     through (condensations are built on the global graph);
-///   - `kTracksChanged` — whether the sweep must record cells whose lane
-///     mask grew, for re-push along boundary out-edges; views that set it
-///     also supply `HasOutBoundary(v)`.
+///   - `num_nodes()` — the node count of the view;
+///   - `Out(v, a)` / `In(v, a)` — per-label adjacency;
+///   - `kTracksChanged` — whether the sweep must record every cell whose
+///     lane mask grew.
 ///
-/// The monolithic engines use GlobalGraphView (the id spaces coincide,
-/// nothing is tracked); the BSP sharded engines use ShardGraphView (one
-/// shard's internal edges; cross-shard edges are handled by the outbox
-/// exchange around the sweeper). A future RPC transport or delta-overlay
-/// adjacency slots in as one more view — not a fifth engine.
+/// The evaluation engines use GlobalGraphView (nothing is tracked); the
+/// incremental-maintenance layer uses TrackingGraphView. A delta-overlay
+/// adjacency slots in as one more view — not another engine.
 
 #include <span>
 
 #include "graph/graph.h"
-#include "graph/shard.h"
 
 namespace rpqlearn {
 namespace eval_internal {
 
 struct GlobalGraphView {
   const Graph* graph;
-  /// Nothing downstream of a monolithic sweep re-pushes masks, so changed
-  /// cells are not tracked (and HasOutBoundary is not part of this view).
+  /// Nothing downstream of an evaluation sweep re-reads grown masks, so
+  /// changed cells are not tracked.
   static constexpr bool kTracksChanged = false;
   uint32_t num_nodes() const { return graph->num_nodes(); }
   std::span<const NodeId> Out(NodeId v, Symbol a) const {
@@ -41,16 +34,10 @@ struct GlobalGraphView {
   std::span<const NodeId> In(NodeId v, Symbol a) const {
     return graph->InNeighbors(v, a);
   }
-  // Condensations are built on the global graph; the global view's id
-  // spaces coincide.
-  bool OwnsGlobal(NodeId) const { return true; }
-  NodeId ToLocal(NodeId global) const { return global; }
-  NodeId ToGlobal(NodeId local) const { return local; }
 };
 
 /// GlobalGraphView with changed-cell tracking switched on: every cell whose
-/// lane mask grows is recorded, and every node counts as boundary (there is
-/// no shard cut to filter by). The incremental-maintenance layer
+/// lane mask grows is recorded. The incremental-maintenance layer
 /// (src/query/eval_incremental.h) sweeps over this view so a delta repair
 /// can drain exactly the cells it grew — patching the retained per-source
 /// result lists in O(gained cells) instead of re-collecting the whole fixed
@@ -64,37 +51,6 @@ struct TrackingGraphView {
   }
   std::span<const NodeId> In(NodeId v, Symbol a) const {
     return graph->InNeighbors(v, a);
-  }
-  bool OwnsGlobal(NodeId) const { return true; }
-  NodeId ToLocal(NodeId global) const { return global; }
-  NodeId ToGlobal(NodeId local) const { return local; }
-  /// Every mask gain matters to the result-list patcher, not just gains on
-  /// shard-boundary nodes.
-  bool HasOutBoundary(NodeId) const { return true; }
-};
-
-struct ShardGraphView {
-  const GraphShard* shard;
-  /// Cells that gain lanes on nodes with boundary out-edges re-push their
-  /// masks through the BSP exchange after every superstep.
-  static constexpr bool kTracksChanged = true;
-  uint32_t num_nodes() const { return shard->num_local_nodes(); }
-  std::span<const NodeId> Out(NodeId v, Symbol a) const {
-    return shard->OutNeighborsLocal(v, a);
-  }
-  std::span<const NodeId> In(NodeId v, Symbol a) const {
-    return shard->InNeighborsLocal(v, a);
-  }
-  // Shard-local sweeps consult the global condensation for owned nodes
-  // only; components spanning shard cuts propagate through the BSP
-  // boundary exchange like any other cross-shard edge.
-  bool OwnsGlobal(NodeId global) const {
-    return global >= shard->node_begin() && global < shard->node_end();
-  }
-  NodeId ToLocal(NodeId global) const { return global - shard->node_begin(); }
-  NodeId ToGlobal(NodeId local) const { return local + shard->node_begin(); }
-  bool HasOutBoundary(NodeId local) const {
-    return shard->HasOutBoundary(local);
   }
 };
 

@@ -686,13 +686,9 @@ std::string RpqServer::HandleLoad(const Command& command) {
 
   std::unique_lock<std::shared_mutex> state(state_mutex_);
   dynamic_ = std::make_unique<DynamicGraph>(*std::move(loaded));
-  const EvalOptions& eval = options_.engine.eval;
-  if (eval.shards > 1 &&
-      EffectiveShardCount(eval, dynamic_->graph().num_nodes()) > 1) {
-    dynamic_->MaintainSharding(
-        EffectiveShardCount(eval, dynamic_->graph().num_nodes()));
+  if (options_.engine.eval.condense != CondenseMode::kOff) {
+    dynamic_->MaintainCondensation();
   }
-  if (eval.condense != CondenseMode::kOff) dynamic_->MaintainCondensation();
   engine_ = std::make_unique<Engine>(*dynamic_, options_.engine);
   {
     std::lock_guard<std::mutex> lock(counters_mutex_);

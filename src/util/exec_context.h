@@ -26,7 +26,7 @@ class FaultInjector;
 ///   - a byte-accounted **memory budget** (`set_memory_budget_bytes`), which
 ///     scratch allocators charge against with `Charge`/`Release`.
 ///
-/// The engines poll `Checkpoint()` at round / superstep / merge-trial
+/// The engines poll `Checkpoint()` at round / closure-wave / merge-trial
 /// granularity — never per edge — so a null `exec` pointer keeps the
 /// sequential fast path byte-for-byte unchanged and a non-null one costs a
 /// handful of relaxed atomic ops per round.

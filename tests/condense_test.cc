@@ -10,7 +10,6 @@
 #include "automata/dfa.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
-#include "graph/shard.h"
 #include "query/eval.h"
 #include "query/eval_reference.h"
 #include "query/path_query.h"
@@ -23,7 +22,7 @@ namespace {
 // Structural invariants of the per-label SCC condensation (components vs a
 // brute-force mutual-reachability model, member/DAG conservation, summary
 // consistency) plus the evaluation-level differential: star-heavy queries
-// across condense × shards × threads × force modes against the seed
+// across condense × threads × force modes against the seed
 // reference, with engagement counters proving the component path ran.
 
 Graph RandomGraph(uint64_t seed, uint32_t num_nodes, size_t num_edges,
@@ -277,31 +276,27 @@ TEST(EvalCondenseTest, StarQueriesMatchReferenceAcrossTheKnobCube) {
       const BitVector expected_monadic = EvalMonadicReference(graph, query);
       for (CondenseMode condense :
            {CondenseMode::kOff, CondenseMode::kOn, CondenseMode::kAuto}) {
-        for (uint32_t shards : {1u, 3u}) {
-          for (uint32_t threads : {1u, 8u}) {
-            for (EvalMode mode :
-                 {EvalMode::kAuto, EvalMode::kSparse, EvalMode::kDense}) {
-              EvalOptions options;
-              options.condense = condense;
-              options.shards = shards;
-              options.threads = threads;
-              options.force_mode = mode;
-              options.dense_threshold = 0.05;
-              options.parallel_threshold_pairs = 0;
-              const auto config = [&] {
-                return std::string(pattern) + " condense=" +
-                       std::to_string(static_cast<int>(condense)) +
-                       " shards=" + std::to_string(shards) +
-                       " threads=" + std::to_string(threads) +
-                       " mode=" + std::to_string(static_cast<int>(mode));
-              };
-              auto pairs = EvalBinary(graph, query, options);
-              ASSERT_TRUE(pairs.ok()) << config();
-              EXPECT_EQ(*pairs, expected_pairs) << config();
-              auto monadic = EvalMonadic(graph, query, options);
-              ASSERT_TRUE(monadic.ok()) << config();
-              EXPECT_TRUE(*monadic == expected_monadic) << config();
-            }
+        for (uint32_t threads : {1u, 8u}) {
+          for (EvalMode mode :
+               {EvalMode::kAuto, EvalMode::kSparse, EvalMode::kDense}) {
+            EvalOptions options;
+            options.condense = condense;
+            options.threads = threads;
+            options.force_mode = mode;
+            options.dense_threshold = 0.05;
+            options.parallel_threshold_pairs = 0;
+            const auto config = [&] {
+              return std::string(pattern) + " condense=" +
+                     std::to_string(static_cast<int>(condense)) +
+                     " threads=" + std::to_string(threads) +
+                     " mode=" + std::to_string(static_cast<int>(mode));
+            };
+            auto pairs = EvalBinary(graph, query, options);
+            ASSERT_TRUE(pairs.ok()) << config();
+            EXPECT_EQ(*pairs, expected_pairs) << config();
+            auto monadic = EvalMonadic(graph, query, options);
+            ASSERT_TRUE(monadic.ok()) << config();
+            EXPECT_TRUE(*monadic == expected_monadic) << config();
           }
         }
       }
@@ -368,18 +363,6 @@ TEST(EvalCondenseTest, BoundedMonadicNeverCondensesAndStaysLevelExact) {
     EXPECT_TRUE(*bounded == EvalMonadicBoundedReference(graph, query, bound))
         << "bound " << bound;
     EXPECT_EQ(stats.condensed_expansions.load(), 0u) << "bound " << bound;
-
-    // Sharded bounded sweeps run one level per superstep; the plan must
-    // stay inactive there too.
-    EvalStats sharded_stats;
-    EvalOptions sharded = on;
-    sharded.shards = 3;
-    sharded.stats = &sharded_stats;
-    StatusOr<BitVector> sharded_bounded =
-        EvalMonadicBounded(graph, query, bound, sharded);
-    ASSERT_TRUE(sharded_bounded.ok());
-    EXPECT_TRUE(*sharded_bounded == *bounded) << "bound " << bound;
-    EXPECT_EQ(sharded_stats.condensed_expansions.load(), 0u);
   }
 }
 
@@ -392,21 +375,11 @@ TEST(EvalCondenseTest, CachesAreConsultedAndMismatchesIgnored) {
   // engages (counters prove the component path ran without a per-call
   // build).
   const CondensedGraph condensed = CondensedGraph::Build(graph);
-  const ShardedGraph sharded =
-      ShardedGraph::Partition(graph, EffectiveShardCount(
-                                         [] {
-                                           EvalOptions o;
-                                           o.shards = 3;
-                                           return o;
-                                         }(),
-                                         graph.num_nodes()));
   EvalStats stats;
   EvalOptions options;
   options.threads = 1;
-  options.shards = 3;
   options.condense = CondenseMode::kOn;
   options.condensed_cache = &condensed;
-  options.sharded_cache = &sharded;
   options.stats = &stats;
   auto cached = EvalBinary(graph, query, options);
   ASSERT_TRUE(cached.ok());
@@ -417,10 +390,8 @@ TEST(EvalCondenseTest, CachesAreConsultedAndMismatchesIgnored) {
   // trusted: results still match the reference.
   const Graph other = RandomGraph(3, 11, 30, 3);
   const CondensedGraph other_condensed = CondensedGraph::Build(other);
-  const ShardedGraph other_sharded = ShardedGraph::Partition(other, 3);
   EvalOptions mismatched = options;
   mismatched.condensed_cache = &other_condensed;
-  mismatched.sharded_cache = &other_sharded;
   mismatched.stats = nullptr;
   auto fresh = EvalBinary(graph, query, mismatched);
   ASSERT_TRUE(fresh.ok());
@@ -610,7 +581,6 @@ TEST(EvalCondenseTest, MutatedGraphRejectsStaleCachesEvenAtSameEdgeCount) {
   // edge count (and node count) to the cached values — only the version
   // betrays them.
   CondensedGraph condensed = CondensedGraph::Build(graph);
-  ShardedGraph sharded = ShardedGraph::Partition(graph, 3);
   const size_t edges_before = graph.num_edges();
   ASSERT_TRUE(graph.DeleteEdge(0, l0, 1));
   ASSERT_TRUE(graph.InsertEdge(0, l0, 7));
@@ -620,10 +590,8 @@ TEST(EvalCondenseTest, MutatedGraphRejectsStaleCachesEvenAtSameEdgeCount) {
   const auto expected = ReferenceBinary(graph, query);
   EvalOptions options;
   options.threads = 1;
-  options.shards = 3;
   options.condense = CondenseMode::kOn;
   options.condensed_cache = &condensed;
-  options.sharded_cache = &sharded;
   auto stale = EvalBinary(graph, query, options);
   ASSERT_TRUE(stale.ok());
   EXPECT_EQ(*stale, expected);  // stale caches rejected, not trusted
@@ -634,26 +602,13 @@ TEST(EvalCondenseTest, MutatedGraphRejectsStaleCachesEvenAtSameEdgeCount) {
   // (graph mutated twice before the first repair call; re-sync via the
   // second update, which carries the final version.)
   condensed.ApplyEdgeUpdate(graph, l0, 0, 7, /*inserted=*/true);
-  sharded.ApplyEdgeUpdate(graph, l0, 0, 1, /*inserted=*/false);
-  sharded.ApplyEdgeUpdate(graph, l0, 0, 7, /*inserted=*/true);
   ASSERT_EQ(condensed.graph_version(), graph.version());
-  ASSERT_EQ(sharded.graph_version(), graph.version());
   EvalStats stats;
   options.stats = &stats;
   auto maintained = EvalBinary(graph, query, options);
   ASSERT_TRUE(maintained.ok());
   EXPECT_EQ(*maintained, expected);
   EXPECT_GT(stats.condensed_expansions.load(), 0u);
-}
-
-TEST(EvalCondenseTest, EffectiveShardCountClampsLikeTheEngine) {
-  EvalOptions options;
-  options.shards = 5;
-  EXPECT_EQ(EffectiveShardCount(options, 100), 5u);
-  EXPECT_EQ(EffectiveShardCount(options, 3), 3u);
-  EXPECT_EQ(EffectiveShardCount(options, 0), 1u);
-  options.shards = 100000;
-  EXPECT_EQ(EffectiveShardCount(options, 1u << 20), kMaxEvalShards);
 }
 
 }  // namespace

@@ -18,8 +18,8 @@ namespace {
 
 // The Engine facade contract: every result bit-identical to the free
 // functions it drives, plan-cache hits / evictions / warm monadic results
-// observable through the counters, and mutation-aware invalidation when the
-// engine serves a DynamicGraph.
+// observable through the counters, and mutation-aware invalidation whether
+// the engine serves a plain Graph or a DynamicGraph.
 
 Graph SmallScaleFree() {
   ScaleFreeOptions options;
@@ -180,6 +180,74 @@ TEST(EngineTest, OutOfRangeSourcesAreRejected) {
   EXPECT_FALSE((*plan)->RunBinary(std::span<const NodeId>(bad)).ok());
 }
 
+TEST(EngineTest, QueryAlphabetWiderThanTheGraphIsInvalidArgument) {
+  // A 1-label graph and a 2-symbol DFA: planning and the options-taking
+  // monadic entry points report the mismatch instead of aborting.
+  GraphBuilder b;
+  b.AddNodes(2);
+  b.AddEdge(0, "a", 1);
+  const Graph graph = b.Build();
+  ASSERT_EQ(graph.num_symbols(), 1u);
+  Dfa query(2);
+  query.AddState(/*accepting=*/false);
+  query.AddState(/*accepting=*/true);
+  query.SetTransition(0, 1, 1);
+
+  Engine engine(graph);
+  EXPECT_EQ(engine.Plan(query).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(EvalMonadic(graph, query, EvalOptions{}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(EvalMonadicBounded(graph, query, 3, EvalOptions{}).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(EngineTest, PlainGraphMutationRebuildsOnceAndNeverServesStale) {
+  // No DynamicGraph routes the update here: the engine must notice the new
+  // Graph::version() on its own, rebuild its snapshot once, and re-sweep
+  // instead of serving the retained monadic fixed point.
+  GraphBuilder b;
+  b.AddNodes(8);
+  b.AddEdge(0, "a", 1);
+  b.AddEdge(1, "a", 2);
+  b.AddEdge(2, "b", 3);
+  b.AddEdge(4, "a", 5);
+  b.AddEdge(5, "b", 6);
+  b.AddEdge(6, "c", 7);
+  Graph graph = b.Build();
+  const Dfa query = ParseQuery(graph, "a*.b");
+  const std::vector<NodeId> sources = {0, 4, 7};
+
+  Engine engine(graph);
+  auto plan = engine.Plan(query);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto first = (*plan)->RunMonadic();
+  ASSERT_TRUE(first.ok());
+  const BitVector before = **first;
+  ASSERT_TRUE((*plan)->RunMonadic().ok());
+  const EngineCounters warm = engine.counters();
+  EXPECT_EQ(warm.snapshot_builds, 1u);
+  EXPECT_EQ(warm.monadic_warm_hits, 1u);
+
+  auto a = graph.alphabet().Find("a");
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(graph.InsertEdge(7, *a, 0));
+
+  auto monadic = (*plan)->RunMonadic();
+  ASSERT_TRUE(monadic.ok());
+  EXPECT_TRUE(**monadic == EvalMonadic(graph, query));
+  EXPECT_FALSE(**monadic == before);  // the insert selects node 7
+  auto pairs = (*plan)->RunBinary(sources);
+  ASSERT_TRUE(pairs.ok());
+  auto expected_pairs = EvalBinaryFromSources(graph, query, sources);
+  ASSERT_TRUE(expected_pairs.ok());
+  EXPECT_EQ(*pairs, *expected_pairs);
+
+  const EngineCounters refreshed = engine.counters();
+  EXPECT_EQ(refreshed.snapshot_builds, 2u);
+  EXPECT_EQ(refreshed.monadic_warm_hits, warm.monadic_warm_hits);
+}
+
 TEST(EngineTest, DynamicGraphMutationRefreshesWarmResults) {
   GraphBuilder b;
   b.AddNode("n0");
@@ -187,7 +255,6 @@ TEST(EngineTest, DynamicGraphMutationRefreshesWarmResults) {
   b.AddNode("n2");
   b.AddEdge(1, "a", 2);
   DynamicGraph dynamic(b.Build());
-  dynamic.MaintainSharding(2);
   dynamic.MaintainCondensation();
 
   Engine engine(dynamic);

@@ -33,11 +33,9 @@ namespace {
 // random queries (regex ASTs from src/regex/random_regex.* compiled through
 // the production Thompson → determinize → minimize pipeline, plus raw
 // random DFAs) drive the seed reference against every engine configuration —
-// sparse, dense, hybrid (auto crossover) — across thread counts {1, 2, 8}
-// and shard counts (monolithic rows plus sharded rows whose shard count is
-// drawn per case, or pinned with RPQ_EVAL_SHARDS — the nightly job sweeps
-// {1, 4}). On a mismatch the failing case is shrunk (greedy edge and node
-// removal while the mismatch persists) and printed as a self-contained
+// sparse, dense, hybrid (auto crossover) — across thread counts {1, 2, 8}.
+// On a mismatch the failing case is shrunk (greedy edge and node removal
+// while the mismatch persists) and printed as a self-contained
 // reproduction block.
 //
 // Three sibling campaigns share the same corpus machinery: a
@@ -45,8 +43,8 @@ namespace {
 // and clean retry under injected faults, and an update-interleaving
 // campaign (RPQ_FUZZ_UPDATES, on by default) that replays random
 // insert/delete/compact/evaluate traces through the delta-edge overlay and
-// its maintained ShardedGraph/CondensedGraph snapshots, diffing every
-// evaluation bit-for-bit against a rebuild-from-scratch oracle. The update
+// its maintained CondensedGraph snapshot, diffing every evaluation
+// bit-for-bit against a rebuild-from-scratch oracle. The update
 // campaign additionally carries live materialized queries
 // (RPQ_EVAL_INCREMENTAL, on by default) whose delta-frontier repairs are
 // held to the same bit-for-bit standard at every evaluation step.
@@ -108,15 +106,6 @@ FuzzFaults FuzzFaultsMode() {
   if (value == "on" || value == "1") return FuzzFaults::kOn;
   if (value == "off" || value == "0") return FuzzFaults::kOff;
   return FuzzFaults::kInvalid;
-}
-
-/// Shard count for the sharded configuration rows: 0 (default) randomizes
-/// per fuzz case; RPQ_EVAL_SHARDS pins one value for targeted campaigns.
-uint32_t FuzzShardOverride() {
-  const char* env = std::getenv("RPQ_EVAL_SHARDS");
-  if (env == nullptr) return 0;
-  const long parsed = std::strtol(env, nullptr, 10);
-  return parsed >= 1 ? static_cast<uint32_t>(parsed) : 0;
 }
 
 /// SCC-condensation mode of every configuration row: randomized per fuzz
@@ -274,11 +263,10 @@ FuzzQuery MakeQuery(Rng* rng, uint32_t query_symbols) {
 /// The case-defining draws of one fuzz iteration, in their fixed order.
 /// The fuzzer and every corpus meta-check below replay this exact prefix
 /// from the case seed, so a meta-check always inspects the same graphs and
-/// queries the differential matrix actually runs; overrides
-/// (RPQ_EVAL_SHARDS / RPQ_EVAL_CONDENSE) are applied by the caller *after*
-/// the draw, keeping the corpus identical across sweeps.
+/// queries the differential matrix actually runs; the RPQ_EVAL_CONDENSE
+/// override is applied by the caller *after* the draw, keeping the corpus
+/// identical across sweeps.
 struct FuzzCase {
-  uint32_t case_shards;
   CondenseMode case_condense;
   uint32_t num_labels;
   EdgeList edge_list;
@@ -287,8 +275,8 @@ struct FuzzCase {
 };
 
 FuzzCase DrawCase(Rng* rng) {
-  const uint32_t case_shards =
-      2 + static_cast<uint32_t>(rng->NextBelow(7));  // 2..8
+  // Discarded draw: keeps every case seed's graph and query as they were.
+  rng->NextBelow(7);
   constexpr CondenseMode kCondenseDraws[] = {
       CondenseMode::kAuto, CondenseMode::kOn, CondenseMode::kOff};
   const CondenseMode case_condense = kCondenseDraws[rng->NextBelow(3)];
@@ -302,29 +290,22 @@ FuzzCase DrawCase(Rng* rng) {
       oversized_alphabet
           ? num_labels + 1 + static_cast<uint32_t>(rng->NextBelow(2))
           : num_labels;
-  return FuzzCase{case_shards,   case_condense,
-                  num_labels,    std::move(edge_list),
+  return FuzzCase{case_condense, num_labels, std::move(edge_list),
                   oversized_alphabet, MakeQuery(rng, query_symbols)};
 }
 
 // ------------------------------------------------------- engine configs
-
-/// Sentinel shard count: use the per-case random draw (or the
-/// RPQ_EVAL_SHARDS override).
-constexpr uint32_t kCaseShards = 0;
 
 struct EngineConfig {
   const char* name;
   EvalMode mode;
   double dense_threshold;
   uint32_t threads;
-  uint32_t shards = 1;
 };
 
 /// The fuzzed configuration matrix: every force_mode plus the hybrid
 /// crossover (auto with a threshold low enough to engage dense rounds on
-/// these small graphs), each at thread counts 1, 2 and 8, plus sharded
-/// rows whose shard count is drawn per case (kCaseShards).
+/// these small graphs), each at thread counts 1, 2 and 8.
 const EngineConfig kEngineConfigs[] = {
     {"sparse/threads=1", EvalMode::kSparse, 0.05, 1},
     {"sparse/threads=2", EvalMode::kSparse, 0.05, 2},
@@ -337,20 +318,14 @@ const EngineConfig kEngineConfigs[] = {
     {"hybrid/threads=8", EvalMode::kAuto, 0.02, 8},
     {"auto-default/threads=1", EvalMode::kAuto,
      EvalOptions{}.dense_threshold, 1},
-    {"sharded/sparse/threads=1", EvalMode::kSparse, 0.05, 1, kCaseShards},
-    {"sharded/dense/threads=8", EvalMode::kDense, 0.05, 8, kCaseShards},
-    {"sharded/hybrid/threads=1", EvalMode::kAuto, 0.02, 1, kCaseShards},
-    {"sharded/hybrid/threads=8", EvalMode::kAuto, 0.02, 8, kCaseShards},
 };
 
-EvalOptions ToOptions(const EngineConfig& config, uint32_t case_shards,
-                      CondenseMode case_condense) {
+EvalOptions ToOptions(const EngineConfig& config, CondenseMode case_condense) {
   EvalOptions options;
   options.threads = config.threads;
   options.parallel_threshold_pairs = 0;  // force the parallel path
   options.force_mode = config.mode;
   options.dense_threshold = config.dense_threshold;
-  options.shards = config.shards == kCaseShards ? case_shards : config.shards;
   options.condense = case_condense;
   return options;
 }
@@ -389,11 +364,10 @@ std::vector<std::pair<NodeId, NodeId>> FromSourcesReference(
 /// True iff `config` disagrees with the seed reference on `check`. The
 /// shrinker re-runs this as its failure predicate.
 bool Mismatches(const Graph& graph, const Dfa& query, CheckKind check,
-                const EngineConfig& config, uint32_t case_shards,
-                CondenseMode case_condense, uint32_t bound,
-                const std::vector<NodeId>& source_template) {
+                const EngineConfig& config, CondenseMode case_condense,
+                uint32_t bound, const std::vector<NodeId>& source_template) {
   if (graph.num_nodes() == 0) return false;
-  const EvalOptions options = ToOptions(config, case_shards, case_condense);
+  const EvalOptions options = ToOptions(config, case_condense);
   switch (check) {
     case CheckKind::kMonadic: {
       StatusOr<BitVector> actual = EvalMonadic(graph, query, options);
@@ -465,8 +439,8 @@ EdgeList ShrinkGraph(EdgeList current,
 }
 
 std::string ReproBlock(uint64_t case_seed, CheckKind check,
-                       const EngineConfig& config, uint32_t case_shards,
-                       CondenseMode case_condense, const EdgeList& graph,
+                       const EngineConfig& config, CondenseMode case_condense,
+                       const EdgeList& graph,
                        const std::string& query_description, uint32_t bound,
                        const std::vector<NodeId>& sources) {
   std::ostringstream out;
@@ -474,8 +448,7 @@ std::string ReproBlock(uint64_t case_seed, CheckKind check,
       << "case_seed: " << case_seed << "\n"
       << "check: " << CheckName(check) << "\n"
       << "engine: " << config.name
-      << " (dense_threshold=" << config.dense_threshold << ", shards="
-      << (config.shards == kCaseShards ? case_shards : config.shards)
+      << " (dense_threshold=" << config.dense_threshold
       << ", condense=" << CondenseName(case_condense) << ")\n"
       << "query: " << query_description << "\n"
       << "graph: nodes=" << graph.num_nodes
@@ -501,7 +474,6 @@ std::string ReproBlock(uint64_t case_seed, CheckKind check,
 
 TEST(EvalFuzzTest, DifferentialAgainstSeedReference) {
   const uint32_t iterations = FuzzIterations();
-  const uint32_t shard_override = FuzzShardOverride();
   CondenseMode condense_override = CondenseMode::kAuto;
   const bool condense_pinned = FuzzCondenseOverride(&condense_override);
   Rng master(0x5eedf00d);
@@ -509,13 +481,11 @@ TEST(EvalFuzzTest, DifferentialAgainstSeedReference) {
   for (uint32_t iteration = 0; iteration < iterations; ++iteration) {
     const uint64_t case_seed = master.Next();
     Rng rng(case_seed);
-    // The case-defining draws (shards, condense, labels, graph, query) are
-    // shared with the corpus meta-checks via DrawCase; overrides replace
-    // values only after the full draw, so the corpus stays identical
-    // across sweeps.
+    // The case-defining draws (condense, labels, graph, query) are shared
+    // with the corpus meta-checks via DrawCase; the override replaces a
+    // value only after the full draw, so the corpus stays identical across
+    // sweeps.
     FuzzCase fuzz_case = DrawCase(&rng);
-    uint32_t case_shards = fuzz_case.case_shards;
-    if (shard_override != 0) case_shards = shard_override;
     CondenseMode case_condense = fuzz_case.case_condense;
     if (condense_pinned) case_condense = condense_override;
     const EdgeList& edge_list = fuzz_case.edge_list;
@@ -540,20 +510,19 @@ TEST(EvalFuzzTest, DifferentialAgainstSeedReference) {
 
     for (CheckKind check : checks) {
       for (const EngineConfig& config : kEngineConfigs) {
-        if (!Mismatches(graph, query.dfa, check, config, case_shards,
-                        case_condense, bound, sources)) {
+        if (!Mismatches(graph, query.dfa, check, config, case_condense,
+                        bound, sources)) {
           continue;
         }
         ++mismatches;
         const EdgeList minimized =
             ShrinkGraph(edge_list, [&](const EdgeList& candidate) {
               return Mismatches(candidate.BuildGraph(), query.dfa, check,
-                                config, case_shards, case_condense, bound,
-                                sources);
+                                config, case_condense, bound, sources);
             });
-        ADD_FAILURE() << ReproBlock(case_seed, check, config, case_shards,
-                                    case_condense, minimized,
-                                    query.description, bound, sources);
+        ADD_FAILURE() << ReproBlock(case_seed, check, config, case_condense,
+                                    minimized, query.description, bound,
+                                    sources);
         break;  // one repro per check is enough; move to the next check
       }
       if (mismatches >= 5) break;  // don't flood the log
@@ -617,33 +586,6 @@ TEST(EvalFuzzTest, CondenseEngagesComponentsSomewhere) {
       << "no fuzzed case expanded a component under condense=on";
   EXPECT_GT(stats.components_collapsed.load(), 0u)
       << "no fuzzed case collapsed a nontrivial SCC under condense=on";
-}
-
-TEST(EvalFuzzTest, ShardedRowsExchangePairsSomewhere) {
-  // Meta-check on the corpus: across a slice of the fuzzed cases the
-  // sharded configurations must actually carry pairs across shard cuts
-  // (supersteps and cross_shard_pairs both nonzero) — otherwise the matrix
-  // silently stops covering the BSP exchange (e.g. after a partitioner or
-  // threshold change).
-  Rng master(0x5eedf00d);
-  EvalStats stats;
-  for (uint32_t iteration = 0; iteration < 40; ++iteration) {
-    const uint64_t case_seed = master.Next();
-    Rng rng(case_seed);
-    const FuzzCase fuzz_case = DrawCase(&rng);
-    const Graph graph = fuzz_case.edge_list.BuildGraph();
-
-    EvalOptions options;
-    options.threads = 1;
-    options.shards = fuzz_case.case_shards;
-    options.stats = &stats;
-    auto result = EvalBinary(graph, fuzz_case.query.dfa, options);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-  }
-  EXPECT_GT(stats.supersteps.load(), 0u)
-      << "no fuzzed case ran a sharded superstep";
-  EXPECT_GT(stats.cross_shard_pairs.load(), 0u)
-      << "no fuzzed case exchanged frontier pairs across shards";
 }
 
 // ------------------------------------------------- fault-injection fuzzing
@@ -745,8 +687,7 @@ TEST(EvalFuzzTest, FaultInjectionCampaign) {
                  CheckName(check) + " engine=" + config.name);
 
     // Uninterrupted run: reference result + total checkpoint count.
-    EvalOptions options =
-        ToOptions(config, fuzz_case.case_shards, fuzz_case.case_condense);
+    EvalOptions options = ToOptions(config, fuzz_case.case_condense);
     ExecContext baseline;
     EvalStats baseline_stats;
     options.exec = &baseline;
@@ -808,9 +749,9 @@ TEST(EvalFuzzTest, FaultInjectionCampaign) {
 
 // Differential fuzzing of the delta-edge overlay and its incremental
 // structure maintenance: random traces of insert/delete/compact/evaluate
-// steps replayed against a DynamicGraph (overlay reads, maintained
-// ShardedGraph/CondensedGraph snapshots, cache-on and cache-off evaluate
-// steps alternating), with every evaluation diffed bit-for-bit against a
+// steps replayed against a DynamicGraph (overlay reads, a maintained
+// CondensedGraph snapshot, cache-on and cache-off evaluate steps
+// alternating), with every evaluation diffed bit-for-bit against a
 // rebuild-from-scratch oracle — a fresh CSR built from an independently
 // maintained edge-set model, evaluated by the seed reference. A mismatch is
 // shrunk over *both* axes (drop trace steps, then shrink the initial graph,
@@ -859,32 +800,27 @@ std::vector<TraceStep> DrawTraceSteps(Rng* rng) {
   return steps;
 }
 
-/// The update campaign's engine rows: monolithic and sharded (per-case
-/// shard count, or the RPQ_EVAL_SHARDS pin) × threads {1, 8}, hybrid mode
-/// with a threshold low enough to cross into dense rounds; condensation
-/// comes from the per-case draw (or the RPQ_EVAL_CONDENSE pin), giving the
-/// condense {auto,off} × shards {1,4} × threads {1,8} cube across the
-/// nightly matrix legs.
+/// The update campaign's engine rows: threads {1, 8}, hybrid mode with a
+/// threshold low enough to cross into dense rounds; condensation comes from
+/// the per-case draw (or the RPQ_EVAL_CONDENSE pin), giving the condense
+/// {auto,off} × threads {1,8} cube across the nightly matrix legs.
 struct UpdateRow {
   const char* name;
-  uint32_t shards;  // kCaseShards = the per-case draw
   uint32_t threads;
 };
 
 const UpdateRow kUpdateRows[] = {
-    {"mono/threads=1", 1, 1},
-    {"mono/threads=8", 1, 8},
-    {"sharded/threads=1", kCaseShards, 1},
-    {"sharded/threads=8", kCaseShards, 8},
+    {"threads=1", 1},
+    {"threads=8", 8},
 };
+constexpr size_t kNumUpdateRows = sizeof(kUpdateRows) / sizeof(kUpdateRows[0]);
 
-EvalOptions UpdateRowOptions(const UpdateRow& row, uint32_t case_shards,
+EvalOptions UpdateRowOptions(const UpdateRow& row,
                              CondenseMode case_condense) {
   EvalOptions options;
   options.threads = row.threads;
   options.parallel_threshold_pairs = 0;
   options.dense_threshold = 0.02;  // engage hybrid crossovers
-  options.shards = row.shards == kCaseShards ? case_shards : row.shards;
   options.condense = case_condense;
   return options;
 }
@@ -944,8 +880,8 @@ enum class Sabotage {
 /// Replays `trace` and serializes every evaluation's engine result (plus
 /// edge-count/version breadcrumbs), returning the mismatch count against
 /// the rebuild-from-scratch oracle. The engine side is a DynamicGraph with
-/// maintained sharding + condensation whose caches are handed to every
-/// *even*-indexed evaluation (odd ones run cache-free); the oracle side is
+/// a maintained condensation whose cache is handed to every *even*-indexed
+/// evaluation (odd ones run cache-free); the oracle side is
 /// an independent edge-set model rebuilt into a fresh CSR per evaluation
 /// and evaluated by the seed reference.
 ///
@@ -957,9 +893,9 @@ enum class Sabotage {
 /// materialized results against the same oracle.
 uint32_t ReplayTrace(const UpdateTrace& trace, const Dfa& query,
                      const UpdateRow& row, CheckKind check,
-                     uint32_t case_shards, CondenseMode case_condense,
-                     uint32_t bound, const std::vector<NodeId>& sources,
-                     Sabotage sabotage, std::string* fingerprint) {
+                     CondenseMode case_condense, uint32_t bound,
+                     const std::vector<NodeId>& sources, Sabotage sabotage,
+                     std::string* fingerprint) {
   const uint32_t n = trace.initial.num_nodes;
   const uint32_t num_labels = trace.initial.num_labels;
   if (n == 0) return 0;
@@ -975,13 +911,11 @@ uint32_t ReplayTrace(const UpdateTrace& trace, const Dfa& query,
   }
 
   DynamicGraph dynamic(trace.initial.BuildGraph());
-  dynamic.MaintainSharding(case_shards);
   dynamic.MaintainCondensation();
   std::set<std::array<uint32_t, 3>> model;  // {src, label, dst}
   for (const auto& e : trace.initial.edges) model.insert(e);
 
-  const EvalOptions base_options =
-      UpdateRowOptions(row, case_shards, case_condense);
+  const EvalOptions base_options = UpdateRowOptions(row, case_condense);
   const std::vector<NodeId> clamped = ClampSources(sources, n);
   uint32_t mismatch_count = 0;
 
@@ -1047,8 +981,8 @@ uint32_t ReplayTrace(const UpdateTrace& trace, const Dfa& query,
         if (mismatch) ++mismatch_count;
         if (fingerprint != nullptr) {
           *fingerprint += "eval#" + std::to_string(eval_index) +
-                          (options.sharded_cache != nullptr ? " cached " :
-                                                              " fresh ") +
+                          (options.condensed_cache != nullptr ? " cached " :
+                                                                " fresh ") +
                           "edges=" +
                           std::to_string(dynamic.graph().num_edges()) +
                           " version=" +
@@ -1160,8 +1094,7 @@ const char* StepName(TraceStep::Kind kind) {
 /// with its clamped operands — so a shrunk failing case replays standalone
 /// without the original RNG stream.
 std::string UpdateReproBlock(uint64_t case_seed, CheckKind check,
-                             const UpdateRow& row, uint32_t case_shards,
-                             CondenseMode case_condense,
+                             const UpdateRow& row, CondenseMode case_condense,
                              const UpdateTrace& trace,
                              const std::string& query_description,
                              uint32_t bound,
@@ -1170,9 +1103,8 @@ std::string UpdateReproBlock(uint64_t case_seed, CheckKind check,
   out << "\n=== RPQ update-interleaving fuzz mismatch (minimized) ===\n"
       << "case_seed: " << case_seed << "\n"
       << "check: " << CheckName(check) << "\n"
-      << "engine: " << row.name << " (shards="
-      << (row.shards == kCaseShards ? case_shards : row.shards)
-      << ", condense=" << CondenseName(case_condense) << ")\n"
+      << "engine: " << row.name
+      << " (condense=" << CondenseName(case_condense) << ")\n"
       << "query: " << query_description << "\n"
       << "initial graph: nodes=" << trace.initial.num_nodes
       << " labels=" << trace.initial.num_labels
@@ -1205,7 +1137,7 @@ std::string UpdateReproBlock(uint64_t case_seed, CheckKind check,
 }
 
 /// The case-defining draws of one update-campaign iteration: the shared
-/// DrawCase prefix (graph, query, shards, condense) followed by the trace
+/// DrawCase prefix (graph, query, condense) followed by the trace
 /// draws, in this exact order — the campaign, the determinism meta-check,
 /// and the injected-bug test all replay it from the case seed.
 struct UpdateCase {
@@ -1231,7 +1163,7 @@ UpdateCase DrawUpdateCase(Rng* rng) {
 }
 
 /// The per-evaluation check rotates with the row so every (check, row)
-/// pairing appears across a case's evaluations; monadic contracts exclude
+/// pairing appears across the campaign; monadic contracts exclude
 /// oversized-alphabet cases exactly like the static fuzzer.
 CheckKind UpdateCheckFor(size_t ordinal, bool oversized_alphabet) {
   constexpr CheckKind kAll[] = {CheckKind::kBinaryAllPairs,
@@ -1258,29 +1190,25 @@ TEST(EvalFuzzTest, UpdateInterleavingDifferentialCampaign) {
       << "\"; expected \"on\" or \"off\"";
 
   const uint32_t iterations = FuzzIterations();
-  const uint32_t shard_override = FuzzShardOverride();
   CondenseMode condense_override = CondenseMode::kAuto;
   const bool condense_pinned = FuzzCondenseOverride(&condense_override);
-  constexpr size_t kNumRows = sizeof(kUpdateRows) / sizeof(kUpdateRows[0]);
   Rng master(0x5eedda7a);
   uint32_t mismatching_cases = 0;
   for (uint32_t iteration = 0; iteration < iterations; ++iteration) {
     const uint64_t case_seed = master.Next();
     Rng rng(case_seed);
     const UpdateCase update = DrawUpdateCase(&rng);
-    uint32_t case_shards = update.base.case_shards;
-    if (shard_override != 0) case_shards = shard_override;
     CondenseMode case_condense = update.base.case_condense;
     if (condense_pinned) case_condense = condense_override;
 
     bool case_failed = false;
-    for (size_t r = 0; r < kNumRows && !case_failed; ++r) {
+    for (size_t r = 0; r < kNumUpdateRows && !case_failed; ++r) {
       const UpdateRow& row = kUpdateRows[r];
       const CheckKind check =
           UpdateCheckFor(iteration + r, update.base.oversized_alphabet);
       if (ReplayTrace(update.trace, update.base.query.dfa, row, check,
-                      case_shards, case_condense, update.bound,
-                      update.sources, Sabotage::kNone, nullptr) == 0) {
+                      case_condense, update.bound, update.sources,
+                      Sabotage::kNone, nullptr) == 0) {
         continue;
       }
       ++mismatching_cases;
@@ -1288,11 +1216,11 @@ TEST(EvalFuzzTest, UpdateInterleavingDifferentialCampaign) {
       const UpdateTrace minimized =
           ShrinkTrace(update.trace, [&](const UpdateTrace& candidate) {
             return ReplayTrace(candidate, update.base.query.dfa, row, check,
-                               case_shards, case_condense, update.bound,
-                               update.sources, Sabotage::kNone, nullptr) > 0;
+                               case_condense, update.bound, update.sources,
+                               Sabotage::kNone, nullptr) > 0;
           });
       ADD_FAILURE() << UpdateReproBlock(
-          case_seed, check, row, case_shards, case_condense, minimized,
+          case_seed, check, row, case_condense, minimized,
           update.base.query.description, update.bound, update.sources);
     }
     if (mismatching_cases >= 5) {
@@ -1317,18 +1245,18 @@ TEST(EvalFuzzTest, UpdateTraceReplayIsDeterministic) {
     const uint64_t case_seed = master.Next();
     Rng rng(case_seed);
     const UpdateCase update = DrawUpdateCase(&rng);
-    const UpdateRow& row = kUpdateRows[iteration % 4];
+    const UpdateRow& row = kUpdateRows[iteration % kNumUpdateRows];
     const CheckKind check =
         UpdateCheckFor(iteration, update.base.oversized_alphabet);
     std::string first, second;
     const uint32_t mismatches_first = ReplayTrace(
         update.trace, update.base.query.dfa, row, check,
-        update.base.case_shards, update.base.case_condense, update.bound,
-        update.sources, Sabotage::kNone, &first);
+        update.base.case_condense, update.bound, update.sources,
+        Sabotage::kNone, &first);
     const uint32_t mismatches_second = ReplayTrace(
         update.trace, update.base.query.dfa, row, check,
-        update.base.case_shards, update.base.case_condense, update.bound,
-        update.sources, Sabotage::kNone, &second);
+        update.base.case_condense, update.bound, update.sources,
+        Sabotage::kNone, &second);
     ASSERT_EQ(mismatches_first, 0u) << "case_seed=" << case_seed;
     ASSERT_EQ(mismatches_second, 0u);
     ASSERT_EQ(first, second) << "replay diverged, case_seed=" << case_seed;
@@ -1351,13 +1279,13 @@ TEST(EvalFuzzTest, InjectedOverlayBugIsCaughtAndShrunkToAMinimalTrace) {
     const uint64_t case_seed = master.Next();
     Rng rng(case_seed);
     const UpdateCase update = DrawUpdateCase(&rng);
-    const UpdateRow& row = kUpdateRows[iteration % 4];
+    const UpdateRow& row = kUpdateRows[iteration % kNumUpdateRows];
     const CheckKind check = CheckKind::kBinaryAllPairs;
     const auto buggy_fails = [&](const UpdateTrace& candidate) {
       return ReplayTrace(candidate, update.base.query.dfa, row, check,
-                         update.base.case_shards, update.base.case_condense,
-                         update.bound, update.sources,
-                         Sabotage::kDropLastInsert, nullptr) > 0;
+                         update.base.case_condense, update.bound,
+                         update.sources, Sabotage::kDropLastInsert,
+                         nullptr) > 0;
     };
     if (!buggy_fails(update.trace)) continue;  // bug invisible in this case
 
@@ -1368,9 +1296,8 @@ TEST(EvalFuzzTest, InjectedOverlayBugIsCaughtAndShrunkToAMinimalTrace) {
     EXPECT_LE(minimized.initial.edges.size(), 12u);
     EXPECT_TRUE(buggy_fails(minimized));
     const std::string repro = UpdateReproBlock(
-        case_seed, check, row, update.base.case_shards,
-        update.base.case_condense, minimized, update.base.query.description,
-        update.bound, update.sources);
+        case_seed, check, row, update.base.case_condense, minimized,
+        update.base.query.description, update.bound, update.sources);
     EXPECT_NE(repro.find("trace ("), std::string::npos);
     EXPECT_NE(repro.find("insert"), std::string::npos);
     return;  // demonstrated: caught + shrunk
@@ -1398,13 +1325,13 @@ TEST(EvalFuzzTest, WithheldReseedIsCaughtByTheMaterializedDiff) {
     const uint64_t case_seed = master.Next();
     Rng rng(case_seed);
     const UpdateCase update = DrawUpdateCase(&rng);
-    const UpdateRow& row = kUpdateRows[iteration % 4];
+    const UpdateRow& row = kUpdateRows[iteration % kNumUpdateRows];
     const CheckKind check = CheckKind::kBinaryAllPairs;
     const auto buggy_fails = [&](const UpdateTrace& candidate) {
       return ReplayTrace(candidate, update.base.query.dfa, row, check,
-                         update.base.case_shards, update.base.case_condense,
-                         update.bound, update.sources,
-                         Sabotage::kSkipLastReseed, nullptr) > 0;
+                         update.base.case_condense, update.bound,
+                         update.sources, Sabotage::kSkipLastReseed,
+                         nullptr) > 0;
     };
     // A case only exposes the bug when the last insert actually grows the
     // materialized results and nothing downstream forces a healing rebuild
@@ -1414,9 +1341,8 @@ TEST(EvalFuzzTest, WithheldReseedIsCaughtByTheMaterializedDiff) {
     // The honest replay of the same trace must be clean: the corruption is
     // the sabotage, not the trace.
     ASSERT_EQ(ReplayTrace(update.trace, update.base.query.dfa, row, check,
-                          update.base.case_shards, update.base.case_condense,
-                          update.bound, update.sources, Sabotage::kNone,
-                          nullptr),
+                          update.base.case_condense, update.bound,
+                          update.sources, Sabotage::kNone, nullptr),
               0u)
         << "case_seed=" << case_seed;
 

@@ -20,14 +20,12 @@ namespace eval_internal {
 // Explicit instantiation compiles every non-template member of each
 // (sweeper, view) combination. `if constexpr (View::kTracksChanged)`
 // branches are discarded before instantiation, so the global view (which
-// has no HasOutBoundary and no changed-tracking) instantiates cleanly;
-// ForEachChangedCell's static_assert fires only when called, which nothing
-// here does for the global view.
+// has no changed-tracking) instantiates cleanly; ForEachChangedCell's
+// static_assert fires only when called, which nothing here does for the
+// global view.
 template class MonadicSweeper<GlobalGraphView>;
-template class MonadicSweeper<ShardGraphView>;
 template class MonadicSweeper<TrackingGraphView>;
 template class BinarySweeper<GlobalGraphView>;
-template class BinarySweeper<ShardGraphView>;
 template class BinarySweeper<TrackingGraphView>;
 
 }  // namespace eval_internal

@@ -290,61 +290,6 @@ TEST(DfaFingerprintTest, DiscriminatesAndMatchesStructure) {
   EXPECT_FALSE(FrozenDfaStructurallyEqual(f1, f3));
 }
 
-TEST(MonadicResultCacheTest, RepeatQueriesWarmHit) {
-  Graph graph = SmallGraph();
-  MonadicResultCache cache(graph);
-  const Dfa q1 = CompileQuery("a*.b", graph);
-  const Dfa q2 = CompileQuery("a.b", graph);
-
-  auto r1 = cache.Evaluate(q1);
-  ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(**r1, EvalMonadic(graph, q1));
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
-
-  // The same query re-parsed is a different Dfa object but the same
-  // structure — answered from the retained fixed point.
-  auto r1_again = cache.Evaluate(CompileQuery("a*.b", graph));
-  ASSERT_TRUE(r1_again.ok());
-  EXPECT_EQ(**r1_again, EvalMonadic(graph, q1));
-  EXPECT_EQ(cache.hits(), 1u);
-
-  auto r2 = cache.Evaluate(q2);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(**r2, EvalMonadic(graph, q2));
-  EXPECT_EQ(cache.misses(), 2u);
-}
-
-TEST(MonadicResultCacheTest, MutatedGraphIsNeverServedStale) {
-  Graph graph = SmallGraph();
-  MonadicResultCache cache(graph);
-  const Dfa query = CompileQuery("a*.b", graph);
-  ASSERT_TRUE(cache.Evaluate(query).ok());
-
-  const Symbol a = *graph.alphabet().Find("a");
-  ASSERT_TRUE(graph.InsertEdge(7, a, 0));
-  auto selected = cache.Evaluate(query);
-  ASSERT_TRUE(selected.ok());
-  EXPECT_EQ(**selected, EvalMonadic(graph, query));
-  // The rebuild counts as a miss, not a warm hit.
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 2u);
-}
-
-TEST(MonadicResultCacheTest, CapacityEvictsLeastRecentlyUsed) {
-  Graph graph = SmallGraph();
-  MonadicResultCache cache(graph, EvalOptions{}, /*capacity=*/2);
-  const Dfa q1 = CompileQuery("a", graph);
-  const Dfa q2 = CompileQuery("b", graph);
-  const Dfa q3 = CompileQuery("c", graph);
-  ASSERT_TRUE(cache.Evaluate(q1).ok());
-  ASSERT_TRUE(cache.Evaluate(q2).ok());
-  ASSERT_TRUE(cache.Evaluate(q3).ok());  // evicts q1
-  ASSERT_TRUE(cache.Evaluate(q1).ok());  // re-built: a miss
-  EXPECT_EQ(cache.misses(), 4u);
-  EXPECT_EQ(cache.hits(), 0u);
-}
-
 TEST(AutoCompactTest, DefaultThresholdMatchesTelemetryDerivedCrossover) {
   DynamicGraph dynamic(SmallGraph());
   EXPECT_EQ(dynamic.auto_compact_threshold(),

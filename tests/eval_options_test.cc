@@ -254,15 +254,6 @@ TEST(EvalOptionsTest, MonadicRoundCountersTrackForceMode) {
   EXPECT_EQ(dense_stats.dense_rounds.load(), 0u);
 }
 
-TEST(EvalOptionsTest, ShardsDefaultIsMonolithicAndValidated) {
-  EXPECT_EQ(EvalOptions{}.shards, 1u);
-  EvalOptions options;
-  options.shards = 3;
-  StatusOr<EvalOptions> validated = ValidateEvalOptions(options);
-  ASSERT_TRUE(validated.ok());
-  EXPECT_EQ(validated->shards, 3u);
-}
-
 TEST(EvalOptionsTest, DenseRegressionMatchesSeedReferenceAtPaperScale) {
   // Regression anchor for the dense engine: threads = 1, force_mode = dense
   // on the paper-scale fixture must reproduce the seed reference exactly.

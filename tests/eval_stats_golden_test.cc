@@ -10,8 +10,8 @@
 namespace rpqlearn {
 namespace {
 
-// Pins the EvalStats counters across the engine cube: (engine × shards
-// {1, 4} × threads {1, 8} × condense {auto, off}) on one fixed workload.
+// Pins the EvalStats counters across the engine cube: (engine × threads
+// {1, 8} × condense {auto, off}) on one fixed workload.
 // The counters are documented as deterministic and scheduling-independent,
 // so each cube point must (a) reproduce run-to-run, (b) be invariant under
 // the thread count, and (c) match the hard-coded golden row recorded when
@@ -26,8 +26,6 @@ struct StatsSnapshot {
   uint64_t dense_batches;
   uint64_t monadic_sparse_rounds;
   uint64_t monadic_dense_rounds;
-  uint64_t supersteps;
-  uint64_t cross_shard_pairs;
   uint64_t condensed_expansions;
   uint64_t components_collapsed;
   uint64_t pairs_settled;
@@ -37,10 +35,9 @@ struct StatsSnapshot {
 
 StatsSnapshot Take(const EvalStats& stats) {
   return StatsSnapshot{
-      stats.sparse_rounds.load(),       stats.dense_rounds.load(),
-      stats.dense_batches.load(),       stats.monadic_sparse_rounds.load(),
-      stats.monadic_dense_rounds.load(), stats.supersteps.load(),
-      stats.cross_shard_pairs.load(),   stats.condensed_expansions.load(),
+      stats.sparse_rounds.load(),        stats.dense_rounds.load(),
+      stats.dense_batches.load(),        stats.monadic_sparse_rounds.load(),
+      stats.monadic_dense_rounds.load(), stats.condensed_expansions.load(),
       stats.components_collapsed.load(), stats.pairs_settled.load()};
 }
 
@@ -50,8 +47,6 @@ std::string Format(const StatsSnapshot& s) {
          " dense_batches=" + std::to_string(s.dense_batches) +
          " monadic_sparse=" + std::to_string(s.monadic_sparse_rounds) +
          " monadic_dense=" + std::to_string(s.monadic_dense_rounds) +
-         " supersteps=" + std::to_string(s.supersteps) +
-         " cross_shard=" + std::to_string(s.cross_shard_pairs) +
          " cond_expansions=" + std::to_string(s.condensed_expansions) +
          " collapsed=" + std::to_string(s.components_collapsed) +
          " pairs=" + std::to_string(s.pairs_settled) + "}";
@@ -86,11 +81,9 @@ Dfa GoldenQuery() {
 }
 
 StatsSnapshot RunPoint(const Graph& g, const Dfa& q, Engine engine,
-                       uint32_t shards, uint32_t threads,
-                       CondenseMode condense) {
+                       uint32_t threads, CondenseMode condense) {
   EvalStats stats;
   EvalOptions options;
-  options.shards = shards;
   options.threads = threads;
   options.parallel_threshold_pairs = 0;
   options.dense_threshold = 0.02;
@@ -109,7 +102,6 @@ StatsSnapshot RunPoint(const Graph& g, const Dfa& q, Engine engine,
 struct GoldenRow {
   const char* name;
   Engine engine;
-  uint32_t shards;
   CondenseMode condense;
   StatsSnapshot expected;
 };
@@ -120,51 +112,40 @@ struct GoldenRow {
 // kAuto condensation for single sweeps engages only through
 // EvalOptions.condensed_cache, which this fixture does not supply.
 constexpr GoldenRow kGolden[] = {
-    {"binary shards=1 condense=auto", Engine::kBinary, 1, CondenseMode::kAuto,
-     {0, 6, 3, 0, 0, 0, 0, 228, 4, 403}},
-    {"binary shards=1 condense=off", Engine::kBinary, 1, CondenseMode::kOff,
-     {12, 27, 3, 0, 0, 0, 0, 0, 0, 732}},
-    {"binary shards=4 condense=auto", Engine::kBinary, 4, CondenseMode::kAuto,
-     {2, 49, 3, 0, 0, 17, 890, 1200, 29, 647}},
-    {"binary shards=4 condense=off", Engine::kBinary, 4, CondenseMode::kOff,
-     {107, 103, 3, 0, 0, 32, 1225, 0, 0, 900}},
-    {"monadic shards=1 condense=auto", Engine::kMonadic, 1, CondenseMode::kAuto,
-     {0, 0, 0, 1, 4, 0, 0, 0, 0, 365}},
-    {"monadic shards=1 condense=off", Engine::kMonadic, 1, CondenseMode::kOff,
-     {0, 0, 0, 1, 4, 0, 0, 0, 0, 365}},
-    {"monadic shards=4 condense=auto", Engine::kMonadic, 4, CondenseMode::kAuto,
-     {0, 0, 0, 9, 15, 4, 295, 0, 0, 365}},
-    {"monadic shards=4 condense=off", Engine::kMonadic, 4, CondenseMode::kOff,
-     {0, 0, 0, 9, 15, 4, 295, 0, 0, 365}},
+    {"binary condense=auto", Engine::kBinary, CondenseMode::kAuto,
+     {0, 6, 3, 0, 0, 228, 4, 403}},
+    {"binary condense=off", Engine::kBinary, CondenseMode::kOff,
+     {12, 27, 3, 0, 0, 0, 0, 732}},
+    {"monadic condense=auto", Engine::kMonadic, CondenseMode::kAuto,
+     {0, 0, 0, 1, 4, 0, 0, 365}},
+    {"monadic condense=off", Engine::kMonadic, CondenseMode::kOff,
+     {0, 0, 0, 1, 4, 0, 0, 365}},
 };
 
 TEST(EvalStatsGoldenTest, CountersMatchGoldenAndAreThreadInvariant) {
   const Graph g = GoldenGraph();
   const Dfa q = GoldenQuery();
   for (const GoldenRow& row : kGolden) {
-    const StatsSnapshot at_one =
-        RunPoint(g, q, row.engine, row.shards, 1, row.condense);
+    const StatsSnapshot at_one = RunPoint(g, q, row.engine, 1, row.condense);
     EXPECT_EQ(at_one, row.expected)
         << row.name << "\n  got      " << Format(at_one) << "\n  expected "
         << Format(row.expected);
 
     // Run-to-run determinism at the same point.
-    const StatsSnapshot again =
-        RunPoint(g, q, row.engine, row.shards, 1, row.condense);
+    const StatsSnapshot again = RunPoint(g, q, row.engine, 1, row.condense);
     EXPECT_EQ(again, at_one) << row.name << " (rerun)\n  got      "
                              << Format(again) << "\n  expected "
                              << Format(at_one);
 
-    // Thread count is pure scheduling for the binary engines (the 64-source
-    // batches are fixed) and for sharded monadic sweeps (the per-shard work
-    // is fixed by the partition). The *monolithic* monadic engine instead
-    // decomposes into one node-range sweep per worker, so its round
-    // counters legitimately depend on the worker count — results stay
-    // bit-identical, which the oracle suite pins — and that cube edge gets
-    // determinism coverage above but no invariance assertion.
-    if (row.engine == Engine::kBinary || row.shards > 1) {
+    // Thread count is pure scheduling for the binary engine (the 64-source
+    // batches are fixed). The monadic engine instead decomposes into one
+    // node-range sweep per worker, so its round counters legitimately
+    // depend on the worker count — results stay bit-identical, which the
+    // oracle suite pins — and that cube edge gets determinism coverage
+    // above but no invariance assertion.
+    if (row.engine == Engine::kBinary) {
       const StatsSnapshot at_eight =
-          RunPoint(g, q, row.engine, row.shards, 8, row.condense);
+          RunPoint(g, q, row.engine, 8, row.condense);
       EXPECT_EQ(at_eight, at_one)
           << row.name << " (threads=8)\n  got      " << Format(at_eight)
           << "\n  expected " << Format(at_one);
@@ -178,28 +159,25 @@ TEST(EvalStatsGoldenTest, ForcedModesShiftRoundKindsOnly) {
   // batch under kDense and none is under kSparse.
   const Graph g = GoldenGraph();
   const Dfa q = GoldenQuery();
-  for (uint32_t shards : {1u, 4u}) {
-    EvalStats stats;
-    EvalOptions options;
-    options.shards = shards;
-    options.threads = 1;
-    options.parallel_threshold_pairs = 0;
-    options.condense = CondenseMode::kOff;
-    options.stats = &stats;
+  EvalStats stats;
+  EvalOptions options;
+  options.threads = 1;
+  options.parallel_threshold_pairs = 0;
+  options.condense = CondenseMode::kOff;
+  options.stats = &stats;
 
-    options.force_mode = EvalMode::kSparse;
-    ASSERT_TRUE(EvalBinary(g, q, options).ok());
-    EXPECT_EQ(stats.dense_rounds.load(), 0u) << "shards=" << shards;
-    EXPECT_EQ(stats.dense_batches.load(), 0u) << "shards=" << shards;
-    EXPECT_GT(stats.sparse_rounds.load(), 0u) << "shards=" << shards;
+  options.force_mode = EvalMode::kSparse;
+  ASSERT_TRUE(EvalBinary(g, q, options).ok());
+  EXPECT_EQ(stats.dense_rounds.load(), 0u);
+  EXPECT_EQ(stats.dense_batches.load(), 0u);
+  EXPECT_GT(stats.sparse_rounds.load(), 0u);
 
-    stats.Reset();
-    options.force_mode = EvalMode::kDense;
-    ASSERT_TRUE(EvalBinary(g, q, options).ok());
-    EXPECT_EQ(stats.sparse_rounds.load(), 0u) << "shards=" << shards;
-    EXPECT_EQ(stats.dense_batches.load(), 3u) << "shards=" << shards;
-    EXPECT_GT(stats.dense_rounds.load(), 0u) << "shards=" << shards;
-  }
+  stats.Reset();
+  options.force_mode = EvalMode::kDense;
+  ASSERT_TRUE(EvalBinary(g, q, options).ok());
+  EXPECT_EQ(stats.sparse_rounds.load(), 0u);
+  EXPECT_EQ(stats.dense_batches.load(), 3u);
+  EXPECT_GT(stats.dense_rounds.load(), 0u);
 }
 
 }  // namespace

@@ -53,36 +53,26 @@ struct EngineConfig {
   const char* name;
   bool binary;
   CondenseMode condense;
-  uint32_t shards;
   uint32_t threads;
 };
 
-/// mode × condense × shards × threads — the acceptance matrix, covering
-/// all four round engines (monolithic/sharded × binary/monadic).
+/// mode × condense × threads — the acceptance matrix, covering both round
+/// engines (binary/monadic).
 const EngineConfig kConfigs[] = {
-    {"monadic/off/s1/t1", false, CondenseMode::kOff, 1, 1},
-    {"monadic/off/s1/t8", false, CondenseMode::kOff, 1, 8},
-    {"monadic/off/s4/t1", false, CondenseMode::kOff, 4, 1},
-    {"monadic/off/s4/t8", false, CondenseMode::kOff, 4, 8},
-    {"monadic/on/s1/t1", false, CondenseMode::kOn, 1, 1},
-    {"monadic/on/s1/t8", false, CondenseMode::kOn, 1, 8},
-    {"monadic/on/s4/t1", false, CondenseMode::kOn, 4, 1},
-    {"monadic/on/s4/t8", false, CondenseMode::kOn, 4, 8},
-    {"binary/off/s1/t1", true, CondenseMode::kOff, 1, 1},
-    {"binary/off/s1/t8", true, CondenseMode::kOff, 1, 8},
-    {"binary/off/s4/t1", true, CondenseMode::kOff, 4, 1},
-    {"binary/off/s4/t8", true, CondenseMode::kOff, 4, 8},
-    {"binary/on/s1/t1", true, CondenseMode::kOn, 1, 1},
-    {"binary/on/s1/t8", true, CondenseMode::kOn, 1, 8},
-    {"binary/on/s4/t1", true, CondenseMode::kOn, 4, 1},
-    {"binary/on/s4/t8", true, CondenseMode::kOn, 4, 8},
+    {"monadic/off/t1", false, CondenseMode::kOff, 1},
+    {"monadic/off/t8", false, CondenseMode::kOff, 8},
+    {"monadic/on/t1", false, CondenseMode::kOn, 1},
+    {"monadic/on/t8", false, CondenseMode::kOn, 8},
+    {"binary/off/t1", true, CondenseMode::kOff, 1},
+    {"binary/off/t8", true, CondenseMode::kOff, 8},
+    {"binary/on/t1", true, CondenseMode::kOn, 1},
+    {"binary/on/t8", true, CondenseMode::kOn, 8},
 };
 
 EvalOptions MakeOptions(const EngineConfig& config, ExecContext* exec,
                         EvalStats* stats) {
   EvalOptions options;
   options.threads = config.threads;
-  options.shards = config.shards;
   options.condense = config.condense;
   options.parallel_threshold_pairs = 0;  // force the parallel path
   options.exec = exec;

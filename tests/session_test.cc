@@ -4,7 +4,6 @@
 #include "graph/condense.h"
 #include "graph/dynamic.h"
 #include "graph/fixtures.h"
-#include "graph/shard.h"
 #include "interact/session.h"
 #include "query/eval.h"
 #include "query/metrics.h"
@@ -129,12 +128,11 @@ void CheckSessionsIdentical(const Graph& graph, const SessionResult& a,
 TEST(SessionTest, StaleEvalCachesCannotLeakIntoAMutatedGraphSession) {
   Graph g = Figure1Geographic();
 
-  // Snapshot the caches, then mutate the graph with a delete+insert pair
+  // Snapshot the cache, then mutate the graph with a delete+insert pair
   // that restores the edge count — only the mutation counter distinguishes
-  // the snapshots from the live graph, which is exactly what the eval-side
+  // the snapshot from the live graph, which is exactly what the eval-side
   // cache match must check.
   const CondensedGraph stale_condensed = CondensedGraph::Build(g);
-  const ShardedGraph stale_sharded = ShardedGraph::Partition(g, 2);
   const size_t edges_before = g.num_edges();
   const LabeledEdge victim = g.OutEdges(0)[0];
   ASSERT_TRUE(g.DeleteEdge(0, victim.label, victim.node));
@@ -143,29 +141,25 @@ TEST(SessionTest, StaleEvalCachesCannotLeakIntoAMutatedGraphSession) {
   ASSERT_TRUE(g.InsertEdge(0, victim.label, fresh_dst));
   ASSERT_EQ(g.num_edges(), edges_before);
   ASSERT_NE(stale_condensed.graph_version(), g.version());
-  ASSERT_NE(stale_sharded.graph_version(), g.version());
 
   const Dfa goal = QueryOn(g, "(tram+bus)*.cinema");
   const Oracle oracle = Oracle::FromQuery(g, goal);
   SessionOptions options;
   options.seed = 11;
-  options.eval.shards = 2;
   options.eval.condense = CondenseMode::kOn;
   const SessionResult ground_truth = RunInteractiveSession(g, oracle, options);
 
   SessionOptions with_stale = options;
   with_stale.eval.condensed_cache = &stale_condensed;
-  with_stale.eval.sharded_cache = &stale_sharded;
   const SessionResult result = RunInteractiveSession(g, oracle, with_stale);
   CheckSessionsIdentical(g, ground_truth, result);
 }
 
 TEST(SessionTest, MaintainedDynamicGraphCachesMatchACacheFreeSession) {
   DynamicGraph dynamic(Figure1Geographic());
-  dynamic.MaintainSharding(2);
   dynamic.MaintainCondensation();
 
-  // Mutate through the holder so every snapshot is repaired in place.
+  // Mutate through the holder so the snapshot is repaired in place.
   const Graph& g = dynamic.graph();
   const LabeledEdge victim = g.OutEdges(0)[0];
   ASSERT_TRUE(dynamic.DeleteEdge(0, victim.label, victim.node));
@@ -174,21 +168,18 @@ TEST(SessionTest, MaintainedDynamicGraphCachesMatchACacheFreeSession) {
   ASSERT_TRUE(dynamic.InsertEdge(0, victim.label, fresh_dst));
   EXPECT_EQ(dynamic.stats().inserts, 1u);
   EXPECT_EQ(dynamic.stats().deletes, 1u);
-  ASSERT_EQ(dynamic.sharded()->graph_version(), g.version());
   ASSERT_EQ(dynamic.condensed()->graph_version(), g.version());
 
   const Dfa goal = QueryOn(g, "(tram+bus)*.cinema");
   const Oracle oracle = Oracle::FromQuery(g, goal);
   SessionOptions options;
   options.seed = 11;
-  options.eval.shards = 2;
   options.eval.condense = CondenseMode::kOn;
   const SessionResult ground_truth = RunInteractiveSession(g, oracle, options);
 
   SessionOptions cached = options;
   cached.eval = dynamic.WithCaches(cached.eval);
   ASSERT_EQ(cached.eval.condensed_cache, dynamic.condensed());
-  ASSERT_EQ(cached.eval.sharded_cache, dynamic.sharded());
   const SessionResult result = RunInteractiveSession(g, oracle, cached);
   CheckSessionsIdentical(g, ground_truth, result);
 }
