@@ -240,7 +240,14 @@ std::optional<LineBuffer::Line> LineBuffer::NextLine() {
   for (;;) {
     const size_t newline = buffer_.find('\n');
     if (newline == std::string::npos) {
-      if (buffer_.size() <= max_line_bytes_) return std::nullopt;
+      // A trailing '\r' may be the first half of a CRLF terminator, so it
+      // does not count against the bound until the next byte shows whether
+      // it is: the verdict on a line must not depend on where a read split
+      // it.
+      const bool cr_tail = !buffer_.empty() && buffer_.back() == '\r';
+      if (buffer_.size() - (cr_tail ? 1 : 0) <= max_line_bytes_) {
+        return std::nullopt;
+      }
       // Over the bound with no terminator: drop what is buffered, emit one
       // oversized marker (unless this tail belongs to a line already
       // reported), and keep discarding until the next newline arrives.

@@ -110,7 +110,8 @@ std::string FormatErrorReply(const Status& status);
 /// exceed the bound with no newline, the oversized prefix is dropped, the
 /// line is marked oversized (the server answers ERR without ever holding
 /// more than the bound), and the remainder up to the next newline is
-/// discarded too.
+/// discarded too. A trailing "\r" awaiting its "\n" is not counted, so a
+/// line's verdict never depends on how its bytes were chunked.
 class LineBuffer {
  public:
   explicit LineBuffer(size_t max_line_bytes = kMaxLineBytes)

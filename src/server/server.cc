@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -46,8 +47,8 @@ bool IsMutation(const StatusOr<Command>& command) {
 }  // namespace
 
 /// One client socket plus everything ordered around it. The I/O thread owns
-/// fd / line buffer / out buffer; executors only touch the reply map (under
-/// `mutex`) and the cancellation registry (under `exec_mutex`).
+/// fd / line buffer / write buffer; executors only touch the reply map and
+/// `out` (under `mutex`) and the cancellation registry (under `exec_mutex`).
 struct RpqServer::Connection {
   int fd = -1;
   LineBuffer lines;
@@ -80,6 +81,12 @@ struct RpqServer::Connection {
   uint64_t next_flush_seq = 0;
   std::string out;
   bool close_after_flush = false;
+
+  /// I/O-thread only: the bytes taken from `out` that the socket has not
+  /// accepted yet, sent from offset `written` on. A partial write leaves its
+  /// tail here, and `out` is not taken again until the tail is gone.
+  std::string writing;
+  size_t written = 0;
 
   explicit Connection(size_t max_line_bytes) : lines(max_line_bytes) {}
   ~Connection() {
@@ -220,7 +227,7 @@ void RpqServer::IoLoop() {
       short events = POLLIN;
       {
         std::lock_guard<std::mutex> lock(conn->mutex);
-        if (!conn->out.empty()) events |= POLLOUT;
+        if (!conn->out.empty() || !conn->writing.empty()) events |= POLLOUT;
       }
       fds.push_back({conn->fd, events, 0});
     }
@@ -258,8 +265,8 @@ void RpqServer::IoLoop() {
       bool drained_quit = false;
       {
         std::lock_guard<std::mutex> lock(conn->mutex);
-        drained_quit = conn->close_after_flush && conn->out.empty() &&
-                       conn->done.empty() &&
+        drained_quit = conn->close_after_flush && conn->writing.empty() &&
+                       conn->out.empty() && conn->done.empty() &&
                        conn->next_flush_seq == conn->next_seq;
       }
       if (drained_quit || conn->closed.load()) CloseConnection(conn);
@@ -280,6 +287,11 @@ void RpqServer::AcceptPending() {
       ::close(fd);
       continue;
     }
+    // Every flush writes whole replies, so Nagle's algorithm has nothing to
+    // merge: it would only hold a finished reply back until the client ACKs
+    // the previous one, which a delayed-ACK client does ~40 ms later.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Connection>(options_.max_line_bytes);
     conn->fd = fd;
     connections_.push_back(std::move(conn));
@@ -299,11 +311,13 @@ void RpqServer::ReadFromConnection(const std::shared_ptr<Connection>& conn) {
       while (std::optional<LineBuffer::Line> line = conn->lines.NextLine()) {
         EnqueueLine(conn, *std::move(line));
       }
-      if (static_cast<size_t>(n) < sizeof(buffer)) return;
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    // EOF or hard error: the peer is gone.
+    // EOF or hard error: the peer is gone. The loop reads on to EAGAIN, not
+    // just to a short read, so an EOF that arrived with the data is seen
+    // here and the lines just queued give their admission slots back before
+    // the next connection's lines are read.
     CloseConnection(conn);
     return;
   }
@@ -357,28 +371,26 @@ void RpqServer::EnqueueLine(const std::shared_ptr<Connection>& conn,
 }
 
 void RpqServer::FlushToConnection(const std::shared_ptr<Connection>& conn) {
-  std::string to_write;
-  {
+  if (conn->writing.empty()) {
     std::lock_guard<std::mutex> lock(conn->mutex);
-    to_write.swap(conn->out);
+    conn->writing.swap(conn->out);
   }
-  size_t written = 0;
-  while (written < to_write.size()) {
-    const ssize_t n = ::write(conn->fd, to_write.data() + written,
-                              to_write.size() - written);
+  while (conn->written < conn->writing.size()) {
+    const ssize_t n = ::write(conn->fd, conn->writing.data() + conn->written,
+                              conn->writing.size() - conn->written);
     if (n > 0) {
-      written += static_cast<size_t>(n);
+      conn->written += static_cast<size_t>(n);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    // Partial write: the tail stays in `writing`; replies finished in the
+    // meantime queue in `out` behind it.
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
     CloseConnection(conn);
     return;
   }
-  if (written < to_write.size()) {
-    std::lock_guard<std::mutex> lock(conn->mutex);
-    // Preserve order across replies finished while the write was in flight.
-    conn->out.insert(0, to_write, written, std::string::npos);
-  }
+  // Fully sent: release the buffer rather than keep its capacity.
+  conn->writing = std::string();
+  conn->written = 0;
 }
 
 void RpqServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
@@ -387,6 +399,21 @@ void RpqServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
   // trip at its next engine checkpoint. The registry lock orders this
   // against executor-side context destruction.
   conn->CancelActiveExecs();
+  // Drop its queued requests now, so their admission slots free up at once
+  // instead of when an executor gets round to skipping them.
+  size_t dropped = 0;
+  {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    const auto first_dropped = std::remove_if(
+        queue_.begin(), queue_.end(),
+        [&conn](const std::unique_ptr<Request>& r) { return r->conn == conn; });
+    dropped = static_cast<size_t>(queue_.end() - first_dropped);
+    queue_.erase(first_dropped, queue_.end());
+  }
+  if (dropped > 0) {
+    std::lock_guard<std::mutex> lock(counters_mutex_);
+    counters_.cancelled_requests += dropped;
+  }
   if (conn->fd >= 0) {
     ::close(conn->fd);
     conn->fd = -1;
@@ -415,10 +442,10 @@ void RpqServer::ExecutorLoop() {
         if (IsMutation(request->command)) conn->executing_mutation = false;
       }
     }
-    // Completion may unblock both admission (I/O thread) and queued
-    // requests of the finished connections (other executors).
+    // Completion may unblock queued requests of the finished connections.
+    // The I/O thread needs no wake: DeliverReply already woke it for every
+    // reply, and admission is decided when a line is read, never deferred.
     queue_cv_.notify_all();
-    WakeIo();
   }
 }
 

@@ -11,7 +11,12 @@
 ///     arriving bytes into protocol lines (LineBuffer), parses them, and
 ///     enqueues one Request per line onto a global queue. It also flushes
 ///     reply bytes — workers never touch a socket. A self-pipe wakes the
-///     poll loop when a worker has replies ready.
+///     poll loop once per delivered reply. Accepted sockets set
+///     TCP_NODELAY: a flush writes whole replies, so Nagle's algorithm has
+///     nothing to merge and would only hold a finished reply until the
+///     client ACKs the previous one (~40 ms for a delayed-ACK client). A
+///     partial write keeps its unsent tail in an I/O-thread buffer with a
+///     write offset; newer replies queue behind it.
 ///   - A pool of **executor threads** pops requests and runs them against
 ///     the server state. Replies are delivered per connection in request
 ///     order (a per-connection sequence number orders the flush), so
@@ -30,12 +35,13 @@
 ///
 /// Admission control: at most `max_in_flight` requests may be queued or
 /// executing; a request arriving beyond that is answered
-/// `ERR RESOURCE_EXHAUSTED` without being queued. Each admitted request runs
-/// under its own ExecContext, armed with `request_deadline_ms` and cancelled
-/// when its client disconnects — a disconnect mid-evaluation trips the
-/// engine at its next checkpoint instead of wasting the executor. Every
-/// executing request registers its context in a per-connection registry
-/// whose lock orders disconnect-time Cancel() against the executor
+/// `ERR RESOURCE_EXHAUSTED` without being queued. A disconnect drops the
+/// connection's queued requests at once, freeing their slots. Each admitted
+/// request runs under its own ExecContext, armed with `request_deadline_ms`
+/// and cancelled when its client disconnects — a disconnect mid-evaluation
+/// trips the engine at its next checkpoint instead of wasting the executor.
+/// Every executing request registers its context in a per-connection
+/// registry whose lock orders disconnect-time Cancel() against the executor
 /// destroying the context, and which cancels all of a connection's
 /// concurrently executing requests, not just the latest.
 ///

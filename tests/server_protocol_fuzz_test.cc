@@ -103,7 +103,9 @@ TEST(ServerProtocolFuzzTest, LineBufferHonorsItsBoundUnderRandomChunking) {
     size_t complete_normal_lines = 0;
     for (int l = 0; l < 20; ++l) {
       if (rng.NextBernoulli(0.2)) {
-        stream += std::string(kBound + rng.NextBelow(2048), 'x');
+        // Strictly over the bound: a flood of exactly kBound bytes would be
+        // a legal line.
+        stream += std::string(kBound + 1 + rng.NextBelow(2048), 'x');
       } else {
         std::string line = RandomLine(rng, 100);
         // Inner newlines would split the line; strip them for accounting.
@@ -138,6 +140,37 @@ TEST(ServerProtocolFuzzTest, LineBufferHonorsItsBoundUnderRandomChunking) {
     }
     EXPECT_EQ(lines_seen, complete_normal_lines);
     EXPECT_EQ(lines_seen + oversized_seen, 20u);
+  }
+}
+
+TEST(ServerProtocolFuzzTest, LineBufferAtBoundVerdictIgnoresChunking) {
+  // A line of exactly the bound is legal and one byte more is oversized,
+  // under LF and CRLF alike, wherever the stream is split — including right
+  // after the '\r' of a CRLF, where the buffer holds bound + 1 bytes.
+  constexpr size_t kBound = 512;
+  for (const size_t length : {kBound, kBound + 1}) {
+    for (const char* terminator : {"\n", "\r\n"}) {
+      const std::string stream = std::string(length, 'x') + terminator;
+      for (size_t split = 0; split <= stream.size(); ++split) {
+        LineBuffer buffer(kBound);
+        std::vector<LineBuffer::Line> lines;
+        for (const std::string_view piece :
+             {std::string_view(stream).substr(0, split),
+              std::string_view(stream).substr(split)}) {
+          buffer.Append(piece);
+          while (auto line = buffer.NextLine()) lines.push_back(*line);
+        }
+        ASSERT_EQ(lines.size(), 1u)
+            << "length " << length << " split " << split;
+        EXPECT_EQ(lines[0].oversized, length > kBound)
+            << "length " << length << " split " << split
+            << (terminator[0] == '\r' ? " CRLF" : " LF");
+        if (!lines[0].oversized) {
+          EXPECT_EQ(lines[0].text.size(), kBound);
+        }
+        EXPECT_EQ(buffer.buffered_bytes(), 0u);
+      }
+    }
   }
 }
 

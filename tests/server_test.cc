@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -30,14 +31,24 @@ namespace {
 // observable, and the batching coalescer preserves per-request results.
 
 /// A blocking loopback client for tests: writes whole commands, reads
-/// newline-framed replies.
+/// newline-framed replies. A read that waits longer than 30 s gives up, so
+/// a lost reply fails its test instead of hanging the suite.
 class TestClient {
  public:
-  explicit TestClient(uint16_t port) {
+  /// A nonzero `receive_buffer_bytes` shrinks the socket's SO_RCVBUF (set
+  /// before connect, so the advertised window follows it).
+  explicit TestClient(uint16_t port, int receive_buffer_bytes = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd_, 0);
     int one = 1;
     ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    const timeval read_timeout{30, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &read_timeout,
+                 sizeof(read_timeout));
+    if (receive_buffer_bytes > 0) {
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &receive_buffer_bytes,
+                   sizeof(receive_buffer_bytes));
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -55,6 +66,14 @@ class TestClient {
     fd_ = -1;
   }
 
+  /// Leaves quick-ACK mode, so the kernel delays ACKs of received data (up
+  /// to ~40 ms on Linux). The kernel re-enters quick-ACK mode on its own,
+  /// so call this before every read that should run delayed.
+  void DelayAcks() {
+    int zero = 0;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_QUICKACK, &zero, sizeof(zero));
+  }
+
   void Send(const std::string& data) {
     size_t sent = 0;
     while (sent < data.size()) {
@@ -64,7 +83,8 @@ class TestClient {
     }
   }
 
-  /// One line without its terminator; empty string once the server closed.
+  /// One line without its terminator; empty string once the server closed
+  /// or a read timed out (an unterminated tail is dropped then).
   std::string ReadLine() {
     while (true) {
       const size_t newline = buffer_.find('\n');
@@ -75,7 +95,10 @@ class TestClient {
       }
       char chunk[4096];
       const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-      if (n <= 0) return std::string();
+      if (n <= 0) {
+        buffer_.clear();
+        return std::string();
+      }
       buffer_.append(chunk, static_cast<size_t>(n));
     }
   }
@@ -338,6 +361,87 @@ TEST_F(ServerTest, AdmissionBoundRejectsWithResourceExhausted) {
             static_cast<uint64_t>(rejected));
   // The bound is back-pressure, not a breaker: later requests still run.
   EXPECT_EQ(client.Ask("PING"), "OK PING\n");
+}
+
+TEST_F(ServerTest, ClosedConnectionReleasesItsQueuedAdmissionSlots) {
+  // Regression: a closed connection's queued requests used to hold their
+  // admission slots until an executor popped and skipped each one, so
+  // another client was refused for work nobody was waiting for.
+  options_.executors = 1;
+  options_.max_in_flight = 8;
+  options_.execute_delay_for_testing = std::chrono::milliseconds(50);
+  RpqServer server(options_);
+  ASSERT_TRUE(server.Start().ok());
+
+  {
+    TestClient gone(server.port());
+    std::string wire;
+    for (int i = 0; i < 8; ++i) wire += "PING\n";
+    gone.Send(wire);
+    // Let the server read the burst (one executing, seven queued: the
+    // bound) before it sees the disconnect.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  TestClient client(server.port());
+  EXPECT_EQ(client.Ask("PING"), "OK PING\n");
+  EXPECT_EQ(server.counters().admission_rejections, 0u);
+  EXPECT_GE(server.counters().cancelled_requests, 7u);
+}
+
+TEST_F(ServerTest, PipelinedReplyIsNotHeldForDelayedAck) {
+  // Two replies finish 10 ms apart. Under Nagle's algorithm the second one
+  // would wait on the socket until the client ACKs the first, which a
+  // client in delayed-ACK mode does only when its ~40 ms timer fires.
+  options_.executors = 1;
+  options_.execute_delay_for_testing = std::chrono::milliseconds(10);
+  RpqServer server(options_);
+  ASSERT_TRUE(server.Start().ok());
+
+  TestClient client(server.port());
+  client.Send("PING\nPING\n");
+  client.DelayAcks();
+  ASSERT_EQ(client.ReadLine(), "OK PING");
+  const auto first = std::chrono::steady_clock::now();
+  client.DelayAcks();
+  ASSERT_EQ(client.ReadLine(), "OK PING");
+  const auto gap = std::chrono::steady_clock::now() - first;
+  EXPECT_LT(gap, std::chrono::milliseconds(25))
+      << std::chrono::duration<double, std::milli>(gap).count() << " ms";
+}
+
+TEST_F(ServerTest, PartialWritesKeepRepliesWholeAndInOrder) {
+  // A reply larger than the client's receive window plus the largest send
+  // buffer Linux grows to by default (tcp_wmem max, 4 MiB) cannot go out in
+  // one write: the server must keep the unsent tail, queue the next reply
+  // behind it, and finish both once the slow reader drains its socket.
+  const Graph graph = TestGraph();
+  const std::string path = WriteGraphFile(graph);
+  RpqServer server(options_);
+  ASSERT_TRUE(server.Start().ok());
+
+  Engine direct(graph);
+  TestClient client(server.port(), /*receive_buffer_bytes=*/4096);
+  ASSERT_EQ(client.Ask("LOAD " + path).rfind("OK LOAD", 0), 0u);
+
+  const std::string regex = "(l0+l1+l2+l3)*";
+  std::vector<NodeId> sources;
+  std::string command = "QUERY " + regex + " FROM";
+  for (int repeat = 0; repeat < 24; ++repeat) {
+    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+      sources.push_back(v);
+      command += ' ' + std::to_string(v);
+    }
+  }
+  const std::string expected =
+      ExpectedBinaryReply(direct, ParseQuery(graph, regex), sources);
+  ASSERT_GT(expected.size(), size_t{4} << 20);
+
+  client.Send(command + "\nPING\n");
+  // Stay away while the server runs into the full socket.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // Compared with == so that a mismatch does not print megabytes.
+  EXPECT_TRUE(client.ReadReply() == expected);
+  EXPECT_EQ(client.ReadReply(), "OK PING\n");
 }
 
 TEST_F(ServerTest, DisconnectMidRequestCancelsItsExecution) {
