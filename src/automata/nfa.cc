@@ -44,6 +44,12 @@ void Nfa::AddInitial(StateId s) {
   initial_.push_back(s);
 }
 
+void Nfa::InsertInitial(StateId s) {
+  RPQ_DCHECK(s < num_states());
+  auto it = std::lower_bound(initial_.begin(), initial_.end(), s);
+  if (it == initial_.end() || *it != s) initial_.insert(it, s);
+}
+
 void Nfa::SetAccepting(StateId s, bool accepting) {
   RPQ_DCHECK(s < num_states());
   accepting_[s] = accepting;

@@ -40,6 +40,9 @@ class Nfa {
   void AddEpsilonTransition(StateId from, StateId to);
 
   void AddInitial(StateId s);
+  /// Adds `s` to the initial set of a finalized NFA, keeping
+  /// initial_states() sorted and duplicate-free without a new Finalize().
+  void InsertInitial(StateId s);
   void SetAccepting(StateId s, bool accepting);
 
   uint32_t num_states() const {

@@ -2,11 +2,25 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
+#include <unordered_map>
 
 #include "util/logging.h"
 
 namespace rpqlearn {
+namespace {
+
+/// Hash of a sorted NFA-state subset (boost-style hash_combine of the ids).
+struct SubsetHash {
+  size_t operator()(const std::vector<StateId>& subset) const {
+    size_t h = subset.size();
+    for (StateId s : subset) {
+      h ^= s + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+    }
+    return h;
+  }
+};
+
+}  // namespace
 
 StatusOr<SubsetCoverage> SubsetCoverage::Build(const Nfa& nfa,
                                                const Options& options) {
@@ -16,7 +30,9 @@ StatusOr<SubsetCoverage> SubsetCoverage::Build(const Nfa& nfa,
   cov.k_ = options.k;
   cov.num_symbols_ = nfa.num_symbols();
 
-  std::map<std::vector<StateId>, StateId> ids;
+  // Ids are assigned in BFS order whatever the lookup structure, so the
+  // automaton and the point where max_states trips do not depend on it.
+  std::unordered_map<std::vector<StateId>, StateId, SubsetHash> ids;
   auto add_state = [&](std::vector<StateId> subset,
                        uint32_t depth) -> StateId {
     StateId id = static_cast<StateId>(cov.subsets_.size());

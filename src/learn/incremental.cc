@@ -24,7 +24,8 @@ void IncrementalLearner::AddPositive(NodeId v) { sample_.AddPositive(v); }
 
 void IncrementalLearner::AddNegative(NodeId v) {
   sample_.AddNegative(v);
-  negative_nfa_ = GraphToNfa(graph_, sample_.negative);
+  // The graph part of the NFA never changes; only its initial set grows.
+  negative_nfa_.InsertInitial(v);
   // Coverage automata are stale now; RefreshCoverage rebuilds lazily and
   // revalidates cached SCPs against the new coverage.
 }

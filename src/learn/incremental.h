@@ -22,7 +22,9 @@ namespace rpqlearn {
 ///    no SCP within k gains none. Only SCPs that become covered must be
 ///    recomputed.
 ///  * The coverage automaton and negative NFA depend only on S− (for a given
-///    k), so positive labels reuse them unchanged.
+///    k), so positive labels reuse them unchanged. A negative label adds
+///    its node to the negative NFA's initial set in place; the graph part of
+///    that NFA is built once, with the learner, and never rebuilt.
 ///
 /// Produces byte-identical results to LearnPathQuery at the same k.
 class IncrementalLearner {
@@ -65,7 +67,7 @@ class IncrementalLearner {
   LearnerOptions options_;
   Sample sample_;
   Nfa graph_nfa_;     ///< whole graph, no initial states (shared by SCPs)
-  Nfa negative_nfa_;  ///< rebuilt when a negative arrives
+  Nfa negative_nfa_;  ///< whole graph, initial set S− (grown in place)
   std::map<uint32_t, KState> per_k_;
 };
 

@@ -194,7 +194,6 @@ StatusOr<BitVector> EvalMonadic(const Graph& graph, const Dfa& query,
                                 const EvalOptions& options);
 
 /// Like EvalMonadic but only counts witness paths of length ≤ max_length.
-/// Used by the interactive loop's bounded checks.
 BitVector EvalMonadicBounded(const Graph& graph, const Dfa& query,
                              uint32_t max_length);
 

@@ -4,6 +4,7 @@
 #include "graph/fixtures.h"
 #include "graph/graph_nfa.h"
 #include "learn/coverage.h"
+#include "workloads/workloads.h"
 
 namespace rpqlearn {
 namespace {
@@ -95,6 +96,39 @@ TEST(CoverageTest, StateCapAborts) {
   auto cov = SubsetCoverage::Build(negatives, options);
   EXPECT_FALSE(cov.ok());
   EXPECT_EQ(cov.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(CoverageTest, StateCapTripsAtExactCount) {
+  // Subset ids are assigned in BFS order, so the cap trips at the same
+  // state however subsets are looked up; a trip that moves would move the
+  // learner's abstain.
+  const Dataset dataset = BuildSyntheticDataset(300, 1);
+  std::vector<NodeId> negatives;
+  for (NodeId v = 0; v < dataset.graph.num_nodes(); v += 6) {
+    negatives.push_back(v);
+  }
+  ASSERT_EQ(negatives.size(), 50u);
+  Nfa nfa = GraphToNfa(dataset.graph, negatives);
+  SubsetCoverage::Options options;
+  options.k = 3;
+  auto uncapped = SubsetCoverage::Build(nfa, options);
+  ASSERT_TRUE(uncapped.ok());
+  const uint32_t n = uncapped->num_states();
+  EXPECT_EQ(n, 1137u);  // pinned: another count moves the abstain point
+  for (StateId s = 1; s < n; ++s) {
+    EXPECT_LE(uncapped->DepthOf(s - 1), uncapped->DepthOf(s))
+        << "state " << s;
+  }
+
+  options.max_states = n;
+  auto at_cap = SubsetCoverage::Build(nfa, options);
+  ASSERT_TRUE(at_cap.ok());
+  EXPECT_EQ(at_cap->num_states(), n);
+
+  options.max_states = n - 1;
+  auto below_cap = SubsetCoverage::Build(nfa, options);
+  EXPECT_FALSE(below_cap.ok());
+  EXPECT_EQ(below_cap.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(CoverageTest, DepthTracksBfsLevels) {

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "graph/fixtures.h"
 #include "graph/graph_nfa.h"
 #include "interact/certain.h"
 #include "interact/informative.h"
 #include "interact/strategy.h"
+#include "util/random.h"
+#include "workloads/workloads.h"
 
 namespace rpqlearn {
 namespace {
@@ -17,6 +24,61 @@ SubsetCoverage CoverageOf(const Graph& g, const std::vector<NodeId>& negs,
   auto cov = SubsetCoverage::Build(negatives, options);
   EXPECT_TRUE(cov.ok());
   return std::move(cov).value();
+}
+
+/// Reference for ComputeKInformative: a backward layered BFS over the
+/// product of the graph with the coverage automaton, from every pair whose
+/// coverage subset is empty, k reverse steps deep. A node is k-informative
+/// iff its pair with the initial subset is reached.
+BitVector KInformativeReference(const Graph& graph,
+                                const SubsetCoverage& coverage) {
+  const uint32_t nv = graph.num_nodes();
+  const uint32_t nc = coverage.num_states();
+  const uint32_t k = coverage.k();
+
+  // reached[(v, s)] = from product state (v, s) some (·, ∅) is reachable
+  // within the remaining budget. Layer 0 = all pairs with the empty subset.
+  BitVector reached(static_cast<size_t>(nv) * nc);
+  std::vector<std::pair<NodeId, StateId>> frontier;
+  const StateId empty = coverage.empty_state();
+  for (NodeId v = 0; v < nv; ++v) {
+    reached.Set(static_cast<size_t>(v) * nc + empty);
+    frontier.emplace_back(v, empty);
+  }
+
+  // Reverse coverage transitions, restricted to states with materialized
+  // rows (depth < k).
+  std::vector<std::vector<std::vector<StateId>>> rev(
+      graph.num_symbols(), std::vector<std::vector<StateId>>(nc));
+  for (StateId s = 0; s < nc; ++s) {
+    if (coverage.DepthOf(s) >= k && !coverage.IsEmptySubset(s)) continue;
+    for (Symbol a = 0; a < coverage.num_symbols(); ++a) {
+      rev[a][coverage.Next(s, a)].push_back(s);
+    }
+  }
+
+  for (uint32_t step = 0; step < k && !frontier.empty(); ++step) {
+    std::vector<std::pair<NodeId, StateId>> next;
+    for (auto [v, s] : frontier) {
+      for (const LabeledEdge& e : graph.InEdges(v)) {
+        for (StateId p : rev[e.label][s]) {
+          size_t idx = static_cast<size_t>(e.node) * nc + p;
+          if (!reached.Test(idx)) {
+            reached.Set(idx);
+            next.emplace_back(e.node, p);
+          }
+        }
+      }
+    }
+    frontier = std::move(next);
+  }
+
+  BitVector informative(nv);
+  const StateId init = coverage.initial();
+  for (NodeId v = 0; v < nv; ++v) {
+    if (reached.Test(static_cast<size_t>(v) * nc + init)) informative.Set(v);
+  }
+  return informative;
 }
 
 TEST(InformativeTest, MatchesDefinitionOnFig3) {
@@ -37,6 +99,79 @@ TEST(InformativeTest, MatchesDefinitionOnFig3) {
       EXPECT_EQ(informative.Test(v), expected) << "k=" << k << " v=" << v;
     }
   }
+}
+
+TEST(InformativeTest, ForwardSearchMatchesBackwardReference) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const Dataset dataset = BuildSyntheticDataset(300, seed);
+    const Graph& g = dataset.graph;
+    std::vector<NodeId> order(g.num_nodes());
+    std::iota(order.begin(), order.end(), NodeId{0});
+    Rng rng(seed);
+    rng.Shuffle(&order);
+    for (size_t num_negatives :
+         {size_t{0}, size_t{1}, size_t{10}, size_t{100},
+          size_t{g.num_nodes() - 1}}) {
+      const std::vector<NodeId> negatives(order.begin(),
+                                          order.begin() + num_negatives);
+      for (uint32_t k = 0; k <= 4; ++k) {
+        SubsetCoverage cov = CoverageOf(g, negatives, k);
+        EXPECT_TRUE(ComputeKInformative(g, cov) ==
+                    KInformativeReference(g, cov))
+            << "seed=" << seed << " negatives=" << num_negatives
+            << " k=" << k;
+      }
+    }
+  }
+}
+
+/// Two chains whose search reaches one (node, coverage state) pair at two
+/// budgets, one too small for the pair's only uncovered path and one just
+/// large enough. The negative node 16 loops on a, so every a^j keeps the
+/// coverage state {16}, and from nodes 3 and 10 the first uncovered word is
+/// aaab (length 4). A root one a-step from the chain asks with budget
+/// k − 1, a root two steps away with k − 2, so at k = 5 the budgets are 4
+/// (enough) and 3 (one short). Roots run in id order: node 0 (far) before
+/// node 1 (near) on the first chain, node 8 (near) before node 9 (far) on
+/// the second, so each of the memo's two bounds is read by a later root.
+Graph MemoBoundsChains() {
+  GraphBuilder b;
+  b.InternLabels({"a", "b"});
+  b.AddNodes(17);
+  for (auto [far, near, hop, u, first] :
+       {std::tuple<NodeId, NodeId, NodeId, NodeId, NodeId>{0, 1, 2, 3, 4},
+        {9, 8, 11, 10, 12}}) {
+    b.AddEdge(far, "a", hop);
+    b.AddEdge(hop, "a", u);
+    b.AddEdge(near, "a", u);
+    b.AddEdge(u, "a", first);
+    b.AddEdge(first, "a", first + 1);
+    b.AddEdge(first + 1, "a", first + 2);
+    b.AddEdge(first + 2, "b", first + 3);
+  }
+  b.AddEdge(16, "a", 16);
+  return b.Build();
+}
+
+TEST(InformativeTest, ForwardSearchMatchesBackwardReferenceOnFixtures) {
+  const Graph fig5 = Figure5Inconsistent();
+  const Graph chains = MemoBoundsChains();
+  const std::vector<std::pair<const Graph*, std::vector<NodeId>>> cases = {
+      {&fig5, {}},        {&fig5, {1}},   {&fig5, {1, 2}},
+      {&fig5, {0, 1, 2}}, {&chains, {16}}, {&chains, {3, 16}},
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const auto& [g, negatives] = cases[c];
+    for (uint32_t k = 0; k <= 6; ++k) {
+      SubsetCoverage cov = CoverageOf(*g, negatives, k);
+      EXPECT_TRUE(ComputeKInformative(*g, cov) ==
+                  KInformativeReference(*g, cov))
+          << "case " << c << " k=" << k;
+    }
+  }
+  SubsetCoverage cov = CoverageOf(chains, {16}, 5);
+  EXPECT_EQ(ComputeKInformative(chains, cov).ToIndices(),
+            (std::vector<uint32_t>{1, 2, 3, 4, 5, 6, 8, 10, 11, 12, 13, 14}));
 }
 
 TEST(InformativeTest, EmptyNegativesMakeEveryoneInformative) {
@@ -62,32 +197,60 @@ TEST(InformativeTest, KInformativeImpliesInformative) {
 }
 
 TEST(UncoveredPathCounterTest, CountsMatchBruteForce) {
+  // k = 0 and 1 never reach the memo, and the root is never memoized, so
+  // each budget class takes its own path.
   Graph g = Figure3G0();
-  const uint32_t k = 3;
-  SubsetCoverage cov = CoverageOf(g, {1, 6}, k);
-  UncoveredPathCounter counter(g, cov);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    // Brute force: enumerate node sequences of length ≤ k from v and count
-    // those whose word is uncovered.
-    uint64_t expected = 0;
-    struct Walker {
-      const Graph& g;
-      uint64_t count = 0;
-      void Walk(NodeId node, Word word, uint32_t remaining) {
-        if (!g.HasPathFrom(1, word) && !g.HasPathFrom(6, word)) ++count;
-        if (remaining == 0) return;
-        for (const LabeledEdge& e : g.OutEdges(node)) {
-          Word next = word;
-          next.push_back(e.label);
-          Walk(e.node, std::move(next), remaining - 1);
+  for (uint32_t k = 0; k <= 4; ++k) {
+    SubsetCoverage cov = CoverageOf(g, {1, 6}, k);
+    UncoveredPathCounter counter(g, cov);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      // Brute force: enumerate node sequences of length ≤ k from v and
+      // count those whose word is uncovered.
+      uint64_t expected = 0;
+      struct Walker {
+        const Graph& g;
+        uint64_t count = 0;
+        void Walk(NodeId node, Word word, uint32_t remaining) {
+          if (!g.HasPathFrom(1, word) && !g.HasPathFrom(6, word)) ++count;
+          if (remaining == 0) return;
+          for (const LabeledEdge& e : g.OutEdges(node)) {
+            Word next = word;
+            next.push_back(e.label);
+            Walk(e.node, std::move(next), remaining - 1);
+          }
         }
-      }
-    };
-    Walker walker{g};
-    walker.Walk(v, {}, k);
-    expected = walker.count;
-    EXPECT_EQ(counter.Count(v), expected) << "node " << v;
+      };
+      Walker walker{g};
+      walker.Walk(v, {}, k);
+      expected = walker.count;
+      EXPECT_EQ(counter.Count(v), expected) << "k=" << k << " node " << v;
+    }
   }
+}
+
+TEST(UncoveredPathCounterTest, MemoKeysDoNotAliasAtLargeK) {
+  // k = 300 takes budgets past 8 bits. Node 0 loops on a, as does the
+  // negative node 1, so every path from 0 is covered, with the coverage
+  // state {1} at every budget. Node 3 reaches 0 by b, which node 1 follows
+  // into the sink node 2; the following a-steps leave the empty subset at
+  // budgets 298 down to 1. Counted after node 0, a memo key that packs the
+  // budget into 8 bits would read those as node 0's covered entries.
+  GraphBuilder b;
+  b.InternLabels({"a", "b"});
+  b.AddNodes(4);
+  b.AddEdge(0, "a", 0);
+  b.AddEdge(1, "a", 1);
+  b.AddEdge(1, "b", 2);
+  b.AddEdge(3, "b", 0);
+  Graph g = b.Build();
+  const uint32_t k = 300;
+  SubsetCoverage cov = CoverageOf(g, {1}, k);
+  UncoveredPathCounter counter(g, cov);
+  EXPECT_EQ(counter.Count(0), 0u);
+  EXPECT_EQ(counter.Count(1), 0u);
+  EXPECT_EQ(counter.Count(2), 0u);
+  // b·a^j for j = 1..k-1.
+  EXPECT_EQ(counter.Count(3), k - 1);
 }
 
 TEST(UncoveredPathCounterTest, ZeroForFullyCoveredNode) {

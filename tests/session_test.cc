@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "automata/dfa_csr.h"
 #include "automata/equivalence.h"
 #include "graph/condense.h"
 #include "graph/dynamic.h"
 #include "graph/fixtures.h"
 #include "interact/session.h"
 #include "query/eval.h"
+#include "query/eval_incremental.h"
 #include "query/metrics.h"
 #include "query/path_query.h"
+#include "workloads/workloads.h"
 
 namespace rpqlearn {
 namespace {
@@ -182,6 +188,87 @@ TEST(SessionTest, MaintainedDynamicGraphCachesMatchACacheFreeSession) {
   ASSERT_EQ(cached.eval.condensed_cache, dynamic.condensed());
   const SessionResult result = RunInteractiveSession(g, oracle, cached);
   CheckSessionsIdentical(g, ground_truth, result);
+}
+
+/// One recorded session of PinnedSessionsOnSyntheticGraph.
+struct PinnedSession {
+  const char* goal;
+  StrategyKind strategy;
+  std::vector<NodeId> nodes;
+  /// One character per interaction: '+' positive, '-' negative.
+  std::string labels;
+  std::vector<double> f1;
+  uint32_t final_k;
+  bool reached_goal;
+  /// DfaFingerprint of the final query.
+  uint64_t query_fingerprint;
+};
+
+TEST(SessionTest, PinnedSessionsOnSyntheticGraph) {
+  // Node choices, labels, per-interaction F1, final k and final query of
+  // kR and kS sessions, recorded with the backward-BFS informativeness
+  // check (the reference in informative_test.cc), a fully memoized kS
+  // counter and an ordered-map coverage lookup. DeterministicGivenSeed
+  // compares the code only with itself; this pins the sessions themselves,
+  // so a speed-up that changes a pick, a label or a learned query fails
+  // here. The syn2 sessions abstain at k = 2 (F1 -1) and reach the goal
+  // only after the k increase.
+  const Dataset dataset = BuildSyntheticDataset(60, 1);
+  const Graph& g = dataset.graph;
+  const std::vector<PinnedSession> pinned = {
+      {"syn2", StrategyKind::kRandom,
+       {54, 35, 30, 41, 12, 10, 8, 44, 24, 48, 19, 34, 53, 9, 49, 20, 18, 47, 50, 46, 43, 51, 22, 31, 40, 5, 32, 21, 13, 52, 28, 39, 59, 56, 37, 36, 45},
+       "----+-----------+-------+-++-+-----+-",
+       {0.000000, 0.000000, 0.000000, 0.000000, 0.363636, 0.363636, 0.363636, 0.363636, 0.363636, 0.363636, 0.363636, 0.363636, 0.363636, 0.363636, 0.363636, 0.400000, 0.571429, 0.571429, 0.571429, 0.666667, 0.666667, 0.666667, 0.666667, 0.666667, 0.769231, 0.769231, 0.769231, 0.857143, 0.857143, 0.857143, -1.000000, -1.000000, -1.000000, -1.000000, -1.000000, -1.000000, -1.000000},
+       3, true, 4501887813869121235ull},
+      {"syn2", StrategyKind::kSmallestPaths,
+       {1, 26, 15, 0, 8, 55, 56, 47, 58, 38, 19, 23, 43, 40, 52, 13, 12, 10, 5, 31, 45, 30, 48, 34, 9, 24, 44, 39, 35, 53, 32, 41, 49, 37, 50, 51, 21, 20, 36, 54, 22, 59, 18, 46, 28},
+       "-------------++-+-------------+-----+-+---+--",
+       {0.000000, 0.000000, 0.000000, 0.000000, 0.000000, 0.000000, 0.000000, 0.000000, 0.000000, 0.000000, 0.000000, 0.000000, 0.000000, 0.320000, 0.444444, 0.444444, 0.444444, 0.315789, 0.571429, 0.571429, 0.571429, 0.571429, 0.571429, 0.571429, 0.571429, 0.571429, 0.571429, 0.571429, 0.571429, 0.571429, 0.555556, 0.555556, 0.555556, 0.666667, 0.714286, 0.714286, 0.800000, 0.857143, 0.823529, 0.823529, 0.823529, 0.933333, 0.933333, 0.933333, -1.000000},
+       3, true, 4501887813869121235ull},
+      {"syn3", StrategyKind::kRandom,
+       {54, 35, 30, 41, 51, 28, 20, 34, 9, 44, 43, 49, 0, 24, 13, 32, 21, 52, 53, 47},
+       "-+-+++++-+-+-++---++",
+       {0.000000, 0.322581, 0.322581, 0.739130, 0.739130, 0.739130, 0.739130, 0.739130, 0.739130, 0.840000, 0.916667, 0.916667, 0.916667, 0.916667, 0.960000, 0.960000, 0.960000, 0.960000, 0.960000, 1.000000},
+       2, true, 417445292675057972ull},
+      {"syn3", StrategyKind::kSmallestPaths,
+       {1, 26, 15, 0, 8, 55, 56, 58, 38, 19, 52, 12, 13, 30, 43, 40, 47, 31, 45, 23, 48},
+       "----++---+--+---+--++",
+       {0.000000, 0.000000, 0.000000, 0.000000, 0.594595, 0.893617, 0.893617, 0.893617, 0.893617, 0.960000, 0.960000, 0.960000, 0.980392, 0.980392, 0.980392, 0.980392, 0.980392, 0.980392, 0.980392, 0.980392, 1.000000},
+       2, true, 417445292675057972ull},
+  };
+  for (const PinnedSession& expected : pinned) {
+    const Workload* goal = nullptr;
+    for (const Workload& w : dataset.queries) {
+      if (w.name == expected.goal) goal = &w;
+    }
+    ASSERT_NE(goal, nullptr) << expected.goal;
+    SessionOptions options;
+    options.strategy = expected.strategy;
+    options.seed = 7;
+    options.k_start = 2;
+    options.k_max = 3;
+    options.max_interactions = 100;
+    options.learner.max_k = 3;
+    options.learner.coverage_state_cap = 20000;
+    const SessionResult result =
+        RunInteractiveSession(g, Oracle::FromQuery(g, goal->query), options);
+    const std::string where =
+        std::string(expected.goal) +
+        (expected.strategy == StrategyKind::kRandom ? " kR" : " kS");
+    ASSERT_EQ(result.interactions.size(), expected.nodes.size()) << where;
+    for (size_t i = 0; i < expected.nodes.size(); ++i) {
+      const InteractionRecord& r = result.interactions[i];
+      EXPECT_EQ(r.node, expected.nodes[i]) << where << " #" << i;
+      EXPECT_EQ(r.positive, expected.labels[i] == '+') << where << " #" << i;
+      EXPECT_NEAR(r.f1, expected.f1[i], 1e-6) << where << " #" << i;
+    }
+    EXPECT_EQ(result.final_k, expected.final_k) << where;
+    EXPECT_EQ(result.reached_goal, expected.reached_goal) << where;
+    EXPECT_EQ(DfaFingerprint(FrozenDfa(result.final_query)),
+              expected.query_fingerprint)
+        << where;
+  }
 }
 
 TEST(SessionTest, DeterministicGivenSeed) {
