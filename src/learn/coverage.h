@@ -21,14 +21,17 @@ namespace rpqlearn {
 /// States are materialized breadth-first up to depth k; transitions are only
 /// defined for states first reached at depth < k (deeper queries would
 /// correspond to words longer than k, which callers never ask about). The
-/// empty subset is state 0 and absorbs all its transitions.
+/// empty subset is state 0 and absorbs all its transitions. The subsets
+/// themselves exist only during Build, packed in one arena that Build frees
+/// on return; the automaton keeps the table, depths and covering bits.
 class SubsetCoverage {
  public:
   struct Options {
     uint32_t k = 2;
-    /// Hard cap on materialized subset states; exceeding it aborts the build
-    /// with ResourceExhausted (the learner then abstains, which is exactly
-    /// the framework-with-abstain behavior of Sec. 3.1).
+    /// Hard cap on materialized subset states, the empty and the initial
+    /// subset included: Build returns an automaton with num_states() ≤
+    /// max_states or ResourceExhausted (the learner then abstains, which is
+    /// exactly the framework-with-abstain behavior of Sec. 3.1).
     size_t max_states = 1 << 20;
   };
 
@@ -62,9 +65,6 @@ class SubsetCoverage {
   /// BFS depth at which the subset was first reached.
   uint32_t DepthOf(StateId s) const { return depth_[s]; }
 
-  /// Size of the subset represented by state `s`.
-  size_t SubsetSize(StateId s) const { return subsets_[s].size(); }
-
  private:
   SubsetCoverage() = default;
 
@@ -73,8 +73,7 @@ class SubsetCoverage {
   StateId initial_ = 0;
   std::vector<bool> covering_;
   std::vector<uint32_t> depth_;
-  std::vector<std::vector<StateId>> subsets_;
-  /// Transition table; kNoState marks "not materialized" (depth == k rows).
+  /// Transition rows of the states below depth k (a prefix of the ids).
   std::vector<StateId> table_;
 };
 

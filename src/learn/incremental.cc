@@ -4,11 +4,8 @@
 
 #include "automata/minimize.h"
 #include "automata/prefix_free.h"
-#include "automata/pta.h"
 #include "graph/graph_nfa.h"
-#include "learn/rpni.h"
 #include "learn/scp.h"
-#include "query/eval.h"
 #include "util/exec_context.h"
 
 namespace rpqlearn {
@@ -74,6 +71,15 @@ const SubsetCoverage* IncrementalLearner::CoverageAtK(uint32_t k) {
   return state.coverage.has_value() ? &*state.coverage : nullptr;
 }
 
+bool IncrementalLearner::MemoHolds(const KState::Memo& memo,
+                                   const std::vector<Word>& words) const {
+  if (memo.words != words) return false;
+  for (size_t i = memo.negatives_checked; i < sample_.negative.size(); ++i) {
+    if (memo.result.selected.Test(sample_.negative[i])) return false;
+  }
+  return true;
+}
+
 LearnOutcome IncrementalLearner::LearnAtK(uint32_t k) {
   LearnOutcome outcome;
   outcome.stats.k_used = k;
@@ -98,41 +104,39 @@ LearnOutcome IncrementalLearner::LearnAtK(uint32_t k) {
   }
   outcome.stats.num_scps = scp_words.size();
 
-  std::vector<Word> words(scp_words.begin(), scp_words.end());
-  Dfa pta = BuildPta(words, graph_.num_symbols());
-  outcome.stats.pta_states = pta.num_states();
+  auto record = [&outcome](const Generalization& gen) {
+    outcome.stats.pta_states = gen.pta_states;
+    outcome.stats.merges_attempted = gen.merges_attempted;
+    outcome.stats.merges_accepted = gen.merges_accepted;
+  };
 
-  Dfa hypothesis = pta;
-  if (options_.generalize && !words.empty()) {
-    RpniStats rpni_stats;
-    NfaDisjointnessOracle consistent(&negative_nfa_);
-    hypothesis = RpniGeneralizeOnPartition(pta, std::ref(consistent),
-                                           &rpni_stats, options_.exec);
-    outcome.stats.merges_attempted = rpni_stats.merges_attempted;
-    outcome.stats.merges_accepted = rpni_stats.merges_accepted;
-    if (options_.exec != nullptr && options_.exec->tripped()) {
-      outcome.status = options_.exec->TripStatus();
+  std::vector<Word> words(scp_words.begin(), scp_words.end());
+  if (!state.memo.has_value() || !MemoHolds(*state.memo, words)) {
+    state.memo.reset();
+    Generalization fresh =
+        GeneralizeAndEvaluate(graph_, words, negative_nfa_, options_);
+    if (!fresh.status.ok()) {  // a trip or an evaluation error: no memo
+      record(fresh);
+      outcome.status = fresh.status;
       return outcome;
     }
-  }
-
-  EvalOptions eval;
-  eval.exec = options_.exec;
-  StatusOr<BitVector> selected_or = EvalMonadic(graph_, hypothesis, eval);
-  if (!selected_or.ok()) {
-    outcome.status = selected_or.status();
+    state.memo.emplace(
+        KState::Memo{std::move(words), std::move(fresh), 0, std::nullopt});
+  } else if (options_.exec != nullptr && options_.exec->tripped()) {
+    // A reuse polls no checkpoint; report a trip as the fresh path would.
+    outcome.status = options_.exec->TripStatus();
     return outcome;
   }
-  const BitVector& selected = *selected_or;
-  for (NodeId v : sample_.positive) {
-    if (!selected.Test(v)) return outcome;
-  }
-  for (NodeId v : sample_.negative) {
-    if (selected.Test(v)) return outcome;
-  }
 
+  KState::Memo& memo = *state.memo;
+  memo.negatives_checked = sample_.negative.size();
+  record(memo.result);
+  if (!SelectionIsConsistent(memo.result.selected, sample_)) return outcome;
+  if (!memo.query.has_value()) {
+    memo.query = MakePrefixFree(Canonicalize(memo.result.hypothesis));
+  }
   outcome.is_null = false;
-  outcome.query = MakePrefixFree(Canonicalize(hypothesis));
+  outcome.query = *memo.query;
   return outcome;
 }
 

@@ -14,7 +14,7 @@ namespace rpqlearn {
 
 /// Incremental version of Algorithm 1 for the interactive loop (Sec. 4),
 /// where one label arrives per round and the learner reruns every time.
-/// Two facts make caching sound:
+/// Three facts make caching sound:
 ///
 ///  * Adding examples only ever *grows* paths_G(S−), i.e. shrinks the set
 ///    of uncovered words. A cached SCP that is still uncovered therefore
@@ -25,6 +25,14 @@ namespace rpqlearn {
 ///    k), so positive labels reuse them unchanged. A negative label adds
 ///    its node to the negative NFA's initial set in place; the graph part of
 ///    that NFA is built once, with the learner, and never rebuilt.
+///  * RPNI's output H is a function of the PTA, i.e. of the SCP word set,
+///    and of the oracle's verdicts. The oracle tests L(T) ∩ paths_G(S−) = ∅,
+///    which can only turn from true to false as S− grows, and every quotient
+///    T it accepted has L(T) ⊆ L(H). So when the word set is unchanged and H
+///    selects none of the negatives added since, every verdict repeats and
+///    RPNI returns H again. LearnAtK keeps the last generalization per k and
+///    reuses it then; a positive label changes RPNI's input only through
+///    the word set. The consistency check still runs on every call.
 ///
 /// Produces byte-identical results to LearnPathQuery at the same k.
 class IncrementalLearner {
@@ -58,10 +66,26 @@ class IncrementalLearner {
     std::unordered_map<NodeId, std::optional<Word>> scp;
     /// True when the coverage build hit the state cap at this k.
     bool exhausted = false;
+    /// The last generalization at this k and the words it generalized.
+    struct Memo {
+      std::vector<Word> words;
+      Generalization result;
+      /// How many of S− (a prefix, in label order) were already tested
+      /// against result.selected.
+      size_t negatives_checked = 0;
+      /// Canonical prefix-free form of the hypothesis, once returned.
+      std::optional<Dfa> query;
+    };
+    std::optional<Memo> memo;
   };
 
   /// Ensures state.coverage matches the current negatives.
   void RefreshCoverage(uint32_t k, KState* state);
+
+  /// True iff RPNI on `words` and the current S− provably returns the
+  /// memo's hypothesis (see the class comment).
+  bool MemoHolds(const KState::Memo& memo,
+                 const std::vector<Word>& words) const;
 
   const Graph& graph_;
   LearnerOptions options_;

@@ -46,55 +46,74 @@ LearnOutcome LearnWithFixedK(const Graph& graph, const Sample& sample,
   }
   outcome.stats.num_scps = scp_words.size();
 
-  // Line 3: prefix tree acceptor of the SCPs.
-  std::vector<Word> words(scp_words.begin(), scp_words.end());
-  Dfa pta = BuildPta(words, graph.num_symbols());
-  outcome.stats.pta_states = pta.num_states();
-
-  // Lines 4-5: generalization by state merging while no negative node is
-  // covered, i.e. while L(A) ∩ paths_G(S−) = ∅ (PTIME product emptiness),
-  // decided on the zero-copy merge partition view.
-  Dfa hypothesis = pta;
-  if (options.generalize && !words.empty()) {
-    RpniStats rpni_stats;
-    NfaDisjointnessOracle consistent(&negative_nfa);
-    hypothesis = RpniGeneralizeOnPartition(pta, std::ref(consistent),
-                                           &rpni_stats, options.exec);
-    outcome.stats.merges_attempted = rpni_stats.merges_attempted;
-    outcome.stats.merges_accepted = rpni_stats.merges_accepted;
-    if (options.exec != nullptr && options.exec->tripped()) {
-      // Discard the partially generalized hypothesis: a half-merged query
-      // is consistent but not the canonical result.
-      outcome.status = options.exec->TripStatus();
-      return outcome;
-    }
+  // Lines 3-7.
+  const Generalization gen = GeneralizeAndEvaluate(
+      graph, std::vector<Word>(scp_words.begin(), scp_words.end()),
+      negative_nfa, options);
+  outcome.stats.pta_states = gen.pta_states;
+  outcome.stats.merges_attempted = gen.merges_attempted;
+  outcome.stats.merges_accepted = gen.merges_accepted;
+  outcome.status = gen.status;
+  if (!gen.status.ok() || !SelectionIsConsistent(gen.selected, sample)) {
+    return outcome;  // tripped, or abstain
   }
-
-  // Lines 6-7: the query must select every positive node (not only those
-  // whose SCPs built the PTA).
-  EvalOptions eval;
-  eval.exec = options.exec;
-  StatusOr<BitVector> selected_or = EvalMonadic(graph, hypothesis, eval);
-  if (!selected_or.ok()) {
-    outcome.status = selected_or.status();
-    return outcome;
-  }
-  const BitVector& selected = *selected_or;
-  for (NodeId v : sample.positive) {
-    if (!selected.Test(v)) return outcome;  // abstain
-  }
-  // Defensive re-check of consistency on the negative side (guaranteed by
-  // construction, cheap to verify).
-  for (NodeId v : sample.negative) {
-    if (selected.Test(v)) return outcome;
-  }
-
   outcome.is_null = false;
-  outcome.query = MakePrefixFree(Canonicalize(hypothesis));
+  outcome.query = MakePrefixFree(Canonicalize(gen.hypothesis));
   return outcome;
 }
 
 }  // namespace
+
+Generalization GeneralizeAndEvaluate(const Graph& graph,
+                                     const std::vector<Word>& words,
+                                     const Nfa& negative_nfa,
+                                     const LearnerOptions& options) {
+  Generalization gen;
+  // Line 3: prefix tree acceptor of the SCPs.
+  Dfa pta = BuildPta(words, graph.num_symbols());
+  gen.pta_states = pta.num_states();
+
+  // Lines 4-5: generalization by state merging while no negative node is
+  // covered, i.e. while L(A) ∩ paths_G(S−) = ∅ (PTIME product emptiness),
+  // decided on the zero-copy merge partition view.
+  if (options.generalize && !words.empty()) {
+    RpniStats rpni_stats;
+    NfaDisjointnessOracle consistent(&negative_nfa);
+    gen.hypothesis = RpniGeneralizeOnPartition(pta, std::ref(consistent),
+                                               &rpni_stats, options.exec);
+    gen.merges_attempted = rpni_stats.merges_attempted;
+    gen.merges_accepted = rpni_stats.merges_accepted;
+    if (options.exec != nullptr && options.exec->tripped()) {
+      // Discard the partially generalized hypothesis: a half-merged query
+      // is consistent but not the canonical result.
+      gen.status = options.exec->TripStatus();
+      return gen;
+    }
+  } else {
+    gen.hypothesis = std::move(pta);
+  }
+
+  // Lines 6-7 test the nodes the hypothesis selects.
+  EvalOptions eval;
+  eval.exec = options.exec;
+  StatusOr<BitVector> selected = EvalMonadic(graph, gen.hypothesis, eval);
+  if (!selected.ok()) {
+    gen.status = selected.status();
+    return gen;
+  }
+  gen.selected = *std::move(selected);
+  return gen;
+}
+
+bool SelectionIsConsistent(const BitVector& selected, const Sample& sample) {
+  for (NodeId v : sample.positive) {
+    if (!selected.Test(v)) return false;
+  }
+  for (NodeId v : sample.negative) {
+    if (selected.Test(v)) return false;
+  }
+  return true;
+}
 
 LearnOutcome LearnPathQuery(const Graph& graph, const Sample& sample,
                             const LearnerOptions& options) {

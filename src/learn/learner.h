@@ -4,8 +4,11 @@
 #include <vector>
 
 #include "automata/dfa.h"
+#include "automata/nfa.h"
+#include "automata/word.h"
 #include "graph/graph.h"
 #include "learn/sample.h"
+#include "util/bit_vector.h"
 #include "util/status.h"
 
 namespace rpqlearn {
@@ -43,6 +46,9 @@ struct LearnerStats {
   size_t num_scps = 0;            ///< distinct SCP words found
   size_t positives_with_scp = 0;  ///< positives that had an SCP within k
   size_t pta_states = 0;
+  /// Merge trials of the RPNI run that produced the hypothesis. When
+  /// IncrementalLearner reuses an earlier generalization, these are that
+  /// run's counts, so they do not depend on whether the run was repeated.
   size_t merges_attempted = 0;
   size_t merges_accepted = 0;
 };
@@ -62,6 +68,35 @@ struct LearnOutcome {
   /// hypothesis was discarded.
   Status status = Status::Ok();
 };
+
+/// Lines 3–5 of Algorithm 1 on one set of SCP words, plus the evaluation
+/// that lines 6–7 test: the PTA of the words, generalized by RPNI while
+/// L(A) ∩ paths_G(S−) = ∅, and the nodes the result selects.
+struct Generalization {
+  /// Non-Ok when LearnerOptions.exec tripped (the partially generalized
+  /// hypothesis is discarded) or the evaluation failed; `hypothesis` and
+  /// `selected` are then meaningless.
+  Status status = Status::Ok();
+  Dfa hypothesis{0};   ///< RPNI's output, before canonicalization
+  BitVector selected;  ///< EvalMonadic(graph, hypothesis)
+  size_t pta_states = 0;
+  size_t merges_attempted = 0;
+  size_t merges_accepted = 0;
+};
+
+/// Runs lines 3–5 of Algorithm 1 on `words` (canonically sorted, distinct)
+/// against `negative_nfa` (the graph NFA with initial set S−) and evaluates
+/// the hypothesis on `graph`. The one generalization step of both
+/// LearnPathQuery and IncrementalLearner.
+Generalization GeneralizeAndEvaluate(const Graph& graph,
+                                     const std::vector<Word>& words,
+                                     const Nfa& negative_nfa,
+                                     const LearnerOptions& options);
+
+/// Lines 6–7 of Algorithm 1: true iff `selected` holds every positive node of
+/// `sample` (not only those whose SCPs built the PTA) and no negative one
+/// (guaranteed by construction, cheap to verify).
+bool SelectionIsConsistent(const BitVector& selected, const Sample& sample);
 
 /// The paper's Algorithm 1 (monadic semantics): select the smallest
 /// consistent path of length ≤ k for every positive node, build their PTA,

@@ -16,6 +16,28 @@ StateId RunCoverage(const SubsetCoverage& cov, const Word& w) {
   return s;
 }
 
+/// FNV-1a over initial() and, per state, its depth, its covering bit and,
+/// below depth k, its transition row: equal fingerprints mean the same
+/// automaton with the same state numbering.
+uint64_t CoverageFingerprint(const SubsetCoverage& cov) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (x >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(cov.initial());
+  for (StateId s = 0; s < cov.num_states(); ++s) {
+    mix(cov.DepthOf(s));
+    mix(cov.IsCovering(s) ? 1 : 0);
+    if (cov.DepthOf(s) < cov.k()) {
+      for (Symbol a = 0; a < cov.num_symbols(); ++a) mix(cov.Next(s, a));
+    }
+  }
+  return h;
+}
+
 TEST(CoverageTest, MonadicCoverageMatchesPaths) {
   // Negatives of the Fig. 3 sample: {ν2, ν7}. covered(w) ⟺ w ∈ paths(S−).
   Graph g = Figure3G0();
@@ -96,6 +118,28 @@ TEST(CoverageTest, StateCapAborts) {
   auto cov = SubsetCoverage::Build(negatives, options);
   EXPECT_FALSE(cov.ok());
   EXPECT_EQ(cov.status().code(), StatusCode::kResourceExhausted);
+
+  // The cap counts the empty and the initial subset too: at k = 0 the
+  // automaton of {ν2, ν7} has exactly those two states.
+  Nfa fig3_negatives = GraphToNfa(g, {1, 6});
+  options.k = 0;
+  for (size_t cap : {0, 1}) {
+    options.max_states = cap;
+    auto capped = SubsetCoverage::Build(fig3_negatives, options);
+    EXPECT_FALSE(capped.ok()) << "cap " << cap;
+    EXPECT_EQ(capped.status().code(), StatusCode::kResourceExhausted)
+        << "cap " << cap;
+  }
+  options.max_states = 2;
+  auto at_cap = SubsetCoverage::Build(fig3_negatives, options);
+  ASSERT_TRUE(at_cap.ok());
+  EXPECT_EQ(at_cap->num_states(), 2u);
+
+  // Without negatives the empty subset is the only state.
+  options.max_states = 1;
+  auto empty = SubsetCoverage::Build(GraphToNfa(g, {}), options);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->num_states(), 1u);
 }
 
 TEST(CoverageTest, StateCapTripsAtExactCount) {
@@ -115,6 +159,9 @@ TEST(CoverageTest, StateCapTripsAtExactCount) {
   ASSERT_TRUE(uncapped.ok());
   const uint32_t n = uncapped->num_states();
   EXPECT_EQ(n, 1137u);  // pinned: another count moves the abstain point
+  // Pinned from the build that kept one vector per subset: the arena build
+  // must produce the same table, depths and covering bits in the same order.
+  EXPECT_EQ(CoverageFingerprint(*uncapped), 0x202b52021aca4388ull);
   for (StateId s = 1; s < n; ++s) {
     EXPECT_LE(uncapped->DepthOf(s - 1), uncapped->DepthOf(s))
         << "state " << s;

@@ -13,6 +13,8 @@
 #include "query/eval_incremental.h"
 #include "query/metrics.h"
 #include "query/path_query.h"
+#include "util/exec_context.h"
+#include "util/fault.h"
 #include "workloads/workloads.h"
 
 namespace rpqlearn {
@@ -268,6 +270,46 @@ TEST(SessionTest, PinnedSessionsOnSyntheticGraph) {
     EXPECT_EQ(DfaFingerprint(FrozenDfa(result.final_query)),
               expected.query_fingerprint)
         << where;
+  }
+}
+
+TEST(SessionTest, TripKeepsRecordedInteractions) {
+  // A session under an ExecContext that cancels halfway through its
+  // checkpoints stops with kCancelled and keeps the interactions it had
+  // recorded: the same nodes and labels as the untripped session, and the
+  // same F1 for all but the interaction whose relearn tripped.
+  const Dataset dataset = BuildSyntheticDataset(60, 1);
+  const Graph& g = dataset.graph;
+  const Oracle oracle = Oracle::FromQuery(g, dataset.queries[1].query);
+  SessionOptions options;
+  options.strategy = StrategyKind::kSmallestPaths;
+  options.seed = 7;
+  options.k_max = 3;
+  options.learner.max_k = 3;
+
+  ExecContext counting;
+  options.eval.exec = &counting;
+  const SessionResult full = RunInteractiveSession(g, oracle, options);
+  ASSERT_TRUE(full.status.ok());
+  ASSERT_GE(full.interactions.size(), 4u);
+
+  ExecContext exec;
+  FaultInjector cancel({FaultKind::kCancel, counting.checkpoints() / 2});
+  exec.set_fault_injector(&cancel);
+  options.eval.exec = &exec;
+  const SessionResult cut = RunInteractiveSession(g, oracle, options);
+  EXPECT_TRUE(cancel.fired());
+  EXPECT_EQ(cut.status.code(), StatusCode::kCancelled);
+  EXPECT_FALSE(cut.reached_goal);
+  ASSERT_GE(cut.interactions.size(), 1u);
+  ASSERT_LE(cut.interactions.size(), full.interactions.size());
+  for (size_t i = 0; i < cut.interactions.size(); ++i) {
+    const InteractionRecord& r = cut.interactions[i];
+    EXPECT_EQ(r.node, full.interactions[i].node) << "#" << i;
+    EXPECT_EQ(r.positive, full.interactions[i].positive) << "#" << i;
+    if (i + 1 < cut.interactions.size()) {
+      EXPECT_EQ(r.f1, full.interactions[i].f1) << "#" << i;
+    }
   }
 }
 
