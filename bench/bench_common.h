@@ -4,7 +4,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "query/eval.h"
@@ -35,6 +37,15 @@ inline T UnwrapOrExit(StatusOr<T> value, const char* what) {
     std::exit(1);
   }
   return *std::move(value);
+}
+
+/// All-pairs binary semantics: EvalBinaryFromSources over (0, …, |V|-1),
+/// so the pairs come out (src asc, dst asc).
+inline StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalAllPairs(
+    const Graph& graph, const Dfa& query, const EvalOptions& options = {}) {
+  std::vector<NodeId> sources(graph.num_nodes());
+  std::iota(sources.begin(), sources.end(), NodeId{0});
+  return EvalBinaryFromSources(graph, query, sources, options);
 }
 
 /// Parses a whole-string integer ≥ 1, dying loudly on anything else.

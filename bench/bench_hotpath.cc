@@ -128,9 +128,10 @@ EvalBenchResult BenchEval(uint32_t num_nodes, int trials,
   result.query_states = query.num_states();
 
   auto reference_pairs = EvalBinaryReference(graph, query);
-  auto csr_pairs = EvalBinary(graph, query);
+  auto csr_pairs =
+      bench::UnwrapOrExit(bench::EvalAllPairs(graph, query), "EvalAllPairs");
   RPQ_CHECK(reference_pairs == csr_pairs)
-      << "CSR EvalBinary diverged from reference";
+      << "CSR all-pairs evaluation diverged from reference";
 
   WallTimer timer;
   for (int t = 0; t < trials; ++t) {
@@ -141,13 +142,15 @@ EvalBenchResult BenchEval(uint32_t num_nodes, int trials,
 
   timer.Restart();
   for (int t = 0; t < trials; ++t) {
-    auto pairs = EvalBinary(graph, query);
+    auto pairs =
+        bench::UnwrapOrExit(bench::EvalAllPairs(graph, query), "EvalAllPairs");
     RPQ_CHECK_EQ(pairs.size(), reference_pairs.size());
   }
   result.csr_seconds = timer.ElapsedSeconds() / trials;
 
   BitVector monadic_reference = EvalMonadicReference(graph, query);
-  RPQ_CHECK(EvalMonadic(graph, query) == monadic_reference);
+  RPQ_CHECK(bench::UnwrapOrExit(EvalMonadic(graph, query), "EvalMonadic") ==
+            monadic_reference);
   const int monadic_trials = trials * 5;
   timer.Restart();
   for (int t = 0; t < monadic_trials; ++t) {
@@ -157,7 +160,8 @@ EvalBenchResult BenchEval(uint32_t num_nodes, int trials,
   *monadic_ref_seconds = timer.ElapsedSeconds() / monadic_trials;
   timer.Restart();
   for (int t = 0; t < monadic_trials; ++t) {
-    BitVector r = EvalMonadic(graph, query);
+    BitVector r =
+        bench::UnwrapOrExit(EvalMonadic(graph, query), "EvalMonadic");
     RPQ_CHECK_EQ(r.Count(), monadic_reference.Count());
   }
   *monadic_csr_seconds = timer.ElapsedSeconds() / monadic_trials;
@@ -197,22 +201,22 @@ ParallelEvalResult BenchParallelEval(uint32_t num_nodes, int trials) {
   ParallelEvalResult result;
   result.threads = parallel.threads;
 
-  auto sequential_pairs = EvalBinary(graph, query, one_thread);
+  auto sequential_pairs = bench::EvalAllPairs(graph, query, one_thread);
   RPQ_CHECK(sequential_pairs.ok()) << sequential_pairs.status().ToString();
-  auto parallel_pairs = EvalBinary(graph, query, parallel);
+  auto parallel_pairs = bench::EvalAllPairs(graph, query, parallel);
   RPQ_CHECK(parallel_pairs.ok()) << parallel_pairs.status().ToString();
   RPQ_CHECK(*parallel_pairs == *sequential_pairs)
-      << "parallel EvalBinary diverged from threads=1";
+      << "parallel all-pairs evaluation diverged from threads=1";
 
   WallTimer timer;
   for (int t = 0; t < trials; ++t) {
-    auto pairs = EvalBinary(graph, query, one_thread);
+    auto pairs = bench::EvalAllPairs(graph, query, one_thread);
     RPQ_CHECK_EQ(pairs->size(), sequential_pairs->size());
   }
   result.binary_one_thread_seconds = timer.ElapsedSeconds() / trials;
   timer.Restart();
   for (int t = 0; t < trials; ++t) {
-    auto pairs = EvalBinary(graph, query, parallel);
+    auto pairs = bench::EvalAllPairs(graph, query, parallel);
     RPQ_CHECK_EQ(pairs->size(), sequential_pairs->size());
   }
   result.binary_parallel_seconds = timer.ElapsedSeconds() / trials;
@@ -277,24 +281,29 @@ DirectionFixtureResult BenchDirection(uint32_t num_nodes,
   result.nodes = graph.num_nodes();
   result.edges = graph.num_edges();
 
-  auto sparse_pairs = EvalBinary(graph, query, mode_options(EvalMode::kSparse));
-  auto dense_pairs = EvalBinary(graph, query, mode_options(EvalMode::kDense));
-  auto hybrid_pairs = EvalBinary(graph, query, mode_options(EvalMode::kAuto));
+  auto sparse_pairs =
+      bench::EvalAllPairs(graph, query, mode_options(EvalMode::kSparse));
+  auto dense_pairs =
+      bench::EvalAllPairs(graph, query, mode_options(EvalMode::kDense));
+  auto hybrid_pairs =
+      bench::EvalAllPairs(graph, query, mode_options(EvalMode::kAuto));
   RPQ_CHECK(sparse_pairs.ok() && dense_pairs.ok() && hybrid_pairs.ok());
   RPQ_CHECK(*dense_pairs == *sparse_pairs)
-      << "forced-dense EvalBinary diverged from forced-sparse";
+      << "forced-dense all-pairs evaluation diverged from forced-sparse";
   RPQ_CHECK(*hybrid_pairs == *sparse_pairs)
-      << "hybrid EvalBinary diverged from forced-sparse";
+      << "hybrid all-pairs evaluation diverged from forced-sparse";
 
   WallTimer timer;
   for (int t = 0; t < trials; ++t) {
-    auto pairs = EvalBinary(graph, query, mode_options(EvalMode::kSparse));
+    auto pairs =
+        bench::EvalAllPairs(graph, query, mode_options(EvalMode::kSparse));
     RPQ_CHECK_EQ(pairs->size(), sparse_pairs->size());
   }
   result.sparse_seconds = timer.ElapsedSeconds() / trials;
   timer.Restart();
   for (int t = 0; t < trials; ++t) {
-    auto pairs = EvalBinary(graph, query, mode_options(EvalMode::kDense));
+    auto pairs =
+        bench::EvalAllPairs(graph, query, mode_options(EvalMode::kDense));
     RPQ_CHECK_EQ(pairs->size(), sparse_pairs->size());
   }
   result.dense_seconds = timer.ElapsedSeconds() / trials;
@@ -304,7 +313,7 @@ DirectionFixtureResult BenchDirection(uint32_t num_nodes,
   hybrid.stats = &stats;
   timer.Restart();
   for (int t = 0; t < trials; ++t) {
-    auto pairs = EvalBinary(graph, query, hybrid);
+    auto pairs = bench::EvalAllPairs(graph, query, hybrid);
     RPQ_CHECK_EQ(pairs->size(), sparse_pairs->size());
   }
   result.hybrid_seconds = timer.ElapsedSeconds() / trials;
@@ -398,21 +407,24 @@ CondensedFixtureResult BenchCondensed(uint32_t num_nodes,
     row.name = spec.name;
     row.pattern = spec.pattern;
 
-    auto off_pairs = EvalBinary(graph, query, mode_options(CondenseMode::kOff));
-    auto on_pairs = EvalBinary(graph, query, mode_options(CondenseMode::kOn));
+    auto off_pairs =
+        bench::EvalAllPairs(graph, query, mode_options(CondenseMode::kOff));
+    auto on_pairs =
+        bench::EvalAllPairs(graph, query, mode_options(CondenseMode::kOn));
     auto auto_pairs =
-        EvalBinary(graph, query, mode_options(CondenseMode::kAuto));
+        bench::EvalAllPairs(graph, query, mode_options(CondenseMode::kAuto));
     RPQ_CHECK(off_pairs.ok() && on_pairs.ok() && auto_pairs.ok());
     RPQ_CHECK(*on_pairs == *off_pairs)
-        << "condensed EvalBinary diverged from condense=off on "
+        << "condensed all-pairs evaluation diverged from condense=off on "
         << spec.pattern;
     RPQ_CHECK(*auto_pairs == *off_pairs)
-        << "condense=auto EvalBinary diverged from condense=off on "
+        << "condense=auto all-pairs evaluation diverged from condense=off on "
         << spec.pattern;
 
     WallTimer timer;
     for (int t = 0; t < trials; ++t) {
-      auto pairs = EvalBinary(graph, query, mode_options(CondenseMode::kOff));
+      auto pairs =
+          bench::EvalAllPairs(graph, query, mode_options(CondenseMode::kOff));
       RPQ_CHECK_EQ(pairs->size(), off_pairs->size());
     }
     row.off_seconds = timer.ElapsedSeconds() / trials;
@@ -422,7 +434,7 @@ CondensedFixtureResult BenchCondensed(uint32_t num_nodes,
     on.stats = &stats;
     timer.Restart();
     for (int t = 0; t < trials; ++t) {
-      auto pairs = EvalBinary(graph, query, on);
+      auto pairs = bench::EvalAllPairs(graph, query, on);
       RPQ_CHECK_EQ(pairs->size(), off_pairs->size());
     }
     row.on_seconds = timer.ElapsedSeconds() / trials;
@@ -436,7 +448,8 @@ CondensedFixtureResult BenchCondensed(uint32_t num_nodes,
 
     timer.Restart();
     for (int t = 0; t < trials; ++t) {
-      auto pairs = EvalBinary(graph, query, mode_options(CondenseMode::kAuto));
+      auto pairs =
+          bench::EvalAllPairs(graph, query, mode_options(CondenseMode::kAuto));
       RPQ_CHECK_EQ(pairs->size(), off_pairs->size());
     }
     row.auto_seconds = timer.ElapsedSeconds() / trials;
@@ -512,8 +525,8 @@ DynamicBenchResult BenchDynamic(uint32_t num_nodes, int trials) {
     Graph rebuilt = base;
     apply(&rebuilt, k);
     rebuilt.Compact();
-    auto overlay_pairs = EvalBinary(overlay, query, options);
-    auto rebuilt_pairs = EvalBinary(rebuilt, query, options);
+    auto overlay_pairs = bench::EvalAllPairs(overlay, query, options);
+    auto rebuilt_pairs = bench::EvalAllPairs(rebuilt, query, options);
     RPQ_CHECK(overlay_pairs.ok() && rebuilt_pairs.ok());
     RPQ_CHECK(*overlay_pairs == *rebuilt_pairs)
         << "overlay eval diverged from rebuild-from-scratch at k=" << k;
@@ -522,7 +535,7 @@ DynamicBenchResult BenchDynamic(uint32_t num_nodes, int trials) {
     for (int t = 0; t < trials; ++t) {
       Graph g = base;
       apply(&g, k);
-      auto pairs = EvalBinary(g, query, options);
+      auto pairs = bench::EvalAllPairs(g, query, options);
       RPQ_CHECK_EQ(pairs->size(), overlay_pairs->size());
     }
     point.overlay_seconds = timer.ElapsedSeconds() / trials;
@@ -532,7 +545,7 @@ DynamicBenchResult BenchDynamic(uint32_t num_nodes, int trials) {
       Graph g = base;
       apply(&g, k);
       g.Compact();
-      auto pairs = EvalBinary(g, query, options);
+      auto pairs = bench::EvalAllPairs(g, query, options);
       RPQ_CHECK_EQ(pairs->size(), overlay_pairs->size());
     }
     point.rebuild_seconds = timer.ElapsedSeconds() / trials;
@@ -564,7 +577,6 @@ struct IncrementalTraceResult {
 struct IncrementalBenchResult {
   uint32_t nodes = 0;
   size_t edges = 0;
-  size_t num_sources = 0;
   double single_insert_speedup = 0;
   std::vector<IncrementalTraceResult> traces;
 };
@@ -603,17 +615,18 @@ std::vector<BenchUpdate> DrawBenchUpdates(const Graph& base, uint64_t seed,
   return updates;
 }
 
-/// Incremental result maintenance versus re-evaluation: a MaterializedQuery
-/// registered on a DynamicGraph absorbs k updates (delta-frontier insert
-/// repairs, per-label delete fallbacks) and serves Results(), against (a)
-/// applying the same k updates to a pristine copy and re-running
-/// EvalBinaryFromSources through the overlay, and (b) the same plus a
+/// Incremental result maintenance versus re-evaluation: a
+/// MaterializedMonadic — the class a QueryPlan keeps as its warm monadic
+/// result — registered on a DynamicGraph absorbs k updates (delta-frontier
+/// insert repairs, per-label delete fallbacks) and serves Results(),
+/// against (a) applying the same k updates to a pristine copy and
+/// re-running EvalMonadic through the overlay, and (b) the same plus a
 /// Compact() into a clean CSR first. All three sides are checked
 /// bit-identical per point before timing; setup (the graph copy and the
 /// initial fixed-point build) stays outside the timed region, so a point
 /// times exactly "k updates arrive, then the result is read". The headline
-/// `single_insert.speedup` — insert-heavy trace at k=1 — is the number the
-/// tentpole claim rides on, gated in bench/baseline.json.
+/// `single_insert.speedup` — insert-heavy trace at k=1 — is gated in
+/// bench/baseline.json.
 IncrementalBenchResult BenchIncremental(uint32_t num_nodes, int trials) {
   ScaleFreeOptions graph_options;
   graph_options.num_nodes = num_nodes;
@@ -623,17 +636,9 @@ IncrementalBenchResult BenchIncremental(uint32_t num_nodes, int trials) {
   const Graph base = GenerateScaleFree(graph_options);
   const Dfa query = CompileQuery("(l0+l1)*.l2", base);
 
-  // One full 64-source lane batch, drawn deterministically.
-  std::vector<NodeId> sources;
-  Rng source_rng(0x50a5);
-  for (int i = 0; i < 64; ++i) {
-    sources.push_back(static_cast<NodeId>(source_rng.NextBelow(num_nodes)));
-  }
-
   IncrementalBenchResult result;
   result.nodes = base.num_nodes();
   result.edges = base.num_edges();
-  result.num_sources = sources.size();
 
   EvalOptions options;
   options.threads = 1;
@@ -655,10 +660,10 @@ IncrementalBenchResult BenchIncremental(uint32_t num_nodes, int trials) {
       for (size_t i = 0; i < updates.size(); ++i) {
         DynamicGraph probe(base);
         probe.set_auto_compact_threshold(0);
-        auto mq = bench::UnwrapOrExit(
-            probe.Materialize(query, sources, options), "Materialize");
+        auto mm = bench::UnwrapOrExit(probe.MaterializeMonadic(query, options),
+                                      "MaterializeMonadic");
         probe.InsertEdge(updates[i].src, updates[i].label, updates[i].dst);
-        if (mq->stats().insert_repairs == 1) {
+        if (mm->stats().insert_repairs == 1) {
           std::rotate(updates.begin(),
                       updates.begin() + static_cast<ptrdiff_t>(i),
                       updates.end());
@@ -699,21 +704,21 @@ IncrementalBenchResult BenchIncremental(uint32_t num_nodes, int trials) {
       {
         DynamicGraph dyn(base);
         dyn.set_auto_compact_threshold(0);  // time pure repair, no compaction
-        auto mq = bench::UnwrapOrExit(dyn.Materialize(query, sources, options),
-                                      "Materialize");
+        auto mm = bench::UnwrapOrExit(dyn.MaterializeMonadic(query, options),
+                                      "MaterializeMonadic");
         apply_to_dynamic(&dyn);
-        auto maintained = bench::UnwrapOrExit(mq->Results(), "mq->Results");
+        const BitVector* maintained =
+            bench::UnwrapOrExit(mm->Results(), "mm->Results");
         Graph updated = base;
         apply_to_graph(&updated);
-        auto scratch = bench::UnwrapOrExit(
-            EvalBinaryFromSources(updated, query, sources, options),
-            "EvalBinaryFromSources");
-        RPQ_CHECK(maintained == scratch)
+        const BitVector scratch = bench::UnwrapOrExit(
+            EvalMonadic(updated, query, options), "EvalMonadic");
+        RPQ_CHECK(*maintained == scratch)
             << "materialized result diverged from re-evaluation, trace="
             << spec.name << " k=" << k;
-        point.insert_repairs = mq->stats().insert_repairs;
-        point.delete_fallbacks = mq->stats().delete_fallbacks;
-        point.delta_cells_seeded = mq->stats().delta_cells_seeded;
+        point.insert_repairs = mm->stats().insert_repairs;
+        point.delete_fallbacks = mm->stats().delete_fallbacks;
+        point.delta_cells_seeded = mm->stats().delta_cells_seeded;
       }
 
       WallTimer timer;
@@ -721,13 +726,12 @@ IncrementalBenchResult BenchIncremental(uint32_t num_nodes, int trials) {
       for (int t = 0; t < trials; ++t) {
         DynamicGraph dyn(base);
         dyn.set_auto_compact_threshold(0);
-        auto mq = bench::UnwrapOrExit(dyn.Materialize(query, sources, options),
-                                      "Materialize");
+        auto mm = bench::UnwrapOrExit(dyn.MaterializeMonadic(query, options),
+                                      "MaterializeMonadic");
         timer.Restart();
         apply_to_dynamic(&dyn);
-        auto pairs = bench::UnwrapOrExit(mq->Results(), "mq->Results");
+        bench::UnwrapOrExit(mm->Results(), "mm->Results");
         total += timer.ElapsedSeconds();
-        RPQ_CHECK(!pairs.empty() || mq->num_results() == 0);
       }
       point.incremental_seconds = total / trials;
 
@@ -736,9 +740,8 @@ IncrementalBenchResult BenchIncremental(uint32_t num_nodes, int trials) {
         Graph g = base;
         timer.Restart();
         apply_to_graph(&g);
-        auto pairs = bench::UnwrapOrExit(
-            EvalBinaryFromSources(g, query, sources, options),
-            "EvalBinaryFromSources");
+        const BitVector selected =
+            bench::UnwrapOrExit(EvalMonadic(g, query, options), "EvalMonadic");
         total += timer.ElapsedSeconds();
       }
       point.full_seconds = total / trials;
@@ -749,9 +752,8 @@ IncrementalBenchResult BenchIncremental(uint32_t num_nodes, int trials) {
         timer.Restart();
         apply_to_graph(&g);
         g.Compact();
-        auto pairs = bench::UnwrapOrExit(
-            EvalBinaryFromSources(g, query, sources, options),
-            "EvalBinaryFromSources");
+        const BitVector selected =
+            bench::UnwrapOrExit(EvalMonadic(g, query, options), "EvalMonadic");
         total += timer.ElapsedSeconds();
       }
       point.compact_seconds = total / trials;
@@ -768,10 +770,10 @@ IncrementalBenchResult BenchIncremental(uint32_t num_nodes, int trials) {
 }
 
 void PrintIncremental(const IncrementalBenchResult& r) {
-  std::printf("incremental materialized eval (delta-frontier repair vs "
-              "re-evaluation, %u nodes, %zu edges, %zu sources, 1 thread; "
-              "RPQ_EVAL_INCREMENTAL gates the fuzz rows):\n",
-              r.nodes, r.edges, r.num_sources);
+  std::printf("incremental materialized monadic eval (delta-frontier "
+              "repair vs EvalMonadic re-evaluation, %u nodes, %zu edges, "
+              "1 thread; RPQ_EVAL_INCREMENTAL gates the fuzz diff):\n",
+              r.nodes, r.edges);
   for (const IncrementalTraceResult& trace : r.traces) {
     std::printf("  %s:\n", trace.name);
     for (const IncrementalPointResult& p : trace.points) {
@@ -796,11 +798,10 @@ void PrintIncrementalJson(FILE* out, const IncrementalBenchResult& r) {
                "  \"eval_incremental\": {\n"
                "    \"nodes\": %u,\n"
                "    \"edges\": %zu,\n"
-               "    \"sources\": %zu,\n"
                "    \"single_insert\": {\n"
                "      \"speedup\": %.2f\n"
                "    },\n",
-               r.nodes, r.edges, r.num_sources, r.single_insert_speedup);
+               r.nodes, r.edges, r.single_insert_speedup);
   for (size_t i = 0; i < r.traces.size(); ++i) {
     const IncrementalTraceResult& trace = r.traces[i];
     std::fprintf(out, "    \"%s\": {\n", trace.name);
@@ -968,7 +969,7 @@ void CheckCondensedIdentityCube() {
         options.threads = threads;
         options.force_mode = mode;
         options.parallel_threshold_pairs = 0;
-        auto pairs = EvalBinary(graph, query, options);
+        auto pairs = bench::EvalAllPairs(graph, query, options);
         RPQ_CHECK(pairs.ok());
         RPQ_CHECK(*pairs == expected_pairs)
             << "condensed identity cube: binary diverged at condense="
@@ -1141,8 +1142,8 @@ int main() {
   PrintDynamic(dynamic);
 
   // --- incremental materialized results ---------------------------------
-  // Delta-frontier repair of a retained fixed point (MaterializedQuery on
-  // a DynamicGraph) versus re-evaluating after the same updates, sweeping
+  // Delta-frontier repair of a retained fixed point (MaterializedMonadic
+  // on a DynamicGraph) versus re-evaluating after the same updates, sweeping
   // insert-heavy / delete-heavy / mixed traces over k; the single-insert
   // speedup is the headline gated in bench/baseline.json.
   auto incremental = BenchIncremental(eval_nodes, trials);

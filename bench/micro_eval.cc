@@ -1,5 +1,6 @@
 // Microbenchmarks of the query evaluation engine (monadic product
-// reachability) on the synthetic workloads.
+// reachability, binary evaluation from one source) on the synthetic
+// workloads.
 
 #include <benchmark/benchmark.h>
 
@@ -20,27 +21,6 @@ void BM_EvalMonadic(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * dataset.graph.num_edges());
 }
 BENCHMARK(BM_EvalMonadic)->Arg(1000)->Arg(5000)->Arg(10000);
-
-void BM_EvalMonadicBounded(benchmark::State& state) {
-  Dataset dataset = BuildSyntheticDataset(5000);
-  const Dfa& query = dataset.queries[1].query;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EvalMonadicBounded(
-        dataset.graph, query, static_cast<uint32_t>(state.range(0))));
-  }
-}
-BENCHMARK(BM_EvalMonadicBounded)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_SelectsNode(benchmark::State& state) {
-  Dataset dataset = BuildSyntheticDataset(5000);
-  const Dfa& query = dataset.queries[0].query;  // selective syn1
-  NodeId v = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SelectsNode(dataset.graph, query, v));
-    v = (v + 1) % dataset.graph.num_nodes();
-  }
-}
-BENCHMARK(BM_SelectsNode);
 
 /// The facade's steady state: a repeat query against an unchanged graph is
 /// a plan-cache hit served from the retained monadic fixed point. Compare
@@ -95,16 +75,20 @@ void BM_EnginePlanRunCold(benchmark::State& state) {
 }
 BENCHMARK(BM_EnginePlanRunCold)->Arg(1000)->Arg(5000);
 
-void BM_EvalBinaryFrom(benchmark::State& state) {
+/// One single-source binary evaluation per iteration: a `QUERY <regex>
+/// FROM <v>` request's evaluation.
+void BM_EvalBinaryFromOneSource(benchmark::State& state) {
   Dataset dataset = BuildSyntheticDataset(5000);
   const Dfa& query = dataset.queries[1].query;
   NodeId v = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EvalBinaryFrom(dataset.graph, query, v));
+    const NodeId source[] = {v};
+    benchmark::DoNotOptimize(
+        EvalBinaryFromSources(dataset.graph, query, source));
     v = (v + 1) % dataset.graph.num_nodes();
   }
 }
-BENCHMARK(BM_EvalBinaryFrom);
+BENCHMARK(BM_EvalBinaryFromOneSource);
 
 }  // namespace
 }  // namespace rpqlearn

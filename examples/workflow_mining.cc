@@ -6,6 +6,8 @@
 // under both monadic and binary semantics.
 
 #include <cstdio>
+#include <numeric>
+#include <vector>
 
 #include "graph/graph.h"
 #include "learn/binary.h"
@@ -103,17 +105,23 @@ int main() {
     std::printf("learned binary pattern:   %s\n",
                 RegexToString(DfaToRegex(binary.query), graph.alphabet())
                     .c_str());
+    // Every stage a source: the all-pairs binary result.
+    std::vector<NodeId> stages(graph.num_nodes());
+    std::iota(stages.begin(), stages.end(), NodeId{0});
     Engine engine(graph);
-    QueryRequest request;
-    request.semantics = QueryRequest::Semantics::kBinaryPairs;
-    auto selected = engine.Run(binary.query, request);
+    auto plan = engine.Plan(binary.query);
+    if (!plan.ok()) {
+      std::printf("plan error: %s\n", plan.status().ToString().c_str());
+      return 1;
+    }
+    auto selected = (*plan)->RunBinary(stages);
     if (!selected.ok()) {
       std::printf("binary eval error: %s\n",
                   selected.status().ToString().c_str());
       return 1;
     }
     std::printf("pairs selected by it:\n");
-    for (const auto& [s, t] : selected->pairs) {
+    for (const auto& [s, t] : *selected) {
       std::printf("  %s -> %s\n", graph.NodeName(s).c_str(),
                   graph.NodeName(t).c_str());
     }

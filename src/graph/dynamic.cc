@@ -12,17 +12,6 @@ void DynamicGraph::MaintainCondensation(std::span<const Symbol> labels) {
   condensed_.emplace(CondensedGraph::Build(graph_, labels));
 }
 
-StatusOr<MaterializedQuery*> DynamicGraph::Materialize(
-    const Dfa& query, std::span<const NodeId> sources,
-    const EvalOptions& options) {
-  StatusOr<std::unique_ptr<MaterializedQuery>> created =
-      MaterializedQuery::Create(graph_, query, sources, options);
-  if (!created.ok()) return created.status();
-  MaterializedQuery* raw = created->get();
-  materialized_.push_back(std::move(*created));
-  return raw;
-}
-
 StatusOr<MaterializedMonadic*> DynamicGraph::MaterializeMonadic(
     const Dfa& query, const EvalOptions& options) {
   StatusOr<std::unique_ptr<MaterializedMonadic>> created =

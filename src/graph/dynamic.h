@@ -45,8 +45,8 @@ struct MaintenanceStats {
 /// through WithCaches(), and the version keying (Graph::version ↔ the
 /// snapshot's graph_version) guarantees the evaluation engines can never
 /// read a snapshot that missed an update.
-/// Materialized query results (Materialize / MaterializeMonadic) ride the
-/// same update routing: their retained fixed points are repaired in place by
+/// Materialized monadic results (MaterializeMonadic) ride the same update
+/// routing: their retained fixed points are repaired in place by
 /// delta-frontier re-seeding as edges arrive.
 ///
 /// Mutations must be externally synchronized against readers, exactly like
@@ -65,16 +65,12 @@ class DynamicGraph {
   void MaintainCondensation();
   void MaintainCondensation(std::span<const Symbol> labels);
 
-  /// Registers a materialized binary query (src/query/eval_incremental.h)
+  /// Registers a materialized monadic query (src/query/eval_incremental.h)
   /// maintained by this DynamicGraph: every subsequent successful update is
   /// routed to it (delta-frontier repair on inserts, per-label invalidation
   /// on deletes) in registration order, after the maintained condensation
   /// was repaired. The returned pointer is owned by this DynamicGraph and
   /// stays valid for its lifetime.
-  StatusOr<MaterializedQuery*> Materialize(const Dfa& query,
-                                           std::span<const NodeId> sources,
-                                           const EvalOptions& options = {});
-  /// Monadic counterpart of Materialize().
   StatusOr<MaterializedMonadic*> MaterializeMonadic(
       const Dfa& query, const EvalOptions& options = {});
 
@@ -123,7 +119,7 @@ class DynamicGraph {
   Graph graph_;
   std::optional<CondensedGraph> condensed_;
   /// Registered materialized queries, notified in registration order.
-  std::vector<std::unique_ptr<MaterializedView>> materialized_;
+  std::vector<std::unique_ptr<MaterializedMonadic>> materialized_;
   size_t auto_compact_threshold_ = kDefaultAutoCompactThreshold;
   MaintenanceStats stats_;
 };

@@ -1,6 +1,9 @@
 #include "learn/binary.h"
 
+#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "automata/minimize.h"
 #include "automata/prefix_free.h"
@@ -61,11 +64,30 @@ LearnOutcome LearnBinaryWithFixedK(const Graph& graph,
     }
   }
 
-  for (const auto& [from, to] : sample.positive) {
-    if (!SelectsPair(graph, hypothesis, from, to)) return outcome;
+  // The consistency check: one binary evaluation over the sample's distinct
+  // sources. Sorted distinct sources make the pair list sorted, so each
+  // example is one binary search.
+  std::vector<NodeId> sources;
+  for (const auto& [from, to] : sample.positive) sources.push_back(from);
+  for (const auto& [from, to] : sample.negative) sources.push_back(from);
+  std::sort(sources.begin(), sources.end());
+  sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+  EvalOptions eval;
+  eval.exec = options.exec;
+  StatusOr<std::vector<std::pair<NodeId, NodeId>>> selected =
+      EvalBinaryFromSources(graph, hypothesis, sources, eval);
+  if (!selected.ok()) {
+    outcome.status = selected.status();
+    return outcome;
   }
-  for (const auto& [from, to] : sample.negative) {
-    if (SelectsPair(graph, hypothesis, from, to)) return outcome;
+  const auto selects = [&selected](const std::pair<NodeId, NodeId>& pair) {
+    return std::binary_search(selected->begin(), selected->end(), pair);
+  };
+  for (const auto& pair : sample.positive) {
+    if (!selects(pair)) return outcome;
+  }
+  for (const auto& pair : sample.negative) {
+    if (selects(pair)) return outcome;
   }
 
   outcome.is_null = false;

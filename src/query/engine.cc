@@ -16,50 +16,9 @@ QueryPlan::QueryPlan(const Engine* engine, Dfa dfa)
       frozen_(dfa_),
       fingerprint_(DfaFingerprint(frozen_)) {}
 
-StatusOr<QueryResult> QueryPlan::Run(const QueryRequest& request) const {
-  QueryResult result;
-  result.semantics = request.semantics;
-  switch (request.semantics) {
-    case QueryRequest::Semantics::kMonadicNodes: {
-      StatusOr<MonadicNodes> nodes = RunMonadic(request.exec);
-      if (!nodes.ok()) return nodes.status();
-      result.nodes = **nodes;
-      return result;
-    }
-    case QueryRequest::Semantics::kMonadicBounded: {
-      std::shared_ptr<const Engine::Snapshots> snapshots;
-      StatusOr<EvalOptions> options = engine_->PrepareRun(request, &snapshots);
-      if (!options.ok()) return options.status();
-      StatusOr<BitVector> nodes = EvalMonadicBounded(
-          engine_->graph(), dfa_, request.max_length, *options);
-      if (!nodes.ok()) return nodes.status();
-      result.nodes = *std::move(nodes);
-      return result;
-    }
-    case QueryRequest::Semantics::kBinaryPairs: {
-      std::shared_ptr<const Engine::Snapshots> snapshots;
-      StatusOr<EvalOptions> options = engine_->PrepareRun(request, &snapshots);
-      if (!options.ok()) return options.status();
-      auto pairs = EvalBinary(engine_->graph(), dfa_, *options);
-      if (!pairs.ok()) return pairs.status();
-      result.pairs = *std::move(pairs);
-      return result;
-    }
-    case QueryRequest::Semantics::kBinaryFromSources: {
-      auto pairs = RunBinary(request.sources, request.exec);
-      if (!pairs.ok()) return pairs.status();
-      result.pairs = *std::move(pairs);
-      return result;
-    }
-  }
-  return Status::InvalidArgument("unknown QueryRequest semantics");
-}
-
 StatusOr<MonadicNodes> QueryPlan::RunMonadic(ExecContext* exec) const {
-  QueryRequest request;
-  request.exec = exec;
   std::shared_ptr<const Engine::Snapshots> snapshots;
-  StatusOr<EvalOptions> options = engine_->PrepareRun(request, &snapshots);
+  StatusOr<EvalOptions> options = engine_->PrepareRun(exec, &snapshots);
   if (!options.ok()) return options.status();
 
   std::lock_guard<std::mutex> lock(monadic_mutex_);
@@ -96,10 +55,8 @@ StatusOr<MonadicNodes> QueryPlan::RunMonadic(ExecContext* exec) const {
 
 StatusOr<std::vector<std::pair<NodeId, NodeId>>> QueryPlan::RunBinary(
     std::span<const NodeId> sources, ExecContext* exec) const {
-  QueryRequest request;
-  request.exec = exec;
   std::shared_ptr<const Engine::Snapshots> snapshots;
-  StatusOr<EvalOptions> options = engine_->PrepareRun(request, &snapshots);
+  StatusOr<EvalOptions> options = engine_->PrepareRun(exec, &snapshots);
   if (!options.ok()) return options.status();
   return EvalBinaryFromSources(engine_->graph(), dfa_, sources, *options);
 }
@@ -203,13 +160,6 @@ StatusOr<Engine::PlanPtr> Engine::Plan(std::string_view regex) const {
   return Plan(parsed->dfa());
 }
 
-StatusOr<QueryResult> Engine::Run(const Dfa& query,
-                                  const QueryRequest& request) const {
-  StatusOr<PlanPtr> plan = Plan(query);
-  if (!plan.ok()) return plan.status();
-  return (*plan)->Run(request);
-}
-
 EngineCounters Engine::counters() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return counters_;
@@ -221,8 +171,7 @@ void Engine::CountMonadicWarmHit() const {
 }
 
 StatusOr<EvalOptions> Engine::PrepareRun(
-    const QueryRequest& request,
-    std::shared_ptr<const Snapshots>* holder) const {
+    ExecContext* exec, std::shared_ptr<const Snapshots>* holder) const {
   if (!validated_.ok()) return validated_.status();
   EvalOptions options = *validated_;
   if (dynamic_ != nullptr) {
@@ -233,8 +182,7 @@ StatusOr<EvalOptions> Engine::PrepareRun(
     *holder = CurrentSnapshots();
     if (*holder != nullptr) options.condensed_cache = &(*holder)->condensed;
   }
-  if (request.exec != nullptr) options.exec = request.exec;
-  if (request.stats != nullptr) options.stats = request.stats;
+  if (exec != nullptr) options.exec = exec;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++counters_.runs;

@@ -1,18 +1,19 @@
 #ifndef RPQLEARN_QUERY_ENGINE_H_
 #define RPQLEARN_QUERY_ENGINE_H_
 
-/// The unified evaluation facade: one object per served graph, one plan per
-/// query, one call per request.
+/// The evaluation facade: one object per served graph, one plan per query,
+/// one call per request.
 ///
-/// The engine layer under src/query/eval.h accreted entry points as it grew
-/// — EvalMonadic / EvalMonadicBounded / EvalBinary / EvalBinaryFromSources,
-/// each with StatusOr overloads, plus the loose EvalOptions / snapshot-cache
-/// / ExecContext threading every caller had to repeat. `Engine` collapses
-/// that surface behind two ideas:
+///   Engine engine(graph);                    // owns per-graph cached state
+///   auto plan = engine.Plan(query);          // canonicalize/freeze once
+///   auto nodes = (*plan)->RunMonadic();      // q(G), warm when unchanged
+///   auto pairs = (*plan)->RunBinary(sources);  // binary from sources
 ///
-///   Engine engine(graph);                  // owns per-graph cached state
-///   auto plan = engine.Plan(query);        // parse/canonicalize/freeze once
-///   auto result = (*plan)->Run(request);   // dispatch with cached snapshots
+/// Each semantics the system serves has one entry point here and one
+/// product-BFS driver under it (src/query/eval.h): RunMonadic drives
+/// EvalMonadic (through a retained MaterializedMonadic when result caching
+/// is on), RunBinary drives EvalBinaryFromSources, and RunBinaryBatch
+/// coalesces several RunBinary requests into one evaluation.
 ///
 /// An `Engine` owns, per graph:
 ///   - a **plan cache**: an LRU of QueryPlans keyed by the structural
@@ -37,21 +38,16 @@
 ///     against an unchanged graph is answered without any sweep — the warm
 ///     path of the interactive session's recurring hypotheses.
 ///
-/// Every result is bit-identical to the corresponding free-function call
-/// with the same options: plans and snapshots are pure reuse, never a
-/// different algorithm.
+/// Every result is bit-identical to the corresponding eval.h call with the
+/// same options: plans and snapshots are pure reuse, never a different
+/// algorithm.
 ///
-/// Thread-safety: Plan() and QueryPlan::Run() are safe to call concurrently
-/// from any number of threads **as long as the graph is not mutated
-/// concurrently** — exactly Graph's own contract. Callers that interleave
-/// updates (the query server) serialize them against runs externally
-/// (reader/writer lock); the version keying then guarantees the first run
-/// after an update refreshes whatever the update invalidated.
-///
-/// The free functions in eval.h remain the low-level layer this facade
-/// drives (and the differential oracles pin them bit-for-bit); new call
-/// sites should prefer the facade — the server, the interactive session,
-/// the experiment harnesses, and the bench drivers all go through it.
+/// Thread-safety: Plan() and the QueryPlan runs are safe to call
+/// concurrently from any number of threads **as long as the graph is not
+/// mutated concurrently** — exactly Graph's own contract. Callers that
+/// interleave updates (the query server) serialize them against runs
+/// externally (reader/writer lock); the version keying then guarantees the
+/// first run after an update refreshes whatever the update invalidated.
 
 #include <cstdint>
 #include <memory>
@@ -86,41 +82,18 @@ struct EngineCounters {
   /// Condensation snapshot (re)builds — 1 on a static graph; one more per
   /// graph version the engine actually served.
   uint64_t snapshot_builds = 0;
-  /// QueryPlan::Run dispatches through this engine.
+  /// RunMonadic / RunBinary / RunBinaryBatch calls through this engine.
   uint64_t runs = 0;
   /// Monadic runs answered from a plan's retained fixed point without a
   /// sweep (the warm path).
   uint64_t monadic_warm_hits = 0;
 };
 
-/// One evaluation request against a plan. Default-constructed = monadic
-/// node semantics, no limits.
-struct QueryRequest {
-  enum class Semantics : uint8_t {
-    kMonadicNodes = 0,    ///< q(G): the selected-node column
-    kMonadicBounded = 1,  ///< q(G) restricted to witness paths ≤ max_length
-    kBinaryPairs = 2,     ///< all (src, dst) pairs (every node a source)
-    kBinaryFromSources = 3,  ///< (src, dst) pairs for the given sources
-  };
-  Semantics semantics = Semantics::kMonadicNodes;
-  /// Sources for kBinaryFromSources (input-order groups, duplicates
-  /// answered twice — EvalBinaryFromSources semantics).
-  std::vector<NodeId> sources;
-  /// Witness-path bound for kMonadicBounded.
-  uint32_t max_length = 0;
-  /// Per-request execution control (deadline / cancellation / budget);
-  /// overrides the engine-level ExecContext when non-null. The server arms
-  /// one per admitted request.
-  ExecContext* exec = nullptr;
-  /// Per-request round-counter sink; overrides the engine-level sink.
-  EvalStats* stats = nullptr;
-};
-
 /// The result of one monadic run: either a borrowed view of the plan's
 /// retained fixed point (result caching on — no copy) or an owned column
 /// (result caching off — every run moves its result out, so concurrent cold
 /// runs never share mutable state). Dereferences like a `const BitVector*`.
-/// A borrowed view stays valid until the next Run against a mutated graph;
+/// A borrowed view stays valid until the next run against a mutated graph;
 /// an owned column lives as long as this object.
 class MonadicNodes {
  public:
@@ -133,16 +106,6 @@ class MonadicNodes {
  private:
   const BitVector* borrowed_ = nullptr;
   std::optional<BitVector> owned_;
-};
-
-/// One evaluation result; `semantics` says which payload is meaningful.
-struct QueryResult {
-  QueryRequest::Semantics semantics = QueryRequest::Semantics::kMonadicNodes;
-  /// Monadic semantics: the selected-node column.
-  BitVector nodes;
-  /// Binary semantics: (src, dst) pairs, grouped per source occurrence in
-  /// input order, destinations ascending.
-  std::vector<std::pair<NodeId, NodeId>> pairs;
 };
 
 /// A compiled query bound to one Engine: canonical DFA, frozen transition
@@ -159,18 +122,18 @@ class QueryPlan {
   const Dfa& dfa() const { return dfa_; }
   const FrozenDfa& frozen() const { return frozen_; }
 
-  /// Evaluates one request. Bit-identical to the matching eval.h free
-  /// function under the engine's EvalOptions; Status on invalid requests
-  /// (out-of-range sources) or an ExecContext trip.
-  StatusOr<QueryResult> Run(const QueryRequest& request) const;
-
-  /// Convenience: Run with monadic node semantics. With result caching on,
-  /// the returned MonadicNodes borrows the plan's retained fixed point
-  /// (valid until the next Run against a mutated graph); with caching off
-  /// it owns the freshly evaluated column outright.
+  /// Monadic node semantics, bit-identical to EvalMonadic under the
+  /// engine's EvalOptions. With result caching on, the returned MonadicNodes
+  /// borrows the plan's retained fixed point (valid until the next run
+  /// against a mutated graph); with caching off it owns the freshly
+  /// evaluated column outright. `exec`, when non-null, overrides the
+  /// engine-level ExecContext for this run (the server arms one per
+  /// admitted request); Status on an ExecContext trip.
   StatusOr<MonadicNodes> RunMonadic(ExecContext* exec = nullptr) const;
 
-  /// Convenience: Run with binary-from-sources semantics.
+  /// Binary-from-sources semantics, bit-identical to EvalBinaryFromSources
+  /// under the engine's EvalOptions; `exec` as for RunMonadic. Status on an
+  /// out-of-range source or an ExecContext trip.
   StatusOr<std::vector<std::pair<NodeId, NodeId>>> RunBinary(
       std::span<const NodeId> sources, ExecContext* exec = nullptr) const;
 
@@ -202,7 +165,7 @@ class QueryPlan {
 };
 
 /// Engine configuration. The eval options are validated at construction
-/// (Plan/Run surface the Status of an invalid configuration).
+/// (Plan and the runs surface the Status of an invalid configuration).
 struct EngineOptions {
   /// Base evaluation knobs for every run: threads, direction mode,
   /// condensation policy, default ExecContext and stats sink.
@@ -242,9 +205,6 @@ class Engine {
   /// src/regex/parser.h; labels must exist on the graph) and plans it.
   StatusOr<PlanPtr> Plan(std::string_view regex) const;
 
-  /// One-shot convenience: Plan(query) then Run(request).
-  StatusOr<QueryResult> Run(const Dfa& query, const QueryRequest& request) const;
-
   const Graph& graph() const { return *graph_; }
   /// The validated base EvalOptions every run starts from (the snapshot
   /// cache pointer is filled per run and never set here).
@@ -264,9 +224,9 @@ class Engine {
   };
 
   /// The engine's EvalOptions for one run: snapshot cache pointer filled
-  /// in, per-request exec/stats overrides applied. `holder` receives the
-  /// snapshot bundle keeping that pointer alive.
-  StatusOr<EvalOptions> PrepareRun(const QueryRequest& request,
+  /// in, the run's ExecContext (when non-null) overriding the engine-level
+  /// one. `holder` receives the snapshot bundle keeping that pointer alive.
+  StatusOr<EvalOptions> PrepareRun(ExecContext* exec,
                                    std::shared_ptr<const Snapshots>* holder) const;
 
   std::shared_ptr<const Snapshots> CurrentSnapshots() const;

@@ -1,7 +1,6 @@
 #include "query/eval.h"
 
 #include <algorithm>
-#include <numeric>
 #include <span>
 #include <thread>
 #include <utility>
@@ -36,7 +35,6 @@ using eval_internal::MonadicSweeper;
 using eval_internal::MonadicSweepScratchBytes;
 using eval_internal::ResolveDirectionPolicy;
 using eval_internal::RoundCounters;
-using eval_internal::SharedSymbolCount;
 
 namespace {
 
@@ -98,14 +96,12 @@ RoundCounters AccumulateMonadicRounds(
 
 /// One backward product sweep over the whole graph, seeded by the accepting
 /// pairs whose *node* lies in [node_lo, node_hi); returns the selected-node
-/// column. Backward reachability (and, level-by-level, bounded backward
-/// reachability) distributes over seed unions, so the union of the
-/// per-range sweeps equals the full sweep — that is the parallel
+/// column. Backward reachability distributes over seed unions, so the union
+/// of the per-range sweeps equals the full sweep — that is the parallel
 /// decomposition.
 BitVector MonadicSweepRange(const Graph& graph, const BinaryTables& tables,
                             const CondensePlan& plan,
-                            const DirectionPolicy& policy, bool bounded,
-                            uint32_t max_length, NodeId node_lo,
+                            const DirectionPolicy& policy, NodeId node_lo,
                             NodeId node_hi, ExecContext* exec,
                             RoundCounters* rounds) {
   const uint32_t nq = tables.nq;
@@ -124,12 +120,10 @@ BitVector MonadicSweepRange(const Graph& graph, const BinaryTables& tables,
     for (NodeId v = node_lo; v < node_hi; ++v) sweeper.Visit(v, q, no_hook);
   }
   sweeper.RunCondenseClosure(no_hook, rounds);
-  uint32_t steps = 0;
-  while (sweeper.frontier_pairs() > 0 && (!bounded || steps < max_length)) {
+  while (sweeper.frontier_pairs() > 0) {
     if (exec != nullptr && !exec->Checkpoint()) break;
     sweeper.RunRound(no_hook, rounds);
     sweeper.RunCondenseClosure(no_hook, rounds);
-    ++steps;
   }
   if (exec != nullptr && exec->tripped()) return result;
 
@@ -142,10 +136,9 @@ BitVector MonadicSweepRange(const Graph& graph, const BinaryTables& tables,
   return result;
 }
 
-/// Runs per-node-range monadic sweeps (bounded iff max_length != none) on
-/// `workers` contexts and unions the per-range selected sets.
+/// Runs per-node-range monadic sweeps on `workers` contexts and unions the
+/// per-range selected sets.
 StatusOr<BitVector> EvalMonadicImpl(const Graph& graph, const Dfa& query,
-                                    bool bounded, uint32_t max_length,
                                     const EvalOptions& validated) {
   if (query.num_symbols() > graph.num_symbols()) {
     return Status::InvalidArgument(
@@ -158,8 +151,8 @@ StatusOr<BitVector> EvalMonadicImpl(const Graph& graph, const Dfa& query,
   const FrozenDfa frozen(query);
   BinaryTables tables = BuildBinaryTables(graph, frozen);
   CondensePlan plan;
-  BuildCondensePlan(graph, tables, validated, bounded,
-                    /*auto_needs_cache=*/true, &plan);
+  BuildCondensePlan(graph, tables, validated, /*auto_needs_cache=*/true,
+                    &plan);
   ApplyCondensePlanToTables(plan, &tables);
   const size_t num_pairs = static_cast<size_t>(nv) * nq;
   const DirectionPolicy policy = ResolveDirectionPolicy(validated, num_pairs);
@@ -175,8 +168,7 @@ StatusOr<BitVector> EvalMonadicImpl(const Graph& graph, const Dfa& query,
   if (workers == 1) {
     RoundCounters rounds;
     BitVector result =
-        MonadicSweepRange(graph, tables, plan, policy, bounded, max_length, 0,
-                          nv, exec, &rounds);
+        MonadicSweepRange(graph, tables, plan, policy, 0, nv, exec, &rounds);
     const RoundCounters totals =
         AccumulateMonadicRounds(validated, {&rounds, 1});
     if (exec != nullptr && exec->tripped()) {
@@ -196,9 +188,8 @@ StatusOr<BitVector> EvalMonadicImpl(const Graph& graph, const Dfa& query,
             static_cast<NodeId>(static_cast<size_t>(nv) * chunk / workers);
         const NodeId hi = static_cast<NodeId>(static_cast<size_t>(nv) *
                                               (chunk + 1) / workers);
-        partial[chunk] = MonadicSweepRange(graph, tables, plan, policy,
-                                           bounded, max_length, lo, hi, exec,
-                                           &per_sweep[chunk]);
+        partial[chunk] = MonadicSweepRange(graph, tables, plan, policy, lo,
+                                           hi, exec, &per_sweep[chunk]);
       },
       exec);
   const RoundCounters totals = AccumulateMonadicRounds(validated, per_sweep);
@@ -307,8 +298,8 @@ StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinaryImpl(
   const FrozenDfa frozen(query);
   BinaryTables tables = BuildBinaryTables(graph, frozen);
   CondensePlan plan;
-  BuildCondensePlan(graph, tables, validated, /*bounded=*/false,
-                    /*auto_needs_cache=*/false, &plan);
+  BuildCondensePlan(graph, tables, validated, /*auto_needs_cache=*/false,
+                    &plan);
   ApplyCondensePlanToTables(plan, &tables);
   const size_t num_pairs = static_cast<size_t>(tables.nv) * nq;
   const DirectionPolicy policy = ResolveDirectionPolicy(validated, num_pairs);
@@ -369,13 +360,6 @@ StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinaryImpl(
   return result;
 }
 
-/// The all-sources list 0, 1, …, nv-1 for EvalBinary.
-std::vector<NodeId> AllSources(uint32_t nv) {
-  std::vector<NodeId> sources(nv);
-  std::iota(sources.begin(), sources.end(), NodeId{0});
-  return sources;
-}
-
 }  // namespace
 
 uint32_t DefaultEvalThreads() {
@@ -428,121 +412,11 @@ StatusOr<EvalOptions> ValidateEvalOptions(EvalOptions options) {
   return options;
 }
 
-BitVector EvalMonadic(const Graph& graph, const Dfa& query) {
-  // Default options carry no ExecContext, so the impl cannot trip.
-  StatusOr<BitVector> result =
-      EvalMonadicImpl(graph, query, /*bounded=*/false, 0, EvalOptions{});
-  RPQ_CHECK(result.ok()) << result.status().message();
-  return *std::move(result);
-}
-
 StatusOr<BitVector> EvalMonadic(const Graph& graph, const Dfa& query,
                                 const EvalOptions& options) {
   StatusOr<EvalOptions> validated = ValidateEvalOptions(options);
   if (!validated.ok()) return validated.status();
-  return EvalMonadicImpl(graph, query, /*bounded=*/false, 0, *validated);
-}
-
-BitVector EvalMonadicBounded(const Graph& graph, const Dfa& query,
-                             uint32_t max_length) {
-  StatusOr<BitVector> result =
-      EvalMonadicImpl(graph, query, /*bounded=*/true, max_length,
-                      EvalOptions{});
-  RPQ_CHECK(result.ok()) << result.status().message();
-  return *std::move(result);
-}
-
-StatusOr<BitVector> EvalMonadicBounded(const Graph& graph, const Dfa& query,
-                                       uint32_t max_length,
-                                       const EvalOptions& options) {
-  StatusOr<EvalOptions> validated = ValidateEvalOptions(options);
-  if (!validated.ok()) return validated.status();
-  return EvalMonadicImpl(graph, query, /*bounded=*/true, max_length,
-                         *validated);
-}
-
-bool SelectsNode(const Graph& graph, const Dfa& query, NodeId node) {
-  const uint32_t nq = query.num_states();
-  const FrozenDfa frozen(query);
-  const Symbol num_shared = SharedSymbolCount(graph, frozen);
-  BitVector visited(static_cast<size_t>(graph.num_nodes()) * nq);
-  std::vector<std::pair<NodeId, StateId>> worklist;
-  const StateId q0 = frozen.initial_state();
-  if (frozen.IsAccepting(q0)) return true;
-  visited.Set(static_cast<size_t>(node) * nq + q0);
-  worklist.emplace_back(node, q0);
-  while (!worklist.empty()) {
-    auto [v, q] = worklist.back();
-    worklist.pop_back();
-    for (Symbol a = 0; a < num_shared; ++a) {
-      StateId t = frozen.Next(q, a);
-      if (t == kNoState) continue;
-      const bool accepting = frozen.IsAccepting(t);
-      for (NodeId u : graph.OutNeighbors(v, a)) {
-        if (accepting) return true;
-        size_t idx = static_cast<size_t>(u) * nq + t;
-        if (!visited.Test(idx)) {
-          visited.Set(idx);
-          worklist.emplace_back(u, t);
-        }
-      }
-    }
-  }
-  return false;
-}
-
-BitVector EvalBinaryFrom(const Graph& graph, const Dfa& query, NodeId src) {
-  const uint32_t nq = query.num_states();
-  const uint32_t nv = graph.num_nodes();
-  const FrozenDfa frozen(query);
-  const Symbol num_shared = SharedSymbolCount(graph, frozen);
-  BitVector visited(static_cast<size_t>(nv) * nq);
-  std::vector<std::pair<NodeId, StateId>> worklist;
-  const StateId q0 = frozen.initial_state();
-  visited.Set(static_cast<size_t>(src) * nq + q0);
-  worklist.emplace_back(src, q0);
-  BitVector result(nv);
-  if (frozen.IsAccepting(q0)) result.Set(src);
-  while (!worklist.empty()) {
-    auto [v, q] = worklist.back();
-    worklist.pop_back();
-    for (Symbol a = 0; a < num_shared; ++a) {
-      StateId t = frozen.Next(q, a);
-      if (t == kNoState) continue;
-      const bool accepting = frozen.IsAccepting(t);
-      for (NodeId u : graph.OutNeighbors(v, a)) {
-        size_t idx = static_cast<size_t>(u) * nq + t;
-        if (!visited.Test(idx)) {
-          visited.Set(idx);
-          if (accepting) result.Set(u);
-          worklist.emplace_back(u, t);
-        }
-      }
-    }
-  }
-  return result;
-}
-
-bool SelectsPair(const Graph& graph, const Dfa& query, NodeId src,
-                 NodeId dst) {
-  return EvalBinaryFrom(graph, query, src).Test(dst);
-}
-
-std::vector<std::pair<NodeId, NodeId>> EvalBinary(const Graph& graph,
-                                                  const Dfa& query) {
-  const std::vector<NodeId> sources = AllSources(graph.num_nodes());
-  StatusOr<std::vector<std::pair<NodeId, NodeId>>> result =
-      EvalBinaryImpl(graph, query, sources, EvalOptions{});
-  RPQ_CHECK(result.ok()) << result.status().message();
-  return *std::move(result);
-}
-
-StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinary(
-    const Graph& graph, const Dfa& query, const EvalOptions& options) {
-  StatusOr<EvalOptions> validated = ValidateEvalOptions(options);
-  if (!validated.ok()) return validated.status();
-  const std::vector<NodeId> sources = AllSources(graph.num_nodes());
-  return EvalBinaryImpl(graph, query, sources, *validated);
+  return EvalMonadicImpl(graph, query, *validated);
 }
 
 StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinaryFromSources(
@@ -560,15 +434,6 @@ StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinaryFromSources(
     }
   }
   return EvalBinaryImpl(graph, query, sources, *validated);
-}
-
-bool SelectsTuple(const Graph& graph, const std::vector<Dfa>& queries,
-                  const std::vector<NodeId>& tuple) {
-  RPQ_CHECK_EQ(tuple.size(), queries.size() + 1);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (!SelectsPair(graph, queries[i], tuple[i], tuple[i + 1])) return false;
-  }
-  return true;
 }
 
 }  // namespace rpqlearn

@@ -24,14 +24,13 @@ uint32_t DefaultEvalThreads();
 /// Hard cap on EvalOptions.threads; ValidateEvalOptions clamps to it.
 inline constexpr uint32_t kMaxEvalThreads = 256;
 
-/// Traversal-direction policy of the batched product BFS (EvalBinary and
-/// EvalBinaryFromSources). The engine is direction-optimizing: each round it
-/// compares the frontier against EvalOptions.dense_threshold and runs either
-/// a sparse top-down push (expand frontier pairs over OutNeighbors) or a
-/// dense bottom-up pull (sweep every product pair over InNeighbors with a
-/// bitmap frontier). Both rounds compute the same monotone lane-mask fixed
-/// point, so the mode sequence never changes the result — kSparse / kDense
-/// pin one round kind for testing and benchmarking.
+/// Traversal-direction policy of the product-BFS rounds (both entry
+/// points). The engine is direction-optimizing: each round it compares the
+/// frontier against EvalOptions.dense_threshold and runs either a sparse
+/// push from the frontier pairs or a dense pull that sweeps every product
+/// pair against a bitmap frontier. Both rounds compute the same monotone
+/// fixed point, so the mode sequence never changes the result — kSparse /
+/// kDense pin one round kind for testing and benchmarking.
 enum class EvalMode : uint8_t {
   kAuto = 0,   ///< per-round heuristic on frontier density (production)
   kSparse = 1, ///< always top-down push (pre-direction-optimizing behavior)
@@ -46,9 +45,7 @@ enum class EvalMode : uint8_t {
 /// intra-SCC reachability edge by edge, round after round. Pure scheduling:
 /// every cell the condensed expansion marks lies in the same monotone fixed
 /// point the per-edge rounds compute, so results are bit-identical for
-/// every mode (see docs/ARCHITECTURE.md, "SCC condensation"). Bounded
-/// monadic sweeps never condense — collapsing an SCC would merge BFS
-/// levels, and the length bound is exact per level.
+/// every mode (see docs/ARCHITECTURE.md, "SCC condensation").
 enum class CondenseMode : uint8_t {
   kAuto = 0,  ///< condense when the query has star states and the per-label
               ///< summary shows a nontrivial component (production).
@@ -101,8 +98,7 @@ struct EvalStats {
   }
 };
 
-/// Knobs of the evaluation engine. Every options-taking entry point
-/// validates through ValidateEvalOptions and surfaces its Status — an
+/// Knobs of the evaluation engine. Both entry points validate through ValidateEvalOptions and surfaces its Status — an
 /// invalid configuration is an error, never a silent fallback.
 struct EvalOptions {
   /// Worker contexts the evaluation may use. 1 runs the exact
@@ -149,9 +145,11 @@ struct EvalOptions {
   /// to share all three values is a caller contract violation the engine
   /// cannot detect.
   const CondensedGraph* condensed_cache = nullptr;
-  /// Optional round counters; when non-null, every batched binary evaluation
-  /// through these options adds its sparse/dense round counts. The pointee
-  /// must outlive the evaluation call. Never read, only added to.
+  /// Optional round counters; when non-null, every evaluation through these
+  /// options adds its counts — monadic sweeps to the monadic_* rounds,
+  /// binary batches to sparse/dense rounds and dense_batches, both to the
+  /// condensation and pairs_settled counters. The pointee must outlive the
+  /// evaluation call. Never read, only added to.
   EvalStats* stats = nullptr;
   /// Optional cooperative execution control: a wall-clock deadline, an
   /// externally-triggerable cancellation token, and a byte-accounted memory
@@ -164,8 +162,8 @@ struct EvalOptions {
   /// Status (kDeadlineExceeded / kCancelled / kResourceExhausted) annotated
   /// with rounds and pairs settled, so callers can degrade gracefully.
   /// Null — the default — keeps every code path behaviorally identical to
-  /// the uncontrolled engine; the plain (options-free) entry points never
-  /// trip. The pointee must outlive the evaluation call and may be shared
+  /// the uncontrolled engine, so a call with default options never trips.
+  /// The pointee must outlive the evaluation call and may be shared
   /// across calls (checkpoint ordinals then span all of them; a trip stops
   /// them all).
   ExecContext* exec = nullptr;
@@ -174,71 +172,31 @@ struct EvalOptions {
 /// The single validation point for EvalOptions: rejects threads == 0,
 /// dense_threshold outside [0, 1] (or NaN), and unknown force_mode /
 /// condense values with InvalidArgument, and clamps threads to
-/// kMaxEvalThreads. All options-taking evaluation entry points call this
-/// first.
+/// kMaxEvalThreads. Both evaluation entry points call this first.
 StatusOr<EvalOptions> ValidateEvalOptions(EvalOptions options);
 
-/// Monadic evaluation q(G) = {ν | L(q) ∩ paths_G(ν) ≠ ∅} (Sec. 2).
-/// Backward reachability on the product G × DFA from all accepting pairs;
-/// O(|E|·|Q|) time, O(|V|·|Q|) space. The query DFA may be partial; its
-/// alphabet must not exceed the graph's (checked — the options overload
-/// reports it as a Status instead).
-BitVector EvalMonadic(const Graph& graph, const Dfa& query);
-
-/// EvalMonadic with explicit options: with threads > 1 the accepting seed
-/// pairs are partitioned by node range and each worker runs an independent
-/// backward sweep; the result is the union of the per-range sweeps, which
-/// equals the single sweep exactly. A query over more symbols than the
-/// graph is InvalidArgument.
+/// Monadic evaluation q(G) = {ν | L(q) ∩ paths_G(ν) ≠ ∅} (Sec. 2):
+/// backward reachability on the product G × DFA from every accepting pair,
+/// O(|E|·|Q|) time and O(|V|·|Q|) space. The query DFA may be partial. With
+/// threads > 1 the accepting seed pairs are partitioned by node range and
+/// each worker runs an independent backward sweep; the union of the
+/// per-range sweeps equals the single sweep exactly. A query over more
+/// symbols than the graph is InvalidArgument. This is the semantics the
+/// learner checks (lines 6–7 of Algorithm 1) and the server's QUERY serves.
 StatusOr<BitVector> EvalMonadic(const Graph& graph, const Dfa& query,
-                                const EvalOptions& options);
+                                const EvalOptions& options = {});
 
-/// Like EvalMonadic but only counts witness paths of length ≤ max_length.
-BitVector EvalMonadicBounded(const Graph& graph, const Dfa& query,
-                             uint32_t max_length);
-
-/// EvalMonadicBounded with explicit options (same node-range partitioning
-/// and alphabet check as EvalMonadic; level-synchronous, so the bound is
-/// exact per sweep).
-StatusOr<BitVector> EvalMonadicBounded(const Graph& graph, const Dfa& query,
-                                       uint32_t max_length,
-                                       const EvalOptions& options);
-
-/// True iff ν ∈ q(G); forward product search from (node, q0).
-bool SelectsNode(const Graph& graph, const Dfa& query, NodeId node);
-
-/// Binary semantics (Appendix B): all ν' with a path from `src` to ν'
-/// spelling a word of L(q); forward product reachability from (src, q0).
-BitVector EvalBinaryFrom(const Graph& graph, const Dfa& query, NodeId src);
-
-/// True iff (src, dst) is selected under binary semantics.
-bool SelectsPair(const Graph& graph, const Dfa& query, NodeId src, NodeId dst);
-
-/// Full binary result as (src, dst) pairs, (src asc, dst asc).
-std::vector<std::pair<NodeId, NodeId>> EvalBinary(const Graph& graph,
-                                                  const Dfa& query);
-
-/// EvalBinary with explicit options: the 64-source lane batches are
-/// independent, so workers evaluate whole batches with per-worker scratch
-/// and write their pairs into per-batch slots that are concatenated in batch
-/// order — output is identical to threads = 1 for every thread count.
-StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinary(
-    const Graph& graph, const Dfa& query, const EvalOptions& options);
-
-/// Binary evaluation restricted to an explicit source set: returns the
-/// (src, dst) pairs for every entry of `sources`, grouped in input order
-/// (one group per occurrence — duplicates are answered twice), each group's
-/// destinations ascending. EvalBinary(g, q) ≡ EvalBinaryFromSources over
-/// (0, 1, …, |V|-1). Sources out of range are InvalidArgument.
+/// Binary semantics (Appendix B) from an explicit source set: the (src, dst)
+/// pairs with a path from src to dst spelling a word of L(q), for every
+/// entry of `sources`, grouped in input order (one group per occurrence —
+/// duplicates are answered twice), each group's destinations ascending.
+/// Sources are evaluated in independent 64-lane batches, so with
+/// threads > 1 workers take whole batches and the output is identical to
+/// threads = 1. The all-pairs result is this call over (0, 1, …, |V|-1).
+/// Sources out of range are InvalidArgument.
 StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinaryFromSources(
     const Graph& graph, const Dfa& query, std::span<const NodeId> sources,
     const EvalOptions& options = {});
-
-/// N-ary semantics (Appendix B): a tuple (ν1..νn) is selected by
-/// Q = (q1..q(n-1)) iff every consecutive pair (νi, νi+1) is selected by qi
-/// under binary semantics. `tuple.size()` must equal `queries.size() + 1`.
-bool SelectsTuple(const Graph& graph, const std::vector<Dfa>& queries,
-                  const std::vector<NodeId>& tuple);
 
 }  // namespace rpqlearn
 

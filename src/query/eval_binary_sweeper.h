@@ -18,8 +18,8 @@ namespace rpqlearn {
 namespace eval_internal {
 
 /// The 64-lane batched product-BFS round machinery, written once over an
-/// adjacency view (eval_views.h). One BinarySweeper owns the per-worker (or
-/// per-materialized-batch) scratch of the batched multi-source BFS and runs
+/// adjacency view (eval_views.h). One BinarySweeper owns the per-worker
+/// scratch of the batched multi-source BFS and runs
 /// the direction-optimized rounds plus the condensation closure to the
 /// monotone lane-mask fixed point of the view's adjacency:
 ///
@@ -44,18 +44,13 @@ namespace eval_internal {
 ///   - the condensation closure (HeapPush / TriggerCondense /
 ///     RunCondenseClosure) expands engaged kleene-star components
 ///     reverse-topologically between rounds;
-///   - when the view tracks changed cells (View::kTracksChanged), every
-///     mask gain is recorded for the incremental repair's result-list
-///     patching (ForEachChangedCell); the global instantiation compiles all
-///     of that away;
 ///   - ExecContext checkpoints gate every round and every closure wave — in
 ///     exactly one place each. An early return leaves the scratch torn
 ///     (masks uncleared, frontier mid-representation) — safe because a
 ///     tripped evaluation discards every scratch and unwinds.
 ///
-/// Drivers (src/query/eval.cc, src/query/eval_incremental.cc) own
-/// everything around the fixed point: batch slicing, seeding/delivery
-/// order, and result recovery ordering.
+/// The driver (src/query/eval.cc) owns everything around the fixed point:
+/// batch slicing, seeding order, and result recovery ordering.
 template <typename View>
 class BinarySweeper {
  public:
@@ -77,9 +72,6 @@ class BinarySweeper {
     if (mask_.size() != num_pairs) {
       mask_.assign(num_pairs, 0);
       pending_.assign(num_pairs, 0);
-      if constexpr (View::kTracksChanged) {
-        changed_flag_.assign(num_pairs, 0);
-      }
       frontier_bits_ = BitVector(num_pairs);
       next_bits_ = BitVector(num_pairs);
     }
@@ -96,25 +88,12 @@ class BinarySweeper {
 
   const BinaryTables& tables() const { return *tables_; }
 
-  /// Lane mask currently settled at cell (v, q). Readable between rounds,
-  /// like Deliver — the incremental delta-frontier seeding
-  /// (src/query/eval_incremental.h) reads the retained fixed point through
-  /// this to decide which cells a new edge can actually grow.
-  uint64_t LaneMask(NodeId v, StateId q) const {
-    return mask_[static_cast<size_t>(v) * tables_->nq + q];
-  }
-
-  /// Resets the per-batch state (masks via the touched list, changed cells,
-  /// condensation expanded sets) for a batch whose full-lane mask is
-  /// `batch_full`.
+  /// Resets the per-batch state (masks via the touched list, condensation
+  /// expanded sets) for a batch whose full-lane mask is `batch_full`.
   void BeginBatch(uint64_t batch_full) {
     batch_full_ = batch_full;
     for (size_t cell : touched_) mask_[cell] = 0;
     touched_.clear();
-    if constexpr (View::kTracksChanged) {
-      for (size_t cell : changed_) changed_flag_[cell] = 0;
-      changed_.clear();
-    }
     for (uint32_t i = 0; i < static_cast<uint32_t>(cond_touched_.size());
          ++i) {
       for (uint32_t c : cond_touched_[i]) cond_expanded_[i][c] = 0;
@@ -124,10 +103,9 @@ class BinarySweeper {
     dense_ = false;
   }
 
-  /// Merges `lanes` into cell (v, q): fresh lanes update the mask, mark the
-  /// cell changed (when the view tracks changes), queue the condensation
-  /// closure when q is a star state, and enqueue it in the sparse frontier.
-  /// Callable between rounds only (seeding, delta-frontier repair), when
+  /// Merges `lanes` into cell (v, q): fresh lanes update the mask, queue
+  /// the condensation closure when q is a star state, and enqueue the cell
+  /// in the sparse frontier. Callable between rounds only (seeding), when
   /// the frontier representation is sparse.
   void Deliver(NodeId v, StateId q, uint64_t lanes) {
     const size_t cell = static_cast<size_t>(v) * tables_->nq + q;
@@ -135,7 +113,6 @@ class BinarySweeper {
     if (fresh == 0) return;
     if (mask_[cell] == 0) touched_.push_back(cell);
     mask_[cell] |= fresh;
-    MarkChanged(cell);
     if (plan_->active && plan_->engaged_any[q]) {
       TriggerCondense(v, q, fresh);
     }
@@ -148,7 +125,7 @@ class BinarySweeper {
   /// Runs the direction-optimized rounds until the frontier drains (the
   /// fixed point given everything delivered so far), adding round counts
   /// to `rounds`. The condensation closure runs before the first round
-  /// (seed and delta gains) and after every round. On an ExecContext trip
+  /// (seed gains) and after every round. On an ExecContext trip
   /// the scratch is left torn — callers must check tripped() before
   /// recovering anything.
   void RunRounds(RoundCounters* rounds) {
@@ -221,34 +198,7 @@ class BinarySweeper {
     }
   }
 
-  /// Drains the changed-cell list: `fn(v, q, mask)` fires once per cell
-  /// that gained lanes since the last drain. Only available on views that
-  /// track changes (the incremental repair's result-list patching).
-  template <typename Fn>
-  void ForEachChangedCell(Fn&& fn) {
-    static_assert(View::kTracksChanged,
-                  "this view does not track changed cells");
-    const uint32_t nq = tables_->nq;
-    for (size_t cell : changed_) {
-      changed_flag_[cell] = 0;
-      fn(static_cast<NodeId>(cell / nq), static_cast<StateId>(cell % nq),
-         mask_[cell]);
-    }
-    changed_.clear();
-  }
-
  private:
-  void MarkChanged(size_t cell) {
-    if constexpr (View::kTracksChanged) {
-      if (!changed_flag_[cell]) {
-        changed_flag_[cell] = 1;
-        changed_.push_back(cell);
-      }
-    } else {
-      (void)cell;
-    }
-  }
-
   /// Pushes one (component, loop) entry keeping cond_heap_ a max-heap on
   /// (component id, loop index) — the pop order that makes closure waves
   /// reverse-topological per label.
@@ -316,7 +266,6 @@ class BinarySweeper {
         if (fresh == 0) continue;
         if (mask_[cell] == 0) touched_.push_back(cell);
         mask_[cell] |= fresh;
-        MarkChanged(cell);
         // Same-loop re-triggers die on the expanded check; this feeds the
         // state's other star labels (e.g. the (a+b)* alternation).
         TriggerCondense(u, q, fresh);
@@ -368,7 +317,6 @@ class BinarySweeper {
           if (fresh == 0) continue;
           if (mask_[ut] == 0) touched_.push_back(ut);
           mask_[ut] |= fresh;
-          MarkChanged(ut);
           if (plan_->active && plan_->engaged_any[tr.target]) {
             TriggerCondense(u, tr.target, fresh);
           }
@@ -417,7 +365,6 @@ class BinarySweeper {
         if (gained == 0) continue;
         if (mask_[cell] == 0) touched_.push_back(cell);
         mask_[cell] |= gained;
-        MarkChanged(cell);
         if (engaged) TriggerCondense(u, t, gained);
         if (has_out) {
           next_bits_.Set(cell);
@@ -463,9 +410,7 @@ class BinarySweeper {
   ExecContext* exec_ = nullptr;
   std::vector<uint64_t> mask_;
   std::vector<uint8_t> pending_;
-  std::vector<uint8_t> changed_flag_;  // empty unless View::kTracksChanged
   std::vector<size_t> touched_;
-  std::vector<size_t> changed_;
   std::vector<std::pair<NodeId, StateId>> frontier_;
   std::vector<std::pair<NodeId, StateId>> next_;
   /// Max-heap of (component id, loop index) with nonzero pending lanes;

@@ -133,8 +133,7 @@ struct CondenseLoop {
 /// (graph, frozen DFA, validated options): which (state, label) self-loops
 /// expand component-at-a-time, over which condensation. Inactive — an empty
 /// plan every engine treats as "condense nothing" — when the mode is kOff,
-/// the sweep is bounded (levels must stay exact), the query has no star
-/// state, or the kAuto gates decline. `propagates` additionally replaces
+/// the query has no star state, or the kAuto gates decline. `propagates` additionally replaces
 /// the engines' "has outgoing transitions" frontier-enqueue test: a state
 /// whose every transition is an engaged self-loop never propagates through
 /// per-edge rounds (the closure owns those hops).
@@ -174,13 +173,13 @@ constexpr size_t kAutoCondenseMinEdges = 64;
 /// source batches, so they build per call when no cache matches. kOn
 /// always builds and engages.
 inline void BuildCondensePlan(const Graph& graph, const BinaryTables& tables,
-                              const EvalOptions& validated, bool bounded,
+                              const EvalOptions& validated,
                               bool auto_needs_cache, CondensePlan* plan) {
   plan->propagates.resize(tables.nq);
   for (StateId q = 0; q < tables.nq; ++q) {
     plan->propagates[q] = tables.transitions[q].empty() ? 0 : 1;
   }
-  if (bounded || validated.condense == CondenseMode::kOff) return;
+  if (validated.condense == CondenseMode::kOff) return;
 
   // Star states: q with δ(q, a) = q for a graph label a.
   std::vector<std::vector<Symbol>> star_labels(tables.nq);

@@ -18,12 +18,11 @@ namespace eval_internal {
 /// frontier pair, mark its predecessors over In-neighbors × the frozen
 /// DFA's reverse entries) and a dense bottom-up pull (sweep every unreached
 /// pair and probe its forward transitions over Out-neighbors against a
-/// frontier bitmap). Both round kinds compute the
-/// same monotone reachability closure and both are exactly level-
-/// synchronous, so the mode sequence changes neither the fixed point nor
-/// any level set — unbounded and bounded sweeps agree with the seed
-/// reference for every policy. `hook(v, q)` fires once per fresh pair; the
-/// materialized monadic result (eval_incremental.h) uses it to maintain its
+/// frontier bitmap). Both round kinds compute the same monotone
+/// reachability closure and both are exactly level-synchronous, so the mode
+/// sequence never changes the fixed point and every policy agrees with the
+/// seed reference. `hook(v, q)` fires once per fresh pair; the materialized
+/// monadic result (eval_incremental.h) uses it to maintain its
 /// selected-node column.
 template <typename View>
 class MonadicSweeper {
@@ -74,8 +73,7 @@ class MonadicSweeper {
   /// worklist until the backward a*-cone is exhausted. Every visited cell
   /// lies in the monotone fixed point, so the closure never changes the
   /// result — only how many rounds reach it. Callable between rounds only,
-  /// like Visit; a no-op when the plan is inactive (bounded sweeps:
-  /// collapsing an SCC would merge BFS levels).
+  /// like Visit; a no-op when the plan is inactive.
   template <typename VisitHook>
   void RunCondenseClosure(VisitHook&& hook, RoundCounters* rounds) {
     while (!cond_worklist_.empty()) {

@@ -5,17 +5,11 @@
 #include "learn/binary.h"
 #include "learn/nary.h"
 #include "query/eval.h"
-#include "query/path_query.h"
+#include "util/exec_context.h"
+#include "eval_test_util.h"
 
 namespace rpqlearn {
 namespace {
-
-Dfa QueryOn(const Graph& graph, const std::string& regex) {
-  Alphabet alphabet = graph.alphabet();
-  auto q = PathQuery::Parse(regex, &alphabet, graph.num_symbols());
-  EXPECT_TRUE(q.ok()) << q.status().ToString();
-  return q->dfa();
-}
 
 TEST(BinaryLearnerTest, LearnsOnFig3Pairs) {
   // Label pairs consistently with (a·b)*·c under binary semantics:
@@ -29,10 +23,10 @@ TEST(BinaryLearnerTest, LearnsOnFig3Pairs) {
   LearnOutcome outcome = LearnBinaryPathQuery(g, sample, options);
   ASSERT_FALSE(outcome.is_null);
   for (const auto& [s, t] : sample.positive) {
-    EXPECT_TRUE(SelectsPair(g, outcome.query, s, t));
+    EXPECT_TRUE(PairSelectedByReference(g, outcome.query, s, t));
   }
   for (const auto& [s, t] : sample.negative) {
-    EXPECT_FALSE(SelectsPair(g, outcome.query, s, t));
+    EXPECT_FALSE(PairSelectedByReference(g, outcome.query, s, t));
   }
 }
 
@@ -47,8 +41,8 @@ TEST(BinaryLearnerTest, DestinationConstrainsScp) {
   sample.negative = {{0, 0}};
   LearnOutcome outcome = LearnBinaryPathQuery(g, sample, {});
   ASSERT_FALSE(outcome.is_null);
-  EXPECT_TRUE(SelectsPair(g, outcome.query, 0, 3));
-  EXPECT_FALSE(SelectsPair(g, outcome.query, 0, 0));
+  EXPECT_TRUE(PairSelectedByReference(g, outcome.query, 0, 3));
+  EXPECT_FALSE(PairSelectedByReference(g, outcome.query, 0, 0));
   EXPECT_FALSE(outcome.query.Accepts({}));
 }
 
@@ -72,8 +66,29 @@ TEST(BinaryLearnerTest, GeoCommuteExample) {
   sample.negative = {{n2, r2}};
   LearnOutcome outcome = LearnBinaryPathQuery(g, sample, {});
   ASSERT_FALSE(outcome.is_null);
-  EXPECT_TRUE(SelectsPair(g, outcome.query, n2, c1));
-  EXPECT_FALSE(SelectsPair(g, outcome.query, n2, r2));
+  EXPECT_TRUE(PairSelectedByReference(g, outcome.query, n2, c1));
+  EXPECT_FALSE(PairSelectedByReference(g, outcome.query, n2, r2));
+}
+
+TEST(BinaryLearnerTest, CheckTripAbstainsWithTheStatus) {
+  // With generalization off, the consistency check's evaluation is the
+  // first step to poll the context: a cancelled context surfaces as the
+  // outcome's status, with no query.
+  Graph g = Figure3G0();
+  PairSample sample;
+  sample.positive = {{0, 3}, {2, 3}};
+  sample.negative = {{1, 2}};
+  LearnerOptions options;
+  options.generalize = false;
+  ASSERT_FALSE(LearnBinaryPathQuery(g, sample, options).is_null);
+
+  ExecContext exec;
+  exec.Cancel();
+  options.exec = &exec;
+  LearnOutcome outcome = LearnBinaryPathQuery(g, sample, options);
+  EXPECT_TRUE(outcome.is_null);
+  EXPECT_EQ(outcome.status.code(), StatusCode::kCancelled)
+      << outcome.status.ToString();
 }
 
 TEST(NaryLearnerTest, LearnsTripleOnGeo) {
@@ -91,8 +106,8 @@ TEST(NaryLearnerTest, LearnsTripleOnGeo) {
   NaryOutcome outcome = LearnNaryPathQuery(g, sample, {});
   ASSERT_FALSE(outcome.is_null);
   ASSERT_EQ(outcome.queries.size(), 2u);
-  EXPECT_TRUE(SelectsTuple(g, outcome.queries, {n2, n4, c1}));
-  EXPECT_TRUE(SelectsTuple(g, outcome.queries, {n1, n4, c1}));
+  EXPECT_TRUE(TupleSelectedPairwise(g, outcome.queries, {n2, n4, c1}));
+  EXPECT_TRUE(TupleSelectedPairwise(g, outcome.queries, {n1, n4, c1}));
 }
 
 TEST(NaryLearnerTest, AbstainPropagates) {

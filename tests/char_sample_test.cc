@@ -10,6 +10,7 @@
 #include "query/metrics.h"
 #include "query/path_query.h"
 #include "util/random.h"
+#include "eval_test_util.h"
 
 namespace rpqlearn {
 namespace {
@@ -50,7 +51,7 @@ TEST(CharGraphTest, BuildsForAbStarC) {
   EXPECT_EQ(cs.sample.negative.size(), 1u);
   // Positives are selected by the goal, negatives are not.
   Dfa goal = AbStarC();
-  BitVector selected = EvalMonadic(cs.graph, goal);
+  BitVector selected = EvalMonadicOrDie(cs.graph, goal);
   for (NodeId v : cs.sample.positive) EXPECT_TRUE(selected.Test(v));
   for (NodeId v : cs.sample.negative) EXPECT_FALSE(selected.Test(v));
 }
@@ -138,8 +139,8 @@ TEST_P(CharGraphPropertyTest, LearnerRecoversRandomPrefixFreeQueries) {
   LearnOutcome outcome = LearnPathQuery(cs.graph, cs.sample, learner_options);
   ASSERT_FALSE(outcome.is_null) << "goal size " << goal.num_states();
 
-  BitVector learned_set = EvalMonadic(cs.graph, outcome.query);
-  BitVector goal_set = EvalMonadic(cs.graph, goal);
+  BitVector learned_set = EvalMonadicOrDie(cs.graph, outcome.query);
+  BitVector goal_set = EvalMonadicOrDie(cs.graph, goal);
   EXPECT_DOUBLE_EQ(ComputeMetrics(learned_set, goal_set).f1, 1.0);
   EXPECT_TRUE(AreEquivalent(outcome.query, goal))
       << "goal states " << goal.num_states() << " learned states "

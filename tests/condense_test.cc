@@ -15,6 +15,7 @@
 #include "query/path_query.h"
 #include "util/bit_vector.h"
 #include "util/random.h"
+#include "eval_test_util.h"
 
 namespace rpqlearn {
 namespace {
@@ -291,7 +292,7 @@ TEST(EvalCondenseTest, StarQueriesMatchReferenceAcrossTheKnobCube) {
                      " threads=" + std::to_string(threads) +
                      " mode=" + std::to_string(static_cast<int>(mode));
             };
-            auto pairs = EvalBinary(graph, query, options);
+            auto pairs = EvalAllPairs(graph, query, options);
             ASSERT_TRUE(pairs.ok()) << config();
             EXPECT_EQ(*pairs, expected_pairs) << config();
             auto monadic = EvalMonadic(graph, query, options);
@@ -313,7 +314,7 @@ TEST(EvalCondenseTest, EngagementCountersProveTheComponentPathRan) {
   on.threads = 1;
   on.condense = CondenseMode::kOn;
   on.stats = &on_stats;
-  ASSERT_TRUE(EvalBinary(graph, query, on).ok());
+  ASSERT_TRUE(EvalAllPairs(graph, query, on).ok());
   EXPECT_GT(on_stats.condensed_expansions.load(), 0u);
   EXPECT_GT(on_stats.components_collapsed.load(), 0u);
 
@@ -325,7 +326,7 @@ TEST(EvalCondenseTest, EngagementCountersProveTheComponentPathRan) {
   auto_mode.threads = 1;
   auto_mode.condense = CondenseMode::kAuto;
   auto_mode.stats = &auto_stats;
-  ASSERT_TRUE(EvalBinary(graph, query, auto_mode).ok());
+  ASSERT_TRUE(EvalAllPairs(graph, query, auto_mode).ok());
   EXPECT_GT(auto_stats.condensed_expansions.load(), 0u);
 
   EvalStats off_stats;
@@ -333,7 +334,7 @@ TEST(EvalCondenseTest, EngagementCountersProveTheComponentPathRan) {
   off.threads = 1;
   off.condense = CondenseMode::kOff;
   off.stats = &off_stats;
-  ASSERT_TRUE(EvalBinary(graph, query, off).ok());
+  ASSERT_TRUE(EvalAllPairs(graph, query, off).ok());
   EXPECT_EQ(off_stats.condensed_expansions.load(), 0u);
   EXPECT_EQ(off_stats.components_collapsed.load(), 0u);
 
@@ -343,27 +344,6 @@ TEST(EvalCondenseTest, EngagementCountersProveTheComponentPathRan) {
   monadic_on.stats = &monadic_stats;
   ASSERT_TRUE(EvalMonadic(graph, query, monadic_on).ok());
   EXPECT_GT(monadic_stats.condensed_expansions.load(), 0u);
-}
-
-TEST(EvalCondenseTest, BoundedMonadicNeverCondensesAndStaysLevelExact) {
-  // Collapsing an SCC would merge BFS levels, so the bounded sweep must
-  // ignore the condense knob entirely: counters stay zero and every bound
-  // matches the seed reference even with condense pinned on.
-  const Graph graph = RingOfCliques();
-  const Dfa query = StarQuery(graph, "(l0+l1)*.l2");
-  for (uint32_t bound : {0u, 1u, 2u, 5u, 9u}) {
-    EvalStats stats;
-    EvalOptions on;
-    on.threads = 1;
-    on.condense = CondenseMode::kOn;
-    on.stats = &stats;
-    StatusOr<BitVector> bounded =
-        EvalMonadicBounded(graph, query, bound, on);
-    ASSERT_TRUE(bounded.ok());
-    EXPECT_TRUE(*bounded == EvalMonadicBoundedReference(graph, query, bound))
-        << "bound " << bound;
-    EXPECT_EQ(stats.condensed_expansions.load(), 0u) << "bound " << bound;
-  }
 }
 
 TEST(EvalCondenseTest, CachesAreConsultedAndMismatchesIgnored) {
@@ -381,7 +361,7 @@ TEST(EvalCondenseTest, CachesAreConsultedAndMismatchesIgnored) {
   options.condense = CondenseMode::kOn;
   options.condensed_cache = &condensed;
   options.stats = &stats;
-  auto cached = EvalBinary(graph, query, options);
+  auto cached = EvalAllPairs(graph, query, options);
   ASSERT_TRUE(cached.ok());
   EXPECT_EQ(*cached, expected);
   EXPECT_GT(stats.condensed_expansions.load(), 0u);
@@ -393,7 +373,7 @@ TEST(EvalCondenseTest, CachesAreConsultedAndMismatchesIgnored) {
   EvalOptions mismatched = options;
   mismatched.condensed_cache = &other_condensed;
   mismatched.stats = nullptr;
-  auto fresh = EvalBinary(graph, query, mismatched);
+  auto fresh = EvalAllPairs(graph, query, mismatched);
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(*fresh, expected);
 }
@@ -592,7 +572,7 @@ TEST(EvalCondenseTest, MutatedGraphRejectsStaleCachesEvenAtSameEdgeCount) {
   options.threads = 1;
   options.condense = CondenseMode::kOn;
   options.condensed_cache = &condensed;
-  auto stale = EvalBinary(graph, query, options);
+  auto stale = EvalAllPairs(graph, query, options);
   ASSERT_TRUE(stale.ok());
   EXPECT_EQ(*stale, expected);  // stale caches rejected, not trusted
 
@@ -605,7 +585,7 @@ TEST(EvalCondenseTest, MutatedGraphRejectsStaleCachesEvenAtSameEdgeCount) {
   ASSERT_EQ(condensed.graph_version(), graph.version());
   EvalStats stats;
   options.stats = &stats;
-  auto maintained = EvalBinary(graph, query, options);
+  auto maintained = EvalAllPairs(graph, query, options);
   ASSERT_TRUE(maintained.ok());
   EXPECT_EQ(*maintained, expected);
   EXPECT_GT(stats.condensed_expansions.load(), 0u);

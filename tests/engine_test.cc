@@ -12,6 +12,7 @@
 #include "graph/graph.h"
 #include "query/eval.h"
 #include "query/path_query.h"
+#include "eval_test_util.h"
 
 namespace rpqlearn {
 namespace {
@@ -40,7 +41,7 @@ Dfa ParseQuery(const Graph& graph, const std::string& regex) {
 TEST(EngineTest, WarmAndColdMonadicRunsMatchTheFreeFunction) {
   const Graph graph = SmallScaleFree();
   const Dfa query = ParseQuery(graph, "(l0+l1)*.l2");
-  const BitVector reference = EvalMonadic(graph, query);
+  const BitVector reference = EvalMonadicOrDie(graph, query);
 
   Engine warm(graph);
   EngineOptions cold_options;
@@ -99,7 +100,7 @@ TEST(EngineTest, ConcurrentColdMonadicRunsAreIsolated) {
   // while the first caller was still reading. Each run now owns its result.
   const Graph graph = SmallScaleFree();
   const Dfa query = ParseQuery(graph, "(l0+l1)*.l2");
-  const BitVector reference = EvalMonadic(graph, query);
+  const BitVector reference = EvalMonadicOrDie(graph, query);
   EngineOptions options;
   options.cache_monadic_results = false;
   Engine engine(graph, options);
@@ -127,25 +128,26 @@ TEST(EngineTest, PlanFromRegexRequiresGraphLabels) {
   EXPECT_FALSE(engine.Plan("no_such_label").ok());
 }
 
-TEST(EngineTest, BoundedAndBinarySemanticsMatchFreeFunctions) {
+TEST(EngineTest, BinaryRunsMatchTheFreeFunction) {
   const Graph graph = SmallScaleFree();
   const Dfa query = ParseQuery(graph, "l0.l1*.l2");
   Engine engine(graph);
   auto plan = engine.Plan(query);
   ASSERT_TRUE(plan.ok());
 
-  QueryRequest bounded;
-  bounded.semantics = QueryRequest::Semantics::kMonadicBounded;
-  bounded.max_length = 3;
-  auto bounded_result = (*plan)->Run(bounded);
-  ASSERT_TRUE(bounded_result.ok()) << bounded_result.status().ToString();
-  EXPECT_TRUE(bounded_result->nodes == EvalMonadicBounded(graph, query, 3));
+  // Every node a source (the all-pairs result), then a subset with a
+  // duplicate, answered once per occurrence.
+  const std::vector<NodeId> every_node = AllNodes(graph);
+  auto all_pairs = (*plan)->RunBinary(every_node);
+  ASSERT_TRUE(all_pairs.ok()) << all_pairs.status().ToString();
+  EXPECT_EQ(*all_pairs, EvalAllPairsOrDie(graph, query));
 
-  QueryRequest all_pairs;
-  all_pairs.semantics = QueryRequest::Semantics::kBinaryPairs;
-  auto pairs_result = (*plan)->Run(all_pairs);
-  ASSERT_TRUE(pairs_result.ok()) << pairs_result.status().ToString();
-  EXPECT_EQ(pairs_result->pairs, EvalBinary(graph, query));
+  const std::vector<NodeId> sources = {7, 3, 7, 499};
+  auto some_pairs = (*plan)->RunBinary(sources);
+  ASSERT_TRUE(some_pairs.ok()) << some_pairs.status().ToString();
+  auto expected = EvalBinaryFromSources(graph, query, sources);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(*some_pairs, *expected);
 }
 
 TEST(EngineTest, RunBinaryBatchSplitsBitIdenticallyPerGroup) {
@@ -181,8 +183,8 @@ TEST(EngineTest, OutOfRangeSourcesAreRejected) {
 }
 
 TEST(EngineTest, QueryAlphabetWiderThanTheGraphIsInvalidArgument) {
-  // A 1-label graph and a 2-symbol DFA: planning and the options-taking
-  // monadic entry points report the mismatch instead of aborting.
+  // A 1-label graph and a 2-symbol DFA: planning and EvalMonadic report
+  // the mismatch instead of aborting.
   GraphBuilder b;
   b.AddNodes(2);
   b.AddEdge(0, "a", 1);
@@ -196,9 +198,7 @@ TEST(EngineTest, QueryAlphabetWiderThanTheGraphIsInvalidArgument) {
   Engine engine(graph);
   EXPECT_EQ(engine.Plan(query).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(EvalMonadic(graph, query, EvalOptions{}).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(EvalMonadicBounded(graph, query, 3, EvalOptions{}).status().code(),
+  EXPECT_EQ(EvalMonadic(graph, query).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -235,7 +235,7 @@ TEST(EngineTest, PlainGraphMutationRebuildsOnceAndNeverServesStale) {
 
   auto monadic = (*plan)->RunMonadic();
   ASSERT_TRUE(monadic.ok());
-  EXPECT_TRUE(**monadic == EvalMonadic(graph, query));
+  EXPECT_TRUE(**monadic == EvalMonadicOrDie(graph, query));
   EXPECT_FALSE(**monadic == before);  // the insert selects node 7
   auto pairs = (*plan)->RunBinary(sources);
   ASSERT_TRUE(pairs.ok());

@@ -14,6 +14,7 @@
 #include "query/eval.h"
 #include "query/eval_reference.h"
 #include "util/random.h"
+#include "eval_test_util.h"
 
 namespace rpqlearn {
 namespace {
@@ -112,20 +113,24 @@ TEST(EvalCsrOracleTest, EvaluationMatchesReferenceOn120RandomPairs) {
         1 + static_cast<uint32_t>(rng.NextBelow(num_labels));
     Dfa q = RandomQuery(&rng, query_symbols);
 
-    EXPECT_TRUE(EvalMonadic(g, q) == EvalMonadicReference(g, q))
+    EXPECT_TRUE(EvalMonadicOrDie(g, q) == EvalMonadicReference(g, q))
         << "monadic mismatch, iteration " << iteration;
 
-    const uint32_t bound = static_cast<uint32_t>(rng.NextBelow(6));
-    EXPECT_TRUE(EvalMonadicBounded(g, q, bound) ==
-                EvalMonadicBoundedReference(g, q, bound))
-        << "bounded mismatch, iteration " << iteration;
+    // The retired bounded check's draw, kept so every later draw stays put.
+    (void)rng.NextBelow(6);
 
-    EXPECT_EQ(EvalBinary(g, q), EvalBinaryReference(g, q))
+    EXPECT_EQ(EvalAllPairsOrDie(g, q), EvalBinaryReference(g, q))
         << "binary mismatch, iteration " << iteration;
 
     const NodeId src = static_cast<NodeId>(rng.NextBelow(g.num_nodes()));
-    EXPECT_TRUE(EvalBinaryFrom(g, q, src) ==
-                EvalBinaryFromReference(g, q, src))
+    const std::vector<NodeId> source = {src};
+    auto from_src = EvalBinaryFromSources(g, q, source);
+    ASSERT_TRUE(from_src.ok()) << from_src.status().ToString();
+    PairVec expected;
+    for (uint32_t dst : EvalBinaryFromReference(g, q, src).ToIndices()) {
+      expected.emplace_back(src, dst);
+    }
+    EXPECT_EQ(*from_src, expected)
         << "binary-from mismatch, iteration " << iteration;
   }
 }
@@ -141,7 +146,7 @@ TEST(EvalCsrOracleTest, BatchedBinaryCrossesLaneBoundaries) {
     options.seed = rng.Next();
     Graph g = GenerateErdosRenyi(options);
     Dfa q = RandomQuery(&rng, 3);
-    EXPECT_EQ(EvalBinary(g, q), EvalBinaryReference(g, q))
+    EXPECT_EQ(EvalAllPairsOrDie(g, q), EvalBinaryReference(g, q))
         << "iteration " << iteration;
   }
 }

@@ -24,6 +24,7 @@
 #include "util/exec_context.h"
 #include "util/fault.h"
 #include "util/random.h"
+#include "eval_test_util.h"
 
 namespace rpqlearn {
 namespace {
@@ -45,7 +46,7 @@ namespace {
 // insert/delete/compact/evaluate traces through the delta-edge overlay and
 // its maintained CondensedGraph snapshot, diffing every evaluation
 // bit-for-bit against a rebuild-from-scratch oracle. The update
-// campaign additionally carries live materialized queries
+// campaign additionally carries a live materialized monadic query
 // (RPQ_EVAL_INCREMENTAL, on by default) whose delta-frontier repairs are
 // held to the same bit-for-bit standard at every evaluation step.
 //
@@ -74,14 +75,13 @@ FuzzUpdates FuzzUpdatesMode() {
   return FuzzUpdates::kInvalid;
 }
 
-/// Whether the update campaign additionally carries *live materialized
-/// queries* (src/query/eval_incremental.h) through every trace — a
-/// MaterializedQuery over the case's source set and a MaterializedMonadic,
-/// registered on the trace's DynamicGraph so every insert is repaired by
-/// delta-frontier re-seeding, every relevant delete falls back to a
-/// rebuild, and auto-compactions fire at a deliberately tiny threshold —
-/// each diffed bit-for-bit against the rebuild oracle at every evaluation
-/// step. RPQ_EVAL_INCREMENTAL ∈ {on, off}, default on (the nightly matrix
+/// Whether the update campaign additionally carries a *live materialized
+/// query* (src/query/eval_incremental.h) through every trace — a
+/// MaterializedMonadic registered on the trace's DynamicGraph so every
+/// insert is repaired by delta-frontier re-seeding, every relevant delete
+/// falls back to a rebuild, and auto-compactions fire at a deliberately
+/// tiny threshold — diffed bit-for-bit against the rebuild oracle at every
+/// evaluation step. RPQ_EVAL_INCREMENTAL ∈ {on, off}, default on (the nightly matrix
 /// sweeps both). Any other value is a typo and fails the campaign loudly.
 enum class FuzzIncremental { kOff, kOn, kInvalid };
 
@@ -330,13 +330,13 @@ EvalOptions ToOptions(const EngineConfig& config, CondenseMode case_condense) {
   return options;
 }
 
-enum class CheckKind { kMonadic, kMonadicBounded, kBinaryAllPairs,
-                       kBinaryFromSources };
+/// The served semantics: monadic, and binary from sources (all pairs is
+/// binary from every node).
+enum class CheckKind { kMonadic, kBinaryAllPairs, kBinaryFromSources };
 
 const char* CheckName(CheckKind kind) {
   switch (kind) {
     case CheckKind::kMonadic: return "monadic";
-    case CheckKind::kMonadicBounded: return "monadic-bounded";
     case CheckKind::kBinaryAllPairs: return "binary-all-pairs";
     case CheckKind::kBinaryFromSources: return "binary-from-sources";
   }
@@ -365,7 +365,7 @@ std::vector<std::pair<NodeId, NodeId>> FromSourcesReference(
 /// shrinker re-runs this as its failure predicate.
 bool Mismatches(const Graph& graph, const Dfa& query, CheckKind check,
                 const EngineConfig& config, CondenseMode case_condense,
-                uint32_t bound, const std::vector<NodeId>& source_template) {
+                const std::vector<NodeId>& source_template) {
   if (graph.num_nodes() == 0) return false;
   const EvalOptions options = ToOptions(config, case_condense);
   switch (check) {
@@ -374,14 +374,8 @@ bool Mismatches(const Graph& graph, const Dfa& query, CheckKind check,
       if (!actual.ok()) return true;
       return !(*actual == EvalMonadicReference(graph, query));
     }
-    case CheckKind::kMonadicBounded: {
-      StatusOr<BitVector> actual =
-          EvalMonadicBounded(graph, query, bound, options);
-      if (!actual.ok()) return true;
-      return !(*actual == EvalMonadicBoundedReference(graph, query, bound));
-    }
     case CheckKind::kBinaryAllPairs: {
-      auto actual = EvalBinary(graph, query, options);
+      auto actual = EvalAllPairs(graph, query, options);
       if (!actual.ok()) return true;
       return *actual != EvalBinaryReference(graph, query);
     }
@@ -441,7 +435,7 @@ EdgeList ShrinkGraph(EdgeList current,
 std::string ReproBlock(uint64_t case_seed, CheckKind check,
                        const EngineConfig& config, CondenseMode case_condense,
                        const EdgeList& graph,
-                       const std::string& query_description, uint32_t bound,
+                       const std::string& query_description,
                        const std::vector<NodeId>& sources) {
   std::ostringstream out;
   out << "\n=== RPQ eval fuzz mismatch (minimized) ===\n"
@@ -457,7 +451,6 @@ std::string ReproBlock(uint64_t case_seed, CheckKind check,
   for (const auto& e : graph.edges) {
     out << "  " << e[0] << " --l" << e[1] << "--> " << e[2] << "\n";
   }
-  if (check == CheckKind::kMonadicBounded) out << "bound: " << bound << "\n";
   if (check == CheckKind::kBinaryFromSources) {
     out << "sources (mod nodes): [";
     for (size_t i = 0; i < sources.size(); ++i) {
@@ -493,7 +486,9 @@ TEST(EvalFuzzTest, DifferentialAgainstSeedReference) {
     const bool oversized_alphabet = fuzz_case.oversized_alphabet;
     const FuzzQuery& query = fuzz_case.query;
 
-    const uint32_t bound = static_cast<uint32_t>(rng.NextBelow(8));
+    // The retired bounded check's length draw, kept so every later draw
+    // stays put.
+    (void)rng.NextBelow(8);
     std::vector<NodeId> sources;
     const size_t num_sources = 1 + rng.NextBelow(120);
     for (size_t i = 0; i < num_sources; ++i) {
@@ -503,26 +498,22 @@ TEST(EvalFuzzTest, DifferentialAgainstSeedReference) {
 
     std::vector<CheckKind> checks = {CheckKind::kBinaryAllPairs,
                                      CheckKind::kBinaryFromSources};
-    if (!oversized_alphabet) {
-      checks.push_back(CheckKind::kMonadic);
-      checks.push_back(CheckKind::kMonadicBounded);
-    }
+    if (!oversized_alphabet) checks.push_back(CheckKind::kMonadic);
 
     for (CheckKind check : checks) {
       for (const EngineConfig& config : kEngineConfigs) {
         if (!Mismatches(graph, query.dfa, check, config, case_condense,
-                        bound, sources)) {
+                        sources)) {
           continue;
         }
         ++mismatches;
         const EdgeList minimized =
             ShrinkGraph(edge_list, [&](const EdgeList& candidate) {
               return Mismatches(candidate.BuildGraph(), query.dfa, check,
-                                config, case_condense, bound, sources);
+                                config, case_condense, sources);
             });
         ADD_FAILURE() << ReproBlock(case_seed, check, config, case_condense,
-                                    minimized, query.description, bound,
-                                    sources);
+                                    minimized, query.description, sources);
         break;  // one repro per check is enough; move to the next check
       }
       if (mismatches >= 5) break;  // don't flood the log
@@ -553,7 +544,7 @@ TEST(EvalFuzzTest, HybridEngagesDenseRoundsSomewhere) {
     hybrid.threads = 1;
     hybrid.dense_threshold = 0.02;
     hybrid.stats = &stats;
-    auto result = EvalBinary(graph, fuzz_case.query.dfa, hybrid);
+    auto result = EvalAllPairs(graph, fuzz_case.query.dfa, hybrid);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
   }
   EXPECT_GT(stats.dense_rounds.load(), 0u)
@@ -579,7 +570,7 @@ TEST(EvalFuzzTest, CondenseEngagesComponentsSomewhere) {
     options.threads = 1;
     options.condense = CondenseMode::kOn;
     options.stats = &stats;
-    auto result = EvalBinary(graph, fuzz_case.query.dfa, options);
+    auto result = EvalAllPairs(graph, fuzz_case.query.dfa, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
   }
   EXPECT_GT(stats.condensed_expansions.load(), 0u)
@@ -597,7 +588,6 @@ TEST(EvalFuzzTest, CondenseEngagesComponentsSomewhere) {
 StatusOr<std::string> RunCheckSerialized(const Graph& graph, const Dfa& query,
                                          CheckKind check,
                                          const EvalOptions& options,
-                                         uint32_t bound,
                                          const std::vector<NodeId>& sources) {
   std::string rendered;
   switch (check) {
@@ -609,17 +599,8 @@ StatusOr<std::string> RunCheckSerialized(const Graph& graph, const Dfa& query,
       }
       return rendered;
     }
-    case CheckKind::kMonadicBounded: {
-      StatusOr<BitVector> actual =
-          EvalMonadicBounded(graph, query, bound, options);
-      if (!actual.ok()) return actual.status();
-      for (uint32_t v : actual->ToIndices()) {
-        rendered += std::to_string(v) + ";";
-      }
-      return rendered;
-    }
     case CheckKind::kBinaryAllPairs: {
-      auto actual = EvalBinary(graph, query, options);
+      auto actual = EvalAllPairs(graph, query, options);
       if (!actual.ok()) return actual.status();
       for (const auto& [src, dst] : *actual) {
         rendered += std::to_string(src) + ">" + std::to_string(dst) + ";";
@@ -667,7 +648,9 @@ TEST(EvalFuzzTest, FaultInjectionCampaign) {
     Rng rng(case_seed);
     FuzzCase fuzz_case = DrawCase(&rng);
     const Graph graph = fuzz_case.edge_list.BuildGraph();
-    const uint32_t bound = static_cast<uint32_t>(rng.NextBelow(8));
+    // The retired bounded check's length draw, kept so every later draw
+    // stays put.
+    (void)rng.NextBelow(8);
     std::vector<NodeId> sources;
     const size_t num_sources = 1 + rng.NextBelow(120);
     for (size_t i = 0; i < num_sources; ++i) {
@@ -675,11 +658,13 @@ TEST(EvalFuzzTest, FaultInjectionCampaign) {
           static_cast<NodeId>(rng.NextBelow(graph.num_nodes())));
     }
 
+    // The retired bounded check's slot keeps its draw and runs the monadic
+    // check, so the check, engine and fault-plan draws stay put.
     std::vector<CheckKind> checks = {CheckKind::kBinaryAllPairs,
                                      CheckKind::kBinaryFromSources};
     if (!fuzz_case.oversized_alphabet) {
       checks.push_back(CheckKind::kMonadic);
-      checks.push_back(CheckKind::kMonadicBounded);
+      checks.push_back(CheckKind::kMonadic);
     }
     const CheckKind check = checks[rng.NextBelow(checks.size())];
     const EngineConfig& config = kEngineConfigs[rng.NextBelow(kNumConfigs)];
@@ -693,7 +678,7 @@ TEST(EvalFuzzTest, FaultInjectionCampaign) {
     options.exec = &baseline;
     options.stats = &baseline_stats;
     StatusOr<std::string> reference =
-        RunCheckSerialized(graph, fuzz_case.query.dfa, check, options, bound,
+        RunCheckSerialized(graph, fuzz_case.query.dfa, check, options,
                            sources);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     const uint64_t total_checkpoints = baseline.checkpoints();
@@ -710,7 +695,7 @@ TEST(EvalFuzzTest, FaultInjectionCampaign) {
     options.exec = &exec;
     options.stats = &stats;
     StatusOr<std::string> injected = RunCheckSerialized(
-        graph, fuzz_case.query.dfa, check, options, bound, sources);
+        graph, fuzz_case.query.dfa, check, options, sources);
 
     if (injector.fired()) {
       ++fired_cases;
@@ -728,7 +713,7 @@ TEST(EvalFuzzTest, FaultInjectionCampaign) {
       options.exec = &retry_exec;
       options.stats = &retry_stats;
       StatusOr<std::string> retry = RunCheckSerialized(
-          graph, fuzz_case.query.dfa, check, options, bound, sources);
+          graph, fuzz_case.query.dfa, check, options, sources);
       ASSERT_TRUE(retry.ok()) << retry.status().ToString();
       EXPECT_EQ(*retry, *reference)
           << "retry after an injected trip diverged from the reference";
@@ -829,18 +814,12 @@ EvalOptions UpdateRowOptions(const UpdateRow& row,
 /// RunCheckSerialized renders the engine result — the oracle side of the
 /// bit-for-bit diff.
 std::string RunReferenceSerialized(const Graph& graph, const Dfa& query,
-                                   CheckKind check, uint32_t bound,
+                                   CheckKind check,
                                    const std::vector<NodeId>& sources) {
   std::string rendered;
   switch (check) {
     case CheckKind::kMonadic:
       for (uint32_t v : EvalMonadicReference(graph, query).ToIndices()) {
-        rendered += std::to_string(v) + ";";
-      }
-      return rendered;
-    case CheckKind::kMonadicBounded:
-      for (uint32_t v :
-           EvalMonadicBoundedReference(graph, query, bound).ToIndices()) {
         rendered += std::to_string(v) + ";";
       }
       return rendered;
@@ -871,7 +850,7 @@ enum class Sabotage {
   /// evaluation after it can see the divergence.
   kDropLastInsert,
   /// The insert reaches the DynamicGraph (plain evaluations stay correct)
-  /// but the live materialized queries withhold their delta-frontier
+  /// but the live materialized query withholds its delta-frontier
   /// re-seeding (SkipNextInsertReseedForTesting) — a wrong incremental
   /// repair only the materialized diff can catch.
   kSkipLastReseed,
@@ -886,14 +865,13 @@ enum class Sabotage {
 /// and evaluated by the seed reference.
 ///
 /// With RPQ_EVAL_INCREMENTAL on (the default), the DynamicGraph also
-/// carries a MaterializedQuery over the case's sources and (query alphabet
-/// permitting) a MaterializedMonadic across the whole trace — inserts
-/// repaired in place, deletes falling back, auto-compactions firing at a
-/// tiny threshold — and every evaluation step additionally diffs both
-/// materialized results against the same oracle.
+/// carries (query alphabet permitting) a MaterializedMonadic across the
+/// whole trace — inserts repaired in place, deletes falling back,
+/// auto-compactions firing at a tiny threshold — and every evaluation step
+/// additionally diffs the materialized result against the same oracle.
 uint32_t ReplayTrace(const UpdateTrace& trace, const Dfa& query,
                      const UpdateRow& row, CheckKind check,
-                     CondenseMode case_condense, uint32_t bound,
+                     CondenseMode case_condense,
                      const std::vector<NodeId>& sources, Sabotage sabotage,
                      std::string* fingerprint) {
   const uint32_t n = trace.initial.num_nodes;
@@ -919,18 +897,13 @@ uint32_t ReplayTrace(const UpdateTrace& trace, const Dfa& query,
   const std::vector<NodeId> clamped = ClampSources(sources, n);
   uint32_t mismatch_count = 0;
 
-  // Live materialized queries riding the full trace. A tiny auto-compact
-  // threshold makes most traces compact mid-flight, covering the
-  // notification path and snapshot repair under materialized results.
-  // Monadic materialization follows the monadic checks' contract: skipped
-  // for oversized query alphabets.
-  MaterializedQuery* mq = nullptr;
+  // A live materialized monadic query riding the full trace, skipped for
+  // oversized query alphabets like the monadic checks. The tiny
+  // auto-compact threshold makes most traces compact mid-flight, covering
+  // the notification path and snapshot repair under materialized results.
   MaterializedMonadic* mm = nullptr;
   if (FuzzIncrementalMode() == FuzzIncremental::kOn) {
     dynamic.set_auto_compact_threshold(6);
-    StatusOr<MaterializedQuery*> binary =
-        dynamic.Materialize(query, clamped, base_options);
-    if (binary.ok()) mq = *binary; else ++mismatch_count;
     if (query.num_symbols() <= num_labels) {
       StatusOr<MaterializedMonadic*> monadic =
           dynamic.MaterializeMonadic(query, base_options);
@@ -950,9 +923,9 @@ uint32_t ReplayTrace(const UpdateTrace& trace, const Dfa& query,
         if (i == sabotaged_step && sabotage == Sabotage::kDropLastInsert) {
           break;
         }
-        if (i == sabotaged_step && sabotage == Sabotage::kSkipLastReseed) {
-          if (mq != nullptr) mq->SkipNextInsertReseedForTesting();
-          if (mm != nullptr) mm->SkipNextInsertReseedForTesting();
+        if (i == sabotaged_step && sabotage == Sabotage::kSkipLastReseed &&
+            mm != nullptr) {
+          mm->SkipNextInsertReseedForTesting();
         }
         dynamic.InsertEdge(src, label, dst);
         break;
@@ -974,9 +947,9 @@ uint32_t ReplayTrace(const UpdateTrace& trace, const Dfa& query,
         EvalOptions options = base_options;
         if (eval_index % 2 == 0) options = dynamic.WithCaches(options);
         StatusOr<std::string> actual = RunCheckSerialized(
-            dynamic.graph(), query, check, options, bound, clamped);
+            dynamic.graph(), query, check, options, clamped);
         const std::string expected =
-            RunReferenceSerialized(oracle_graph, query, check, bound, clamped);
+            RunReferenceSerialized(oracle_graph, query, check, clamped);
         const bool mismatch = !actual.ok() || *actual != expected;
         if (mismatch) ++mismatch_count;
         if (fingerprint != nullptr) {
@@ -991,30 +964,7 @@ uint32_t ReplayTrace(const UpdateTrace& trace, const Dfa& query,
                           + "\n";
         }
 
-        // The live materialized results, diffed against the same oracle.
-        if (mq != nullptr) {
-          StatusOr<std::vector<std::pair<NodeId, NodeId>>> pairs =
-              mq->Results();
-          std::string mq_actual;
-          if (pairs.ok()) {
-            for (const auto& [s, d] : *pairs) {
-              mq_actual += std::to_string(s) + ">" + std::to_string(d) + ";";
-            }
-          } else {
-            mq_actual = pairs.status().ToString();
-          }
-          const std::string mq_expected = RunReferenceSerialized(
-              oracle_graph, query, CheckKind::kBinaryFromSources, bound,
-              clamped);
-          if (mq_actual != mq_expected) ++mismatch_count;
-          if (fingerprint != nullptr) {
-            *fingerprint += "  mq repairs=" +
-                            std::to_string(mq->stats().insert_repairs) +
-                            " rebuilds=" +
-                            std::to_string(mq->stats().full_evals) + " -> " +
-                            mq_actual + "\n";
-          }
-        }
+        // The live materialized result, diffed against the same oracle.
         if (mm != nullptr) {
           StatusOr<const BitVector*> selected = mm->Results();
           std::string mm_actual;
@@ -1026,7 +976,7 @@ uint32_t ReplayTrace(const UpdateTrace& trace, const Dfa& query,
             mm_actual = selected.status().ToString();
           }
           const std::string mm_expected = RunReferenceSerialized(
-              oracle_graph, query, CheckKind::kMonadic, bound, clamped);
+              oracle_graph, query, CheckKind::kMonadic, clamped);
           if (mm_actual != mm_expected) ++mismatch_count;
           if (fingerprint != nullptr) {
             *fingerprint += "  mm repairs=" +
@@ -1097,7 +1047,6 @@ std::string UpdateReproBlock(uint64_t case_seed, CheckKind check,
                              const UpdateRow& row, CondenseMode case_condense,
                              const UpdateTrace& trace,
                              const std::string& query_description,
-                             uint32_t bound,
                              const std::vector<NodeId>& sources) {
   std::ostringstream out;
   out << "\n=== RPQ update-interleaving fuzz mismatch (minimized) ===\n"
@@ -1123,7 +1072,6 @@ std::string UpdateReproBlock(uint64_t case_seed, CheckKind check,
     }
     out << "\n";
   }
-  if (check == CheckKind::kMonadicBounded) out << "bound: " << bound << "\n";
   if (check == CheckKind::kBinaryFromSources) {
     out << "sources (mod nodes): [";
     for (size_t i = 0; i < sources.size(); ++i) {
@@ -1142,14 +1090,15 @@ std::string UpdateReproBlock(uint64_t case_seed, CheckKind check,
 /// and the injected-bug test all replay it from the case seed.
 struct UpdateCase {
   FuzzCase base;
-  uint32_t bound;
   std::vector<NodeId> sources;
   UpdateTrace trace;
 };
 
 UpdateCase DrawUpdateCase(Rng* rng) {
   FuzzCase base = DrawCase(rng);
-  const uint32_t bound = static_cast<uint32_t>(rng->NextBelow(8));
+  // The retired bounded check's length draw, kept so every later draw
+  // stays put.
+  (void)rng->NextBelow(8);
   std::vector<NodeId> sources;
   const size_t num_sources = 1 + rng->NextBelow(40);
   for (size_t i = 0; i < num_sources; ++i) {
@@ -1158,18 +1107,19 @@ UpdateCase DrawUpdateCase(Rng* rng) {
   UpdateTrace trace;
   trace.initial = base.edge_list;
   trace.steps = DrawTraceSteps(rng);
-  return UpdateCase{std::move(base), bound, std::move(sources),
-                    std::move(trace)};
+  return UpdateCase{std::move(base), std::move(sources), std::move(trace)};
 }
 
 /// The per-evaluation check rotates with the row so every (check, row)
 /// pairing appears across the campaign; monadic contracts exclude
-/// oversized-alphabet cases exactly like the static fuzzer.
+/// oversized-alphabet cases exactly like the static fuzzer. The retired
+/// bounded check's slot runs the monadic check, so every other case keeps
+/// its check.
 CheckKind UpdateCheckFor(size_t ordinal, bool oversized_alphabet) {
   constexpr CheckKind kAll[] = {CheckKind::kBinaryAllPairs,
                                 CheckKind::kMonadic,
                                 CheckKind::kBinaryFromSources,
-                                CheckKind::kMonadicBounded};
+                                CheckKind::kMonadic};
   constexpr CheckKind kBinaryOnly[] = {CheckKind::kBinaryAllPairs,
                                        CheckKind::kBinaryFromSources};
   return oversized_alphabet ? kBinaryOnly[ordinal % 2] : kAll[ordinal % 4];
@@ -1207,7 +1157,7 @@ TEST(EvalFuzzTest, UpdateInterleavingDifferentialCampaign) {
       const CheckKind check =
           UpdateCheckFor(iteration + r, update.base.oversized_alphabet);
       if (ReplayTrace(update.trace, update.base.query.dfa, row, check,
-                      case_condense, update.bound, update.sources,
+                      case_condense, update.sources,
                       Sabotage::kNone, nullptr) == 0) {
         continue;
       }
@@ -1216,12 +1166,12 @@ TEST(EvalFuzzTest, UpdateInterleavingDifferentialCampaign) {
       const UpdateTrace minimized =
           ShrinkTrace(update.trace, [&](const UpdateTrace& candidate) {
             return ReplayTrace(candidate, update.base.query.dfa, row, check,
-                               case_condense, update.bound, update.sources,
+                               case_condense, update.sources,
                                Sabotage::kNone, nullptr) > 0;
           });
       ADD_FAILURE() << UpdateReproBlock(
           case_seed, check, row, case_condense, minimized,
-          update.base.query.description, update.bound, update.sources);
+          update.base.query.description, update.sources);
     }
     if (mismatching_cases >= 5) {
       ADD_FAILURE() << "stopping after 5 mismatching cases ("
@@ -1251,11 +1201,11 @@ TEST(EvalFuzzTest, UpdateTraceReplayIsDeterministic) {
     std::string first, second;
     const uint32_t mismatches_first = ReplayTrace(
         update.trace, update.base.query.dfa, row, check,
-        update.base.case_condense, update.bound, update.sources,
+        update.base.case_condense, update.sources,
         Sabotage::kNone, &first);
     const uint32_t mismatches_second = ReplayTrace(
         update.trace, update.base.query.dfa, row, check,
-        update.base.case_condense, update.bound, update.sources,
+        update.base.case_condense, update.sources,
         Sabotage::kNone, &second);
     ASSERT_EQ(mismatches_first, 0u) << "case_seed=" << case_seed;
     ASSERT_EQ(mismatches_second, 0u);
@@ -1283,7 +1233,7 @@ TEST(EvalFuzzTest, InjectedOverlayBugIsCaughtAndShrunkToAMinimalTrace) {
     const CheckKind check = CheckKind::kBinaryAllPairs;
     const auto buggy_fails = [&](const UpdateTrace& candidate) {
       return ReplayTrace(candidate, update.base.query.dfa, row, check,
-                         update.base.case_condense, update.bound,
+                         update.base.case_condense,
                          update.sources, Sabotage::kDropLastInsert,
                          nullptr) > 0;
     };
@@ -1297,7 +1247,7 @@ TEST(EvalFuzzTest, InjectedOverlayBugIsCaughtAndShrunkToAMinimalTrace) {
     EXPECT_TRUE(buggy_fails(minimized));
     const std::string repro = UpdateReproBlock(
         case_seed, check, row, update.base.case_condense, minimized,
-        update.base.query.description, update.bound, update.sources);
+        update.base.query.description, update.sources);
     EXPECT_NE(repro.find("trace ("), std::string::npos);
     EXPECT_NE(repro.find("insert"), std::string::npos);
     return;  // demonstrated: caught + shrunk
@@ -1309,7 +1259,7 @@ TEST(EvalFuzzTest, InjectedOverlayBugIsCaughtAndShrunkToAMinimalTrace) {
 TEST(EvalFuzzTest, WithheldReseedIsCaughtByTheMaterializedDiff) {
   // Harness-sensitivity proof for the incremental layer: the trace's last
   // insert reaches the DynamicGraph — every plain evaluation stays correct
-  // — but the live materialized queries withhold their delta-frontier
+  // — but the live materialized query withholds its delta-frontier
   // re-seeding, so only the materialized diff can see the corruption.
   // Catching and shrinking it proves the campaign genuinely exercises the
   // in-place repair path rather than riding along on rebuilds.
@@ -1317,7 +1267,7 @@ TEST(EvalFuzzTest, WithheldReseedIsCaughtByTheMaterializedDiff) {
     GTEST_SKIP() << "update-interleaving campaign disabled";
   }
   if (FuzzIncrementalMode() != FuzzIncremental::kOn) {
-    GTEST_SKIP() << "materialized-query rows disabled; set "
+    GTEST_SKIP() << "materialized-query diff disabled; set "
                     "RPQ_EVAL_INCREMENTAL=on to run them";
   }
   Rng master(0x5eedda7a);
@@ -1329,19 +1279,19 @@ TEST(EvalFuzzTest, WithheldReseedIsCaughtByTheMaterializedDiff) {
     const CheckKind check = CheckKind::kBinaryAllPairs;
     const auto buggy_fails = [&](const UpdateTrace& candidate) {
       return ReplayTrace(candidate, update.base.query.dfa, row, check,
-                         update.base.case_condense, update.bound,
+                         update.base.case_condense,
                          update.sources, Sabotage::kSkipLastReseed,
                          nullptr) > 0;
     };
     // A case only exposes the bug when the last insert actually grows the
-    // materialized results and nothing downstream forces a healing rebuild
+    // materialized result and nothing downstream forces a healing rebuild
     // — most corpus cases qualify within a few draws.
     if (!buggy_fails(update.trace)) continue;
 
     // The honest replay of the same trace must be clean: the corruption is
     // the sabotage, not the trace.
     ASSERT_EQ(ReplayTrace(update.trace, update.base.query.dfa, row, check,
-                          update.base.case_condense, update.bound,
+                          update.base.case_condense,
                           update.sources, Sabotage::kNone, nullptr),
               0u)
         << "case_seed=" << case_seed;
@@ -1354,7 +1304,7 @@ TEST(EvalFuzzTest, WithheldReseedIsCaughtByTheMaterializedDiff) {
     return;  // demonstrated: caught + shrunk
   }
   FAIL() << "no corpus case exposed the withheld re-seed within 60 "
-            "iterations — the materialized rows lost their sensitivity";
+            "iterations — the materialized diff lost its sensitivity";
 }
 
 }  // namespace

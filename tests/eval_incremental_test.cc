@@ -1,30 +1,29 @@
 // Unit tests of the incremental-maintenance layer
-// (src/query/eval_incremental.h): materialized binary and monadic queries
-// registered on a DynamicGraph must stay bit-identical to from-scratch
-// evaluation across inserts (delta-frontier repair), deletes (per-label
-// invalidation + lazy rebuild), and compactions; the telemetry must name the
-// repair path every update took; and the pending-delta auto-compaction
-// policy must fire exactly at its threshold without ever perturbing results.
+// (src/query/eval_incremental.h): a materialized monadic query, registered
+// on a DynamicGraph or held over a bare Graph, must stay bit-identical to
+// from-scratch evaluation across inserts (delta-frontier repair), deletes
+// (per-label invalidation + lazy rebuild), and compactions; the telemetry
+// must name the repair path every update took; and the pending-delta
+// auto-compaction policy must fire exactly at its threshold without ever
+// perturbing results.
 
 #include "query/eval_incremental.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
+#include <tuple>
 #include <vector>
 
 #include "graph/dynamic.h"
-#include "graph/generators.h"
 #include "graph/graph.h"
 #include "query/eval.h"
 #include "query/path_query.h"
 #include "util/random.h"
+#include "eval_test_util.h"
 
 namespace rpqlearn {
 namespace {
-
-using PairVec = std::vector<std::pair<NodeId, NodeId>>;
 
 Dfa CompileQuery(const std::string& pattern, const Graph& graph) {
   Alphabet alphabet = graph.alphabet();
@@ -46,193 +45,54 @@ Graph SmallGraph() {
   return builder.Build();
 }
 
-PairVec Oracle(const Graph& graph, const Dfa& query,
-               std::span<const NodeId> sources) {
-  auto result = EvalBinaryFromSources(graph, query, sources);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return *result;
-}
-
-TEST(MaterializedQueryTest, InitialBuildMatchesFromScratch) {
-  Graph graph = SmallGraph();
-  Dfa query = CompileQuery("a*.b", graph);
-  const std::vector<NodeId> sources = {0, 1, 4, 0};  // duplicate answered twice
-  auto mq = MaterializedQuery::Create(graph, query, sources);
-  ASSERT_TRUE(mq.ok()) << mq.status().ToString();
-  auto results = (*mq)->Results();
-  ASSERT_TRUE(results.ok());
-  EXPECT_EQ(*results, Oracle(graph, query, sources));
-  EXPECT_EQ((*mq)->stats().full_evals, 1u);
-  EXPECT_EQ((*mq)->num_results(), results->size());
-}
-
-TEST(MaterializedQueryTest, OutOfRangeSourceIsInvalidArgument) {
-  Graph graph = SmallGraph();
-  Dfa query = CompileQuery("a", graph);
-  const std::vector<NodeId> sources = {0, 99};
-  auto mq = MaterializedQuery::Create(graph, query, sources);
-  EXPECT_FALSE(mq.ok());
-  EXPECT_EQ(mq.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(MaterializedQueryTest, InsertRepairIsBitIdentical) {
-  DynamicGraph dynamic(SmallGraph());
-  Dfa query = CompileQuery("a*.b", dynamic.graph());
-  const Symbol a = *dynamic.graph().alphabet().Find("a");
-  const Symbol b = *dynamic.graph().alphabet().Find("b");
-  const std::vector<NodeId> sources = {0, 1, 4};
-  auto mq = dynamic.Materialize(query, sources);
-  ASSERT_TRUE(mq.ok()) << mq.status().ToString();
-
-  // A result-growing insert (0 -a-> 4 exposes 4's a*b suffix to source 0), a
-  // no-op insert (7 is a sink for the query), and a cascading insert.
-  const std::vector<std::tuple<NodeId, Symbol, NodeId>> inserts = {
-      {0, a, 4}, {7, b, 7}, {3, a, 4}, {2, a, 4}};
-  for (const auto& [u, label, v] : inserts) {
-    ASSERT_TRUE(dynamic.InsertEdge(u, label, v));
-    auto results = (*mq)->Results();
-    ASSERT_TRUE(results.ok());
-    EXPECT_EQ(*results, Oracle(dynamic.graph(), query, sources));
-  }
-  // Every insert was repaired in place — no rebuild beyond the initial one.
-  EXPECT_EQ((*mq)->stats().full_evals, 1u);
-  EXPECT_EQ((*mq)->stats().insert_repairs + (*mq)->stats().insert_noops, 4u);
-  EXPECT_GT((*mq)->stats().insert_repairs, 0u);
-  EXPECT_GT((*mq)->stats().delta_cells_seeded, 0u);
-}
-
-TEST(MaterializedQueryTest, DeleteFallsBackToRebuild) {
-  DynamicGraph dynamic(SmallGraph());
-  Dfa query = CompileQuery("a*.b", dynamic.graph());
-  const Symbol a = *dynamic.graph().alphabet().Find("a");
-  const std::vector<NodeId> sources = {0, 4};
-  auto mq = dynamic.Materialize(query, sources);
-  ASSERT_TRUE(mq.ok());
-
-  ASSERT_TRUE(dynamic.DeleteEdge(1, a, 2));
-  EXPECT_FALSE((*mq)->in_sync());
-  auto results = (*mq)->Results();
-  ASSERT_TRUE(results.ok());
-  EXPECT_EQ(*results, Oracle(dynamic.graph(), query, sources));
-  EXPECT_EQ((*mq)->stats().delete_fallbacks, 1u);
-  EXPECT_EQ((*mq)->stats().full_evals, 2u);  // initial + the fallback rebuild
-}
-
-TEST(MaterializedQueryTest, UpdatesOutsideTheQueryAlphabetAreUntouched) {
-  DynamicGraph dynamic(SmallGraph());
-  // Hand-built two-symbol DFA for "a.b" over a three-label graph: label "c"
-  // (symbol 2) lies outside the query alphabet entirely.
+/// "a.b" as a hand-built two-symbol DFA over the three-label SmallGraph:
+/// label "c" (symbol 2) lies outside the query alphabet entirely.
+Dfa AThenBOverTwoSymbols() {
   Dfa query(2);
   const StateId q0 = query.AddState(false);
   const StateId q1 = query.AddState(false);
   const StateId q2 = query.AddState(true);
   query.SetTransition(q0, 0, q1);
   query.SetTransition(q1, 1, q2);
-  const Symbol c = *dynamic.graph().alphabet().Find("c");
-  const std::vector<NodeId> sources = {0, 1};
-  auto mq = dynamic.Materialize(query, sources);
-  ASSERT_TRUE(mq.ok()) << mq.status().ToString();
-  const PairVec before = *(*mq)->Results();
-
-  ASSERT_TRUE(dynamic.InsertEdge(0, c, 3));
-  ASSERT_TRUE(dynamic.DeleteEdge(6, c, 7));
-  EXPECT_TRUE((*mq)->in_sync());  // provably untouched, no invalidation
-  auto results = (*mq)->Results();
-  ASSERT_TRUE(results.ok());
-  EXPECT_EQ(*results, before);
-  EXPECT_EQ((*mq)->stats().untouched_updates, 2u);
-  EXPECT_EQ((*mq)->stats().delete_fallbacks, 0u);
-  EXPECT_EQ((*mq)->stats().full_evals, 1u);
+  return query;
 }
 
-TEST(MaterializedQueryTest, UnroutedIrrelevantMutationWarmHits) {
-  // A MaterializedQuery on a bare Graph (no DynamicGraph routing): mutations
-  // it never hears about must be caught by the version check on Results().
+TEST(MaterializedMonadicTest, InitialBuildMatchesFromScratch) {
   Graph graph = SmallGraph();
-  Dfa query(2);  // "a.b" as above; "c" is outside the alphabet
-  const StateId q0 = query.AddState(false);
-  const StateId q1 = query.AddState(false);
-  const StateId q2 = query.AddState(true);
-  query.SetTransition(q0, 0, q1);
-  query.SetTransition(q1, 1, q2);
-  const Symbol a = *graph.alphabet().Find("a");
-  const Symbol c = *graph.alphabet().Find("c");
-  const std::vector<NodeId> sources = {0};
-  auto mq = MaterializedQuery::Create(graph, query, sources);
-  ASSERT_TRUE(mq.ok());
-  const PairVec before = *(*mq)->Results();
-  const uint64_t warm_before = (*mq)->stats().warm_hits;
-
-  // Unrouted mutation of an irrelevant label: version() drifts but the
-  // per-label versions prove the result unchanged — re-sync, no rebuild.
-  ASSERT_TRUE(graph.InsertEdge(3, c, 0));
-  auto results = (*mq)->Results();
-  ASSERT_TRUE(results.ok());
-  EXPECT_EQ(*results, before);
-  EXPECT_GT((*mq)->stats().warm_hits, warm_before);
-  EXPECT_EQ((*mq)->stats().full_evals, 1u);
-
-  // Unrouted mutation of a label the query reads: must force a rebuild.
-  ASSERT_TRUE(graph.InsertEdge(0, a, 4));
-  auto after = (*mq)->Results();
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(*after, Oracle(graph, query, sources));
-  EXPECT_EQ((*mq)->stats().full_evals, 2u);
+  Dfa query = CompileQuery("a*.b", graph);
+  auto mm = MaterializedMonadic::Create(graph, query);
+  ASSERT_TRUE(mm.ok()) << mm.status().ToString();
+  auto selected = (*mm)->Results();
+  ASSERT_TRUE(selected.ok());
+  EXPECT_EQ(**selected, EvalMonadicOrDie(graph, query));
+  EXPECT_EQ((*mm)->stats().full_evals, 1u);
 }
 
-TEST(MaterializedQueryTest, WithheldReseedIsDetectable) {
-  // The fuzz campaign's sensitivity contract: withholding one delta-frontier
-  // re-seed must produce a result that differs from the from-scratch oracle
-  // (and the version bookkeeping must NOT auto-heal the corruption).
+TEST(MaterializedMonadicTest, InsertRepairIsBitIdentical) {
   DynamicGraph dynamic(SmallGraph());
   Dfa query = CompileQuery("a*.b", dynamic.graph());
   const Symbol a = *dynamic.graph().alphabet().Find("a");
-  const std::vector<NodeId> sources = {0};
-  auto mq = dynamic.Materialize(query, sources);
-  ASSERT_TRUE(mq.ok());
+  const Symbol b = *dynamic.graph().alphabet().Find("b");
+  auto mm = dynamic.MaterializeMonadic(query);
+  ASSERT_TRUE(mm.ok()) << mm.status().ToString();
 
-  (*mq)->SkipNextInsertReseedForTesting();
-  ASSERT_TRUE(dynamic.InsertEdge(0, a, 4));  // result-changing insert
-  auto results = (*mq)->Results();
-  ASSERT_TRUE(results.ok());
-  EXPECT_NE(*results, Oracle(dynamic.graph(), query, sources));
-}
-
-TEST(MaterializedQueryTest, RandomizedUpdateTraceStaysBitIdentical) {
-  ErdosRenyiOptions options;
-  options.num_nodes = 60;
-  options.num_edges = 180;
-  options.num_labels = 3;
-  options.seed = 11;
-  DynamicGraph dynamic(GenerateErdosRenyi(options));
-  Dfa query = CompileQuery("(l0+l1)*.l2", dynamic.graph());
-  std::vector<NodeId> sources;
-  for (NodeId v = 0; v < 10; ++v) sources.push_back(v);
-  auto mq = dynamic.Materialize(query, sources);
-  ASSERT_TRUE(mq.ok()) << mq.status().ToString();
-
-  Rng rng(0x1eaf);
-  for (int step = 0; step < 120; ++step) {
-    const NodeId u = static_cast<NodeId>(rng.NextBelow(options.num_nodes));
-    const NodeId v = static_cast<NodeId>(rng.NextBelow(options.num_nodes));
-    const Symbol label = static_cast<Symbol>(rng.NextBelow(3));
-    // Insert-heavy mix with occasional deletes and compactions.
-    const uint64_t kind = rng.NextBelow(10);
-    if (kind < 7) {
-      dynamic.InsertEdge(u, label, v);
-    } else if (kind < 9) {
-      dynamic.DeleteEdge(u, label, v);
-    } else {
-      dynamic.Compact();
-    }
-    if (step % 10 == 9) {
-      auto results = (*mq)->Results();
-      ASSERT_TRUE(results.ok());
-      ASSERT_EQ(*results, Oracle(dynamic.graph(), query, sources))
-          << "diverged at step " << step;
-    }
+  // Result-growing inserts (7 -a-> 0 selects 7 through 0's a*b path,
+  // 3 -a-> 4 selects 3) and inserts out of already-selected nodes, whose
+  // delta frontier is empty.
+  const std::vector<std::tuple<NodeId, Symbol, NodeId>> inserts = {
+      {7, a, 0}, {7, b, 7}, {3, a, 4}, {2, a, 4}};
+  for (const auto& [u, label, v] : inserts) {
+    ASSERT_TRUE(dynamic.InsertEdge(u, label, v));
+    auto selected = (*mm)->Results();
+    ASSERT_TRUE(selected.ok());
+    EXPECT_EQ(**selected, EvalMonadicOrDie(dynamic.graph(), query));
   }
-  EXPECT_GT((*mq)->stats().insert_repairs, 0u);
+  // Every insert was repaired in place — no rebuild beyond the initial one.
+  EXPECT_EQ((*mm)->stats().full_evals, 1u);
+  EXPECT_EQ((*mm)->stats().insert_repairs + (*mm)->stats().insert_noops, 4u);
+  EXPECT_GT((*mm)->stats().insert_repairs, 0u);
+  EXPECT_GT((*mm)->stats().insert_noops, 0u);
+  EXPECT_GT((*mm)->stats().delta_cells_seeded, 0u);
 }
 
 TEST(MaterializedMonadicTest, InsertAndDeleteStayBitIdentical) {
@@ -257,14 +117,90 @@ TEST(MaterializedMonadicTest, InsertAndDeleteStayBitIdentical) {
     }
     auto selected = (*mm)->Results();
     ASSERT_TRUE(selected.ok());
-    EXPECT_EQ(**selected, EvalMonadic(dynamic.graph(), query));
+    EXPECT_EQ(**selected, EvalMonadicOrDie(dynamic.graph(), query));
   }
   EXPECT_GT((*mm)->stats().insert_repairs, 0u);
   EXPECT_EQ((*mm)->stats().delete_fallbacks, 1u);
   EXPECT_EQ((*mm)->stats().full_evals, 2u);
 }
 
+TEST(MaterializedMonadicTest, DeleteFallsBackToRebuild) {
+  DynamicGraph dynamic(SmallGraph());
+  Dfa query = CompileQuery("a*.b", dynamic.graph());
+  const Symbol a = *dynamic.graph().alphabet().Find("a");
+  auto mm = dynamic.MaterializeMonadic(query);
+  ASSERT_TRUE(mm.ok());
+
+  // 0 reaches b only through 1 -a-> 2: the delete deselects 0 and 1.
+  ASSERT_TRUE(dynamic.DeleteEdge(1, a, 2));
+  EXPECT_FALSE((*mm)->in_sync());
+  EXPECT_EQ((*mm)->stats().delete_fallbacks, 1u);
+  EXPECT_EQ((*mm)->stats().full_evals, 1u);  // the rebuild is lazy
+  auto selected = (*mm)->Results();
+  ASSERT_TRUE(selected.ok());
+  EXPECT_EQ(**selected, EvalMonadicOrDie(dynamic.graph(), query));
+  EXPECT_FALSE((*selected)->Test(0));
+  EXPECT_EQ((*mm)->stats().full_evals, 2u);  // initial + the fallback rebuild
+  EXPECT_TRUE((*mm)->in_sync());
+}
+
+TEST(MaterializedMonadicTest, UpdatesOutsideTheQueryAlphabetAreUntouched) {
+  DynamicGraph dynamic(SmallGraph());
+  const Dfa query = AThenBOverTwoSymbols();
+  const Symbol c = *dynamic.graph().alphabet().Find("c");
+  auto mm = dynamic.MaterializeMonadic(query);
+  ASSERT_TRUE(mm.ok()) << mm.status().ToString();
+  const BitVector before = **(*mm)->Results();
+
+  ASSERT_TRUE(dynamic.InsertEdge(0, c, 3));
+  ASSERT_TRUE(dynamic.DeleteEdge(6, c, 7));
+  EXPECT_TRUE((*mm)->in_sync());  // provably untouched, no invalidation
+  auto selected = (*mm)->Results();
+  ASSERT_TRUE(selected.ok());
+  EXPECT_EQ(**selected, before);
+  EXPECT_EQ(**selected, EvalMonadicOrDie(dynamic.graph(), query));
+  EXPECT_EQ((*mm)->stats().untouched_updates, 2u);
+  EXPECT_EQ((*mm)->stats().insert_repairs + (*mm)->stats().insert_noops, 0u);
+  EXPECT_EQ((*mm)->stats().delete_fallbacks, 0u);
+  EXPECT_EQ((*mm)->stats().full_evals, 1u);
+}
+
+TEST(MaterializedMonadicTest, UnroutedIrrelevantMutationWarmHits) {
+  // A MaterializedMonadic on a bare Graph (no DynamicGraph routing):
+  // mutations it never hears about must be caught by the version check on
+  // Results().
+  Graph graph = SmallGraph();
+  const Dfa query = AThenBOverTwoSymbols();
+  const Symbol a = *graph.alphabet().Find("a");
+  const Symbol c = *graph.alphabet().Find("c");
+  auto mm = MaterializedMonadic::Create(graph, query);
+  ASSERT_TRUE(mm.ok());
+  const BitVector before = **(*mm)->Results();
+  const uint64_t warm_before = (*mm)->stats().warm_hits;
+
+  // Unrouted mutation of an irrelevant label: version() drifts but the
+  // per-label versions prove the result unchanged — re-sync, no rebuild.
+  ASSERT_TRUE(graph.InsertEdge(3, c, 0));
+  auto selected = (*mm)->Results();
+  ASSERT_TRUE(selected.ok());
+  EXPECT_EQ(**selected, before);
+  EXPECT_GT((*mm)->stats().warm_hits, warm_before);
+  EXPECT_EQ((*mm)->stats().full_evals, 1u);
+
+  // Unrouted mutation of a label the query reads: must force a rebuild
+  // (0 -a-> 5 -b-> 6 newly selects 0).
+  ASSERT_TRUE(graph.InsertEdge(0, a, 5));
+  auto after = (*mm)->Results();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(**after, EvalMonadicOrDie(graph, query));
+  EXPECT_TRUE((*after)->Test(0));
+  EXPECT_EQ((*mm)->stats().full_evals, 2u);
+}
+
 TEST(MaterializedMonadicTest, WithheldReseedIsDetectable) {
+  // The fuzz campaign's sensitivity contract: withholding one delta-frontier
+  // re-seed must produce a result that differs from the from-scratch oracle
+  // (and the version bookkeeping must NOT auto-heal the corruption).
   DynamicGraph dynamic(SmallGraph());
   Dfa query = CompileQuery("a*.b", dynamic.graph());
   const Symbol a = *dynamic.graph().alphabet().Find("a");
@@ -275,7 +211,53 @@ TEST(MaterializedMonadicTest, WithheldReseedIsDetectable) {
   ASSERT_TRUE(dynamic.InsertEdge(7, a, 0));  // 7 should become selected
   auto selected = (*mm)->Results();
   ASSERT_TRUE(selected.ok());
-  EXPECT_NE(**selected, EvalMonadic(dynamic.graph(), query));
+  EXPECT_NE(**selected, EvalMonadicOrDie(dynamic.graph(), query));
+}
+
+TEST(MaterializedMonadicTest, RandomizedUpdateTraceStaysBitIdentical) {
+  // Six 10-node chains of l0/l1 edges and no l2 edge: every node starts
+  // unselected, and an l2 insert selects its whole upstream chain over
+  // several repair rounds.
+  constexpr uint32_t kNodes = 60;
+  GraphBuilder builder;
+  builder.InternLabels({"l0", "l1", "l2"});
+  builder.AddNodes(kNodes);
+  for (NodeId v = 0; v < kNodes; ++v) {
+    if (v % 10 != 9) builder.AddEdge(v, v % 2 == 0 ? "l0" : "l1", v + 1);
+  }
+  DynamicGraph dynamic(builder.Build());
+  dynamic.set_auto_compact_threshold(0);  // compactions come from the trace
+  Dfa query = CompileQuery("(l0+l1)*.l2", dynamic.graph());
+  auto mm = dynamic.MaterializeMonadic(query);
+  ASSERT_TRUE(mm.ok()) << mm.status().ToString();
+
+  Rng rng(0x1eaf);
+  std::vector<std::tuple<NodeId, Symbol, NodeId>> inserted;
+  for (int step = 0; step < 160; ++step) {
+    // Insert-heavy mix with occasional deletes and compactions.
+    const uint64_t kind = rng.NextBelow(10);
+    if (kind < 8 || inserted.empty()) {
+      const NodeId u = static_cast<NodeId>(rng.NextBelow(kNodes));
+      const NodeId v = static_cast<NodeId>(rng.NextBelow(kNodes));
+      const Symbol label = static_cast<Symbol>(rng.NextBelow(3));
+      if (dynamic.InsertEdge(u, label, v)) inserted.emplace_back(u, label, v);
+    } else if (kind < 9) {
+      // Delete an edge the trace inserted, so every delete lands.
+      const size_t i = rng.NextBelow(inserted.size());
+      const auto [u, label, v] = inserted[i];
+      inserted.erase(inserted.begin() + static_cast<ptrdiff_t>(i));
+      ASSERT_TRUE(dynamic.DeleteEdge(u, label, v));
+    } else {
+      dynamic.Compact();
+    }
+    auto selected = (*mm)->Results();
+    ASSERT_TRUE(selected.ok());
+    ASSERT_EQ(**selected, EvalMonadicOrDie(dynamic.graph(), query))
+        << "diverged at step " << step;
+  }
+  EXPECT_GT((*mm)->stats().insert_repairs, 0u);
+  EXPECT_GT((*mm)->stats().delete_fallbacks, 0u);
+  EXPECT_GT((*mm)->stats().compactions_observed, 0u);
 }
 
 TEST(DfaFingerprintTest, DiscriminatesAndMatchesStructure) {
@@ -336,9 +318,8 @@ TEST(AutoCompactTest, PreservesVersionsAndMaterializedResults) {
   dynamic.set_auto_compact_threshold(3);
   Dfa query = CompileQuery("a*.b", dynamic.graph());
   const Symbol a = *dynamic.graph().alphabet().Find("a");
-  const std::vector<NodeId> sources = {0, 1, 4};
-  auto mq = dynamic.Materialize(query, sources);
-  ASSERT_TRUE(mq.ok());
+  auto mm = dynamic.MaterializeMonadic(query);
+  ASSERT_TRUE(mm.ok());
 
   const std::vector<std::pair<NodeId, NodeId>> inserts = {
       {0, 4}, {3, 4}, {2, 4}, {7, 0}, {6, 2}};
@@ -357,15 +338,15 @@ TEST(AutoCompactTest, PreservesVersionsAndMaterializedResults) {
       EXPECT_GT(dynamic.graph().version(), version_before);
       EXPECT_GT(dynamic.graph().label_version(a), label_before);
     }
-    auto results = (*mq)->Results();
-    ASSERT_TRUE(results.ok());
-    ASSERT_EQ(*results, Oracle(dynamic.graph(), query, sources));
+    auto selected = (*mm)->Results();
+    ASSERT_TRUE(selected.ok());
+    ASSERT_EQ(**selected, EvalMonadicOrDie(dynamic.graph(), query));
   }
   EXPECT_GT(dynamic.stats().auto_compactions, 0u);
-  EXPECT_GT((*mq)->stats().compactions_observed, 0u);
+  EXPECT_GT((*mm)->stats().compactions_observed, 0u);
   // Compactions never invalidated the fixed point: the only rebuild is the
   // initial one.
-  EXPECT_EQ((*mq)->stats().full_evals, 1u);
+  EXPECT_EQ((*mm)->stats().full_evals, 1u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "query/eval_reference.h"
 #include "query/path_query.h"
 #include "util/random.h"
+#include "eval_test_util.h"
 
 namespace rpqlearn {
 namespace {
@@ -74,14 +75,6 @@ TEST(EvalOptionsTest, InvalidDenseThresholdSurfacesFromEveryEntryPoint) {
   ASSERT_FALSE(monadic.ok());
   EXPECT_EQ(monadic.status().code(), StatusCode::kInvalidArgument);
 
-  StatusOr<BitVector> bounded = EvalMonadicBounded(g, q, 3, bad);
-  ASSERT_FALSE(bounded.ok());
-  EXPECT_EQ(bounded.status().code(), StatusCode::kInvalidArgument);
-
-  auto binary = EvalBinary(g, q, bad);
-  ASSERT_FALSE(binary.ok());
-  EXPECT_EQ(binary.status().code(), StatusCode::kInvalidArgument);
-
   const std::vector<NodeId> sources{0, 1};
   auto from_sources = EvalBinaryFromSources(g, q, sources, bad);
   ASSERT_FALSE(from_sources.ok());
@@ -124,7 +117,7 @@ TEST(EvalOptionsTest, UnknownCondenseModeIsInvalidArgument) {
   graph_options.seed = 5;
   Graph g = GenerateErdosRenyi(graph_options);
   Dfa q = SaturatingQuery(g);
-  auto binary = EvalBinary(g, q, options);
+  auto binary = EvalAllPairs(g, q, options);
   ASSERT_FALSE(binary.ok());
   EXPECT_EQ(binary.status().code(), StatusCode::kInvalidArgument);
   StatusOr<BitVector> monadic = EvalMonadic(g, q, options);
@@ -150,7 +143,7 @@ TEST(EvalOptionsTest, ForceModeIsHonored) {
   options.stats = &stats;
 
   options.force_mode = EvalMode::kSparse;
-  auto sparse = EvalBinary(g, q, options);
+  auto sparse = EvalAllPairs(g, q, options);
   ASSERT_TRUE(sparse.ok());
   EXPECT_GT(stats.sparse_rounds.load(), 0u);
   EXPECT_EQ(stats.dense_rounds.load(), 0u);
@@ -158,7 +151,7 @@ TEST(EvalOptionsTest, ForceModeIsHonored) {
 
   stats.Reset();
   options.force_mode = EvalMode::kDense;
-  auto dense = EvalBinary(g, q, options);
+  auto dense = EvalAllPairs(g, q, options);
   ASSERT_TRUE(dense.ok());
   EXPECT_GT(stats.dense_rounds.load(), 0u);
   EXPECT_EQ(stats.sparse_rounds.load(), 0u);
@@ -167,7 +160,7 @@ TEST(EvalOptionsTest, ForceModeIsHonored) {
   stats.Reset();
   options.force_mode = EvalMode::kAuto;
   options.dense_threshold = 0.0;
-  auto auto_dense = EvalBinary(g, q, options);
+  auto auto_dense = EvalAllPairs(g, q, options);
   ASSERT_TRUE(auto_dense.ok());
   EXPECT_GT(stats.dense_rounds.load(), 0u);
   EXPECT_EQ(stats.sparse_rounds.load(), 0u);
@@ -196,7 +189,7 @@ TEST(EvalOptionsTest, HybridSwitchesBothWaysOnSaturatingQuery) {
   // crosses the dense threshold; pin it off so this test keeps exercising
   // the sparse↔dense crossover itself.
   sparse_only.condense = CondenseMode::kOff;
-  auto expected = EvalBinary(g, q, sparse_only);
+  auto expected = EvalAllPairs(g, q, sparse_only);
   ASSERT_TRUE(expected.ok());
 
   EvalStats stats;
@@ -205,7 +198,7 @@ TEST(EvalOptionsTest, HybridSwitchesBothWaysOnSaturatingQuery) {
   hybrid.dense_threshold = 0.02;
   hybrid.condense = CondenseMode::kOff;
   hybrid.stats = &stats;
-  auto result = EvalBinary(g, q, hybrid);
+  auto result = EvalAllPairs(g, q, hybrid);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(*result, *expected);
   EXPECT_GT(stats.dense_rounds.load(), 0u)
@@ -225,7 +218,7 @@ TEST(EvalOptionsTest, MonadicRoundCountersTrackForceMode) {
   graph_options.seed = 11;
   Graph g = GenerateErdosRenyi(graph_options);
   Dfa q = SaturatingQuery(g);
-  const BitVector expected = EvalMonadic(g, q);
+  const BitVector expected = EvalMonadicOrDie(g, q);
 
   EvalStats sparse_stats;
   EvalOptions sparse;

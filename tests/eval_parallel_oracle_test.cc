@@ -9,6 +9,7 @@
 #include "query/eval.h"
 #include "query/eval_reference.h"
 #include "util/random.h"
+#include "eval_test_util.h"
 
 namespace rpqlearn {
 namespace {
@@ -84,7 +85,7 @@ TEST(EvalParallelOracleTest, MonadicMatchesSequentialAndReference) {
     Dfa q = RandomQuery(
         &rng, 1 + static_cast<uint32_t>(rng.NextBelow(num_labels)));
     const BitVector reference = EvalMonadicReference(g, q);
-    const BitVector sequential = EvalMonadic(g, q);
+    const BitVector sequential = EvalMonadicOrDie(g, q);
     EXPECT_TRUE(sequential == reference) << "iteration " << iteration;
     for (uint32_t threads : kThreadSweep) {
       StatusOr<BitVector> parallel =
@@ -96,36 +97,16 @@ TEST(EvalParallelOracleTest, MonadicMatchesSequentialAndReference) {
   }
 }
 
-TEST(EvalParallelOracleTest, MonadicBoundedMatchesSequentialAndReference) {
-  Rng rng(22);
-  for (int iteration = 0; iteration < 40; ++iteration) {
-    Graph g = RandomGraph(&rng, 60, 3);
-    Dfa q = RandomQuery(&rng, 3);
-    const uint32_t bound = static_cast<uint32_t>(rng.NextBelow(7));
-    const BitVector reference = EvalMonadicBoundedReference(g, q, bound);
-    const BitVector sequential = EvalMonadicBounded(g, q, bound);
-    EXPECT_TRUE(sequential == reference) << "iteration " << iteration;
-    for (uint32_t threads : kThreadSweep) {
-      StatusOr<BitVector> parallel =
-          EvalMonadicBounded(g, q, bound, ParallelOptions(threads));
-      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-      EXPECT_TRUE(*parallel == sequential)
-          << "iteration " << iteration << ", threads " << threads
-          << ", bound " << bound;
-    }
-  }
-}
-
 TEST(EvalParallelOracleTest, BinaryMatchesSequentialAndReference) {
   Rng rng(23);
   for (int iteration = 0; iteration < 30; ++iteration) {
     Graph g = RandomGraph(&rng, 60, 3);
     Dfa q = RandomQuery(&rng, 3);
     const auto reference = EvalBinaryReference(g, q);
-    const auto sequential = EvalBinary(g, q);
+    const auto sequential = EvalAllPairsOrDie(g, q);
     EXPECT_EQ(sequential, reference) << "iteration " << iteration;
     for (uint32_t threads : kThreadSweep) {
-      auto parallel = EvalBinary(g, q, ParallelOptions(threads));
+      auto parallel = EvalAllPairs(g, q, ParallelOptions(threads));
       ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
       EXPECT_EQ(*parallel, sequential)
           << "iteration " << iteration << ", threads " << threads;
@@ -145,11 +126,11 @@ TEST(EvalParallelOracleTest, BinaryCrossesLaneBoundariesEveryThreadCount) {
     options.seed = rng.Next();
     Graph g = GenerateErdosRenyi(options);
     Dfa q = RandomQuery(&rng, 3);
-    const auto sequential = EvalBinary(g, q);
+    const auto sequential = EvalAllPairsOrDie(g, q);
     EXPECT_EQ(sequential, EvalBinaryReference(g, q))
         << "iteration " << iteration;
     for (uint32_t threads : kThreadSweep) {
-      auto parallel = EvalBinary(g, q, ParallelOptions(threads));
+      auto parallel = EvalAllPairs(g, q, ParallelOptions(threads));
       ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
       EXPECT_EQ(*parallel, sequential)
           << "iteration " << iteration << ", threads " << threads;
@@ -246,7 +227,7 @@ TEST(EvalParallelPropertyTest, MonadicInvariantUnderThresholdAndThreads) {
   Rng rng(28);
   Graph g = RandomGraph(&rng, 120, 3);
   Dfa q = RandomQuery(&rng, 3);
-  const BitVector expected = EvalMonadic(g, q);
+  const BitVector expected = EvalMonadicOrDie(g, q);
   for (uint32_t threads : kThreadSweep) {
     for (size_t threshold : {size_t{0}, size_t{1} << 10, size_t{1} << 30}) {
       EvalOptions options;
@@ -270,14 +251,6 @@ TEST(EvalParallelOracleTest, ZeroThreadsIsInvalidArgumentEverywhere) {
   StatusOr<BitVector> monadic = EvalMonadic(g, q, zero);
   ASSERT_FALSE(monadic.ok());
   EXPECT_EQ(monadic.status().code(), StatusCode::kInvalidArgument);
-
-  StatusOr<BitVector> bounded = EvalMonadicBounded(g, q, 3, zero);
-  ASSERT_FALSE(bounded.ok());
-  EXPECT_EQ(bounded.status().code(), StatusCode::kInvalidArgument);
-
-  auto binary = EvalBinary(g, q, zero);
-  ASSERT_FALSE(binary.ok());
-  EXPECT_EQ(binary.status().code(), StatusCode::kInvalidArgument);
 
   const std::vector<NodeId> sources{0};
   auto from_sources = EvalBinaryFromSources(g, q, sources, zero);
@@ -324,8 +297,8 @@ TEST(EvalParallelOracleTest, DefaultOptionsMatchSequentialOnLargerGraph) {
   StatusOr<BitVector> defaulted = EvalMonadic(g, q, EvalOptions{});
   ASSERT_TRUE(defaulted.ok());
   EXPECT_TRUE(*defaulted == *sequential);
-  auto binary_sequential = EvalBinary(g, q, one_thread);
-  auto binary_defaulted = EvalBinary(g, q, EvalOptions{});
+  auto binary_sequential = EvalAllPairs(g, q, one_thread);
+  auto binary_defaulted = EvalAllPairs(g, q, EvalOptions{});
   ASSERT_TRUE(binary_sequential.ok() && binary_defaulted.ok());
   EXPECT_EQ(*binary_defaulted, *binary_sequential);
 }

@@ -6,6 +6,7 @@
 #include "regex/random_regex.h"
 #include "regex/to_nfa.h"
 #include "util/random.h"
+#include "eval_test_util.h"
 
 namespace rpqlearn {
 namespace {
@@ -47,7 +48,7 @@ TEST_P(EvalPropertyTest, ProductEngineMatchesEnumeration) {
     // keep the bound small enough to enumerate.
     uint32_t bound = std::min<uint32_t>(
         10, graph.num_nodes() * std::max(1u, query.num_states()));
-    BitVector fast = EvalMonadic(graph, query);
+    BitVector fast = EvalMonadicOrDie(graph, query);
     BitVector slow = EvalByEnumeration(graph, query, bound);
     // Enumeration may under-approximate if the bound truncates; it must
     // always be a subset, and equal when the bound was not the limiter.
@@ -75,12 +76,12 @@ TEST_P(EvalPropertyTest, BoundedEvalIsMonotoneInLength) {
 
   BitVector previous(graph.num_nodes());
   for (uint32_t len = 0; len <= 8; ++len) {
-    BitVector current = EvalMonadicBounded(graph, query, len);
+    BitVector current = EvalMonadicBoundedReference(graph, query, len);
     EXPECT_TRUE(previous.IsSubsetOf(current)) << "length " << len;
     previous = current;
   }
   // The unbounded result dominates every bounded one.
-  BitVector full = EvalMonadic(graph, query);
+  BitVector full = EvalMonadicOrDie(graph, query);
   EXPECT_TRUE(previous.IsSubsetOf(full));
 }
 
@@ -101,11 +102,13 @@ TEST_P(EvalPropertyTest, BinaryDiagonalConsistency) {
   RegexPtr regex = RandomRegex(&rng, regex_options);
   Dfa query = RegexToCanonicalDfa(regex, 2);
 
-  BitVector monadic = EvalMonadic(graph, query);
+  BitVector monadic = EvalMonadicOrDie(graph, query);
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    BitVector from_v = EvalBinaryFrom(graph, query, v);
+    const std::vector<NodeId> source = {v};
+    auto from_v = EvalBinaryFromSources(graph, query, source);
+    ASSERT_TRUE(from_v.ok()) << from_v.status().ToString();
     // Monadic selection of v ⟺ some binary target from v exists.
-    EXPECT_EQ(monadic.Test(v), from_v.Any()) << "node " << v;
+    EXPECT_EQ(monadic.Test(v), !from_v->empty()) << "node " << v;
   }
 }
 

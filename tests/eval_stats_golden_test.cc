@@ -6,6 +6,7 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "query/eval.h"
+#include "eval_test_util.h"
 
 namespace rpqlearn {
 namespace {
@@ -90,7 +91,7 @@ StatsSnapshot RunPoint(const Graph& g, const Dfa& q, Engine engine,
   options.condense = condense;
   options.stats = &stats;
   if (engine == Engine::kBinary) {
-    auto result = EvalBinary(g, q, options);
+    auto result = EvalAllPairs(g, q, options);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
   } else {
     StatusOr<BitVector> result = EvalMonadic(g, q, options);
@@ -167,14 +168,14 @@ TEST(EvalStatsGoldenTest, ForcedModesShiftRoundKindsOnly) {
   options.stats = &stats;
 
   options.force_mode = EvalMode::kSparse;
-  ASSERT_TRUE(EvalBinary(g, q, options).ok());
+  ASSERT_TRUE(EvalAllPairs(g, q, options).ok());
   EXPECT_EQ(stats.dense_rounds.load(), 0u);
   EXPECT_EQ(stats.dense_batches.load(), 0u);
   EXPECT_GT(stats.sparse_rounds.load(), 0u);
 
   stats.Reset();
   options.force_mode = EvalMode::kDense;
-  ASSERT_TRUE(EvalBinary(g, q, options).ok());
+  ASSERT_TRUE(EvalAllPairs(g, q, options).ok());
   EXPECT_EQ(stats.sparse_rounds.load(), 0u);
   EXPECT_EQ(stats.dense_batches.load(), 3u);
   EXPECT_GT(stats.dense_rounds.load(), 0u);

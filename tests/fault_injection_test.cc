@@ -18,6 +18,7 @@
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/status.h"
+#include "eval_test_util.h"
 
 namespace rpqlearn {
 namespace {
@@ -90,7 +91,7 @@ StatusOr<std::string> RunOnce(const Graph& graph, const Dfa& query,
   std::string rendered;
   if (config.binary) {
     StatusOr<std::vector<std::pair<NodeId, NodeId>>> pairs =
-        EvalBinary(graph, query, options);
+        EvalAllPairs(graph, query, options);
     if (!pairs.ok()) return pairs.status();
     for (const auto& [src, dst] : *pairs) {
       rendered += std::to_string(src) + ">" + std::to_string(dst) + ";";

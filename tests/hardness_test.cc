@@ -4,6 +4,7 @@
 #include "learn/hardness.h"
 #include "learn/learner.h"
 #include "query/eval.h"
+#include "eval_test_util.h"
 
 namespace rpqlearn {
 namespace {
@@ -99,7 +100,7 @@ TEST(UniversalityReductionTest, LearnerFindsConsistentQueryWhenOneExists) {
   LearnOutcome outcome =
       LearnPathQuery(instance.graph, instance.sample, options);
   ASSERT_FALSE(outcome.is_null);
-  BitVector selected = EvalMonadic(instance.graph, outcome.query);
+  BitVector selected = EvalMonadicOrDie(instance.graph, outcome.query);
   for (NodeId v : instance.sample.positive) EXPECT_TRUE(selected.Test(v));
   for (NodeId v : instance.sample.negative) EXPECT_FALSE(selected.Test(v));
 }
@@ -155,7 +156,7 @@ TEST(SatReductionTest, LearnerExtractsSatisfyingAssignment) {
   LearnOutcome outcome =
       LearnPathQuery(instance.graph, instance.sample, options);
   ASSERT_FALSE(outcome.is_null);
-  BitVector selected = EvalMonadic(instance.graph, outcome.query);
+  BitVector selected = EvalMonadicOrDie(instance.graph, outcome.query);
   for (NodeId v : instance.sample.positive) EXPECT_TRUE(selected.Test(v));
   for (NodeId v : instance.sample.negative) EXPECT_FALSE(selected.Test(v));
 }

@@ -13,6 +13,7 @@
 #include "util/fault.h"
 #include "util/random.h"
 #include "workloads/workloads.h"
+#include "eval_test_util.h"
 
 namespace rpqlearn {
 namespace {
@@ -172,7 +173,7 @@ TEST(IncrementalLearnerTest, NegativeSelectedByHypothesisDropsMemo) {
   sample.AddNegative(5);
   const LearnOutcome before = learner.LearnAtK(2);
   ASSERT_FALSE(before.is_null);
-  ASSERT_TRUE(EvalMonadic(g, before.query).Test(2));  // b*c selects ν3
+  ASSERT_TRUE(EvalMonadicOrDie(g, before.query).Test(2));  // b*c selects ν3
   const auto words_before = ScpWords(g, sample, 2);
 
   learner.AddNegative(2);
@@ -182,7 +183,7 @@ TEST(IncrementalLearnerTest, NegativeSelectedByHypothesisDropsMemo) {
   ExpectSameOutcome(after, LearnPathQuery(g, sample, options));
   ASSERT_FALSE(after.is_null);
   EXPECT_FALSE(after.query == before.query);
-  EXPECT_FALSE(EvalMonadic(g, after.query).Test(2));
+  EXPECT_FALSE(EvalMonadicOrDie(g, after.query).Test(2));
   EXPECT_EQ(after.stats.merges_accepted, 0u);
 }
 
@@ -284,7 +285,7 @@ TEST_P(IncrementalEquivalenceTest, RandomLabelStreamsMatchBatch) {
   // generalization or ran RPNI again.
   Dataset dataset = BuildSyntheticDataset(300, /*seed=*/GetParam());
   const Graph& g = dataset.graph;
-  BitVector goal = EvalMonadic(g, dataset.queries[1].query);
+  BitVector goal = EvalMonadicOrDie(g, dataset.queries[1].query);
   Rng rng(GetParam() * 7919 + 1);
 
   LearnerOptions options;

@@ -8,6 +8,7 @@
 #include "regex/random_regex.h"
 #include "regex/to_nfa.h"
 #include "util/random.h"
+#include "eval_test_util.h"
 
 namespace rpqlearn {
 namespace {
@@ -34,7 +35,7 @@ TEST_P(LearnerSoundnessTest, SoundWithAbstainOnRandomInstances) {
   for (int round = 0; round < 5; ++round) {
     RegexPtr goal_regex = RandomRegex(&rng, regex_options);
     Dfa goal = RegexToCanonicalDfa(goal_regex, 3);
-    BitVector goal_set = EvalMonadic(graph, goal);
+    BitVector goal_set = EvalMonadicOrDie(graph, goal);
 
     // Oracle-labeled random sample.
     Sample sample;
@@ -58,7 +59,7 @@ TEST_P(LearnerSoundnessTest, SoundWithAbstainOnRandomInstances) {
       EXPECT_FALSE(sample.positive.empty()) << "round " << round;
       continue;
     }
-    BitVector selected = EvalMonadic(graph, outcome.query);
+    BitVector selected = EvalMonadicOrDie(graph, outcome.query);
     for (NodeId v : sample.positive) {
       EXPECT_TRUE(selected.Test(v)) << "round " << round << " node " << v;
     }
@@ -86,7 +87,7 @@ TEST_P(LearnerSoundnessTest, OracleSamplesAreConsistent) {
   regex_options.max_depth = 3;
   RegexPtr goal_regex = RandomRegex(&rng, regex_options);
   Dfa goal = RegexToCanonicalDfa(goal_regex, 2);
-  BitVector goal_set = EvalMonadic(graph, goal);
+  BitVector goal_set = EvalMonadicOrDie(graph, goal);
 
   Sample sample;
   for (NodeId v = 0; v < graph.num_nodes(); v += 3) {
@@ -117,7 +118,7 @@ TEST_P(LearnerSoundnessTest, DynamicKFindsFirstWorkingK) {
   regex_options.num_symbols = 2;
   regex_options.max_depth = 3;
   Dfa goal = RegexToCanonicalDfa(RandomRegex(&rng, regex_options), 2);
-  BitVector goal_set = EvalMonadic(graph, goal);
+  BitVector goal_set = EvalMonadicOrDie(graph, goal);
 
   Sample sample;
   for (int i = 0; i < 8; ++i) {

@@ -8,6 +8,7 @@
 #include "query/path_query.h"
 #include "regex/printer.h"
 #include "regex/from_dfa.h"
+#include "eval_test_util.h"
 
 namespace rpqlearn {
 namespace {
@@ -90,8 +91,8 @@ TEST(LearnerTest, Figure8LearnsEquivalentQueryA) {
   ASSERT_FALSE(outcome.is_null);
   EXPECT_TRUE(AreEquivalent(outcome.query, QueryOn(g, "a")));
   // Same node set as the goal (a·b)*·c on this graph.
-  BitVector learned_set = EvalMonadic(g, outcome.query);
-  BitVector goal_set = EvalMonadic(g, QueryOn(g, "(a.b)*.c"));
+  BitVector learned_set = EvalMonadicOrDie(g, outcome.query);
+  BitVector goal_set = EvalMonadicOrDie(g, QueryOn(g, "(a.b)*.c"));
   EXPECT_TRUE(learned_set == goal_set);
 }
 
@@ -100,7 +101,7 @@ TEST(LearnerTest, ResultIsConsistentWithSample) {
   Sample sample = ToSample(Figure3Sample());
   LearnOutcome outcome = LearnPathQuery(g, sample, {});
   ASSERT_FALSE(outcome.is_null);
-  BitVector selected = EvalMonadic(g, outcome.query);
+  BitVector selected = EvalMonadicOrDie(g, outcome.query);
   for (NodeId v : sample.positive) EXPECT_TRUE(selected.Test(v));
   for (NodeId v : sample.negative) EXPECT_FALSE(selected.Test(v));
 }
@@ -121,7 +122,7 @@ TEST(LearnerTest, NoNegativesLearnsEpsilon) {
   LearnOutcome outcome = LearnPathQuery(g, sample, {});
   ASSERT_FALSE(outcome.is_null);
   EXPECT_TRUE(outcome.query.Accepts({}));
-  EXPECT_EQ(EvalMonadic(g, outcome.query).Count(), g.num_nodes());
+  EXPECT_EQ(EvalMonadicOrDie(g, outcome.query).Count(), g.num_nodes());
 }
 
 TEST(LearnerTest, EmptySampleLearnsEmptyQuery) {
@@ -162,7 +163,7 @@ TEST(LearnerTest, Figure10LearnsB) {
   ASSERT_FALSE(outcome.is_null);
   EXPECT_TRUE(AreEquivalent(outcome.query, QueryOn(g, "b")));
   // The certain node (id 2) is selected by the learned query.
-  EXPECT_TRUE(SelectsNode(g, outcome.query, 2));
+  EXPECT_TRUE(EvalMonadicOrDie(g, outcome.query).Test(2));
 }
 
 TEST(LearnerTest, GeoExampleFromIntroduction) {
@@ -174,7 +175,7 @@ TEST(LearnerTest, GeoExampleFromIntroduction) {
   sample.negative = {g.FindNodeByName("N5")};
   LearnOutcome outcome = LearnPathQuery(g, sample, {});
   ASSERT_FALSE(outcome.is_null);
-  BitVector selected = EvalMonadic(g, outcome.query);
+  BitVector selected = EvalMonadicOrDie(g, outcome.query);
   EXPECT_TRUE(selected.Test(g.FindNodeByName("N2")));
   EXPECT_TRUE(selected.Test(g.FindNodeByName("N6")));
   EXPECT_FALSE(selected.Test(g.FindNodeByName("N5")));

@@ -7,6 +7,7 @@
 #include "query/path_query.h"
 #include "regex/parser.h"
 #include "regex/to_nfa.h"
+#include "eval_test_util.h"
 
 namespace rpqlearn {
 namespace {
@@ -63,7 +64,7 @@ TEST(PathQueryTest, EquivalentQueriesSelectSameNodes) {
   auto q2 = PathQuery::Parse("a.b*", &alphabet, g.num_symbols());
   ASSERT_TRUE(q1.ok());
   ASSERT_TRUE(q2.ok());
-  EXPECT_TRUE(EvalMonadic(g, q1->dfa()) == EvalMonadic(g, q2->dfa()));
+  EXPECT_TRUE(EvalMonadicOrDie(g, q1->dfa()) == EvalMonadicOrDie(g, q2->dfa()));
 }
 
 TEST(PathQueryTest, ToRegexStringRoundTrips) {

@@ -16,6 +16,7 @@
 #include "util/exec_context.h"
 #include "util/fault.h"
 #include "workloads/workloads.h"
+#include "eval_test_util.h"
 
 namespace rpqlearn {
 namespace {
@@ -35,7 +36,7 @@ TEST(SessionTest, ConvergesOnFig3Goal) {
   options.seed = 3;
   SessionResult result = RunInteractiveSession(g, oracle, options);
   ASSERT_TRUE(result.reached_goal);
-  BitVector learned_set = EvalMonadic(g, result.final_query);
+  BitVector learned_set = EvalMonadicOrDie(g, result.final_query);
   EXPECT_TRUE(learned_set == oracle.goal());
   EXPECT_LE(result.interactions.size(), g.num_nodes());
 }
@@ -51,7 +52,7 @@ TEST(SessionTest, ConvergesOnGeoGoal) {
     options.seed = 11;
     SessionResult result = RunInteractiveSession(g, oracle, options);
     ASSERT_TRUE(result.reached_goal) << "strategy " << static_cast<int>(kind);
-    EXPECT_TRUE(EvalMonadic(g, result.final_query) == oracle.goal());
+    EXPECT_TRUE(EvalMonadicOrDie(g, result.final_query) == oracle.goal());
   }
 }
 
@@ -114,7 +115,7 @@ TEST(SessionTest, EmptyGoalConvergesToEmptyQuery) {
   options.seed = 19;
   SessionResult result = RunInteractiveSession(g, oracle, options);
   ASSERT_TRUE(result.reached_goal);
-  EXPECT_TRUE(EvalMonadic(g, result.final_query).None());
+  EXPECT_TRUE(EvalMonadicOrDie(g, result.final_query).None());
 }
 
 /// Interaction traces and learned selections must be bit-identical: the
@@ -129,8 +130,8 @@ void CheckSessionsIdentical(const Graph& graph, const SessionResult& a,
     EXPECT_EQ(a.interactions[i].f1, b.interactions[i].f1);
   }
   EXPECT_EQ(a.reached_goal, b.reached_goal);
-  EXPECT_TRUE(EvalMonadic(graph, a.final_query) ==
-              EvalMonadic(graph, b.final_query));
+  EXPECT_TRUE(EvalMonadicOrDie(graph, a.final_query) ==
+              EvalMonadicOrDie(graph, b.final_query));
 }
 
 TEST(SessionTest, StaleEvalCachesCannotLeakIntoAMutatedGraphSession) {

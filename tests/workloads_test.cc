@@ -2,6 +2,7 @@
 
 #include "query/eval.h"
 #include "workloads/workloads.h"
+#include "eval_test_util.h"
 
 namespace rpqlearn {
 namespace {
@@ -18,7 +19,7 @@ TEST(AlibabaTest, QueriesSelectSomething) {
   // The paper kept only queries selecting ≥1 node; ours must too.
   Dataset dataset = BuildAlibabaDataset();
   for (const Workload& w : dataset.queries) {
-    BitVector result = EvalMonadic(dataset.graph, w.query);
+    BitVector result = EvalMonadicOrDie(dataset.graph, w.query);
     EXPECT_GE(result.Count(), 1u) << w.name;
   }
 }
@@ -29,7 +30,7 @@ TEST(AlibabaTest, SelectivityOrderingFollowsTable1) {
   std::vector<double> sel;
   for (const Workload& w : dataset.queries) {
     sel.push_back(
-        static_cast<double>(EvalMonadic(dataset.graph, w.query).Count()) /
+        static_cast<double>(EvalMonadicOrDie(dataset.graph, w.query).Count()) /
         dataset.graph.num_nodes());
   }
   EXPECT_LT(sel[0], sel[2]);  // bio1 < bio3
@@ -44,8 +45,8 @@ TEST(AlibabaTest, Bio5IsRefinementOfBio6) {
   // Every node selected by bio5 = A·A·A*·I·I·I* is selected by
   // bio6 = A·A·A* (prefix).
   Dataset dataset = BuildAlibabaDataset();
-  BitVector bio5 = EvalMonadic(dataset.graph, dataset.queries[4].query);
-  BitVector bio6 = EvalMonadic(dataset.graph, dataset.queries[5].query);
+  BitVector bio5 = EvalMonadicOrDie(dataset.graph, dataset.queries[4].query);
+  BitVector bio6 = EvalMonadicOrDie(dataset.graph, dataset.queries[5].query);
   EXPECT_TRUE(bio5.IsSubsetOf(bio6));
 }
 
@@ -63,7 +64,7 @@ TEST(SyntheticTest, SelectivityOrdering) {
   std::vector<double> sel;
   for (const Workload& w : dataset.queries) {
     sel.push_back(
-        static_cast<double>(EvalMonadic(dataset.graph, w.query).Count()) /
+        static_cast<double>(EvalMonadicOrDie(dataset.graph, w.query).Count()) /
         dataset.graph.num_nodes());
   }
   EXPECT_LT(sel[0], sel[1]);  // syn1 < syn2
