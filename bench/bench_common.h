@@ -100,36 +100,9 @@ inline uint32_t EvalThreads() {
   return ParseEnvOrDie("RPQ_EVAL_THREADS", DefaultEvalThreads());
 }
 
-/// Direction-optimizing crossover, selected with RPQ_EVAL_DENSE_THRESHOLD
-/// (fraction of the product-pair space a round's frontier must reach to run
-/// dense; must lie in [0, 1]).
-inline double EvalDenseThreshold() {
-  const char* env = std::getenv("RPQ_EVAL_DENSE_THRESHOLD");
-  if (env == nullptr) return EvalOptions{}.dense_threshold;
-  char* end = nullptr;
-  const double parsed = std::strtod(env, &end);
-  if (end == env || *end != '\0' || !(parsed >= 0.0 && parsed <= 1.0)) {
-    DieBadKnob("RPQ_EVAL_DENSE_THRESHOLD", env, "a number in [0, 1]");
-  }
-  return parsed;
-}
-
-/// Traversal-direction pin, selected with RPQ_EVAL_MODE (`auto` — the
-/// per-round heuristic, default — or `sparse` / `dense` to pin one round
-/// kind).
-inline EvalMode EvalForceMode() {
-  const char* env = std::getenv("RPQ_EVAL_MODE");
-  if (env == nullptr) return EvalMode::kAuto;
-  const std::string value(env);
-  if (value == "auto") return EvalMode::kAuto;
-  if (value == "sparse") return EvalMode::kSparse;
-  if (value == "dense") return EvalMode::kDense;
-  DieBadKnob("RPQ_EVAL_MODE", env, "\"auto\", \"sparse\" or \"dense\"");
-}
-
-/// SCC-condensation policy of the kleene-star planner step, selected with
-/// RPQ_EVAL_CONDENSE (`auto` — the summary-gated default — or `on` / `off`
-/// to pin it). Results are bit-identical for every mode (see "SCC
+/// SCC-condensation policy of the binary kleene-star planner step,
+/// selected with RPQ_EVAL_CONDENSE (`auto` — the summary-gated default — or
+/// `on` / `off` to pin it). Results are bit-identical for every mode (see "SCC
 /// condensation" in docs/ARCHITECTURE.md).
 inline CondenseMode EvalCondense() {
   const char* env = std::getenv("RPQ_EVAL_CONDENSE");
@@ -152,7 +125,7 @@ inline uint32_t EvalDeadlineMs() {
 
 /// Evaluation scratch budget in MiB, selected with RPQ_EVAL_MEM_BUDGET_MB
 /// (unset = unlimited). Covers the byte-accounted product-space scratch of
-/// the round engines — bitmaps, lane masks, condensation heaps —
+/// the round engines — reached bitmaps, lane masks, condensation tables —
 /// not the graph or index structures themselves.
 inline uint32_t EvalMemBudgetMb() {
   return ParseEnvOrDie("RPQ_EVAL_MEM_BUDGET_MB", 0);
@@ -205,14 +178,11 @@ inline ExecContext* EnvExecContext() {
 }
 
 /// EvalOptions for the current environment: RPQ_EVAL_THREADS workers, the
-/// RPQ_EVAL_DENSE_THRESHOLD / RPQ_EVAL_MODE direction knobs, the
 /// RPQ_EVAL_CONDENSE kleene-star condensation policy, and the
 /// RPQ_EVAL_DEADLINE_MS / RPQ_EVAL_MEM_BUDGET_MB execution-control limits.
 inline EvalOptions EvalConfig() {
   EvalOptions options;
   options.threads = EvalThreads();
-  options.dense_threshold = EvalDenseThreshold();
-  options.force_mode = EvalForceMode();
   options.condense = EvalCondense();
   options.exec = EnvExecContext();
   return options;

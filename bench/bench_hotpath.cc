@@ -243,107 +243,6 @@ ParallelEvalResult BenchParallelEval(uint32_t num_nodes, int trials) {
   return result;
 }
 
-struct DirectionFixtureResult {
-  uint32_t nodes = 0;
-  size_t edges = 0;
-  double sparse_seconds = 0;
-  double dense_seconds = 0;
-  double hybrid_seconds = 0;
-  uint64_t hybrid_sparse_rounds = 0;
-  uint64_t hybrid_dense_rounds = 0;
-  uint64_t hybrid_dense_batches = 0;
-};
-
-/// Sparse vs dense vs hybrid (auto crossover) rounds of the batched binary
-/// BFS on one scale-free fixture, pinned to one thread so the direction of
-/// each round is the only variable. All three modes are checked
-/// bit-identical before timing; the hybrid run records its round mix so the
-/// JSON shows where the crossover landed.
-DirectionFixtureResult BenchDirection(uint32_t num_nodes,
-                                      size_t edges_per_node, int trials) {
-  ScaleFreeOptions graph_options;
-  graph_options.num_nodes = num_nodes;
-  graph_options.num_edges = edges_per_node * static_cast<size_t>(num_nodes);
-  graph_options.num_labels = 8;
-  graph_options.seed = 7;
-  Graph graph = GenerateScaleFree(graph_options);
-  Dfa query = CompileQuery("(l0+l1)*.l2", graph);
-
-  auto mode_options = [](EvalMode mode) {
-    EvalOptions options;
-    options.threads = 1;
-    options.force_mode = mode;
-    options.dense_threshold = bench::EvalDenseThreshold();
-    return options;
-  };
-
-  DirectionFixtureResult result;
-  result.nodes = graph.num_nodes();
-  result.edges = graph.num_edges();
-
-  auto sparse_pairs =
-      bench::EvalAllPairs(graph, query, mode_options(EvalMode::kSparse));
-  auto dense_pairs =
-      bench::EvalAllPairs(graph, query, mode_options(EvalMode::kDense));
-  auto hybrid_pairs =
-      bench::EvalAllPairs(graph, query, mode_options(EvalMode::kAuto));
-  RPQ_CHECK(sparse_pairs.ok() && dense_pairs.ok() && hybrid_pairs.ok());
-  RPQ_CHECK(*dense_pairs == *sparse_pairs)
-      << "forced-dense all-pairs evaluation diverged from forced-sparse";
-  RPQ_CHECK(*hybrid_pairs == *sparse_pairs)
-      << "hybrid all-pairs evaluation diverged from forced-sparse";
-
-  WallTimer timer;
-  for (int t = 0; t < trials; ++t) {
-    auto pairs =
-        bench::EvalAllPairs(graph, query, mode_options(EvalMode::kSparse));
-    RPQ_CHECK_EQ(pairs->size(), sparse_pairs->size());
-  }
-  result.sparse_seconds = timer.ElapsedSeconds() / trials;
-  timer.Restart();
-  for (int t = 0; t < trials; ++t) {
-    auto pairs =
-        bench::EvalAllPairs(graph, query, mode_options(EvalMode::kDense));
-    RPQ_CHECK_EQ(pairs->size(), sparse_pairs->size());
-  }
-  result.dense_seconds = timer.ElapsedSeconds() / trials;
-
-  EvalStats stats;
-  EvalOptions hybrid = mode_options(EvalMode::kAuto);
-  hybrid.stats = &stats;
-  timer.Restart();
-  for (int t = 0; t < trials; ++t) {
-    auto pairs = bench::EvalAllPairs(graph, query, hybrid);
-    RPQ_CHECK_EQ(pairs->size(), sparse_pairs->size());
-  }
-  result.hybrid_seconds = timer.ElapsedSeconds() / trials;
-  // Per-trial round mix (identical every trial: the heuristic is a pure
-  // function of the input).
-  result.hybrid_sparse_rounds =
-      stats.sparse_rounds.load() / static_cast<uint64_t>(trials);
-  result.hybrid_dense_rounds =
-      stats.dense_rounds.load() / static_cast<uint64_t>(trials);
-  result.hybrid_dense_batches =
-      stats.dense_batches.load() / static_cast<uint64_t>(trials);
-  return result;
-}
-
-void PrintDirectionFixture(const char* name,
-                           const DirectionFixtureResult& r) {
-  std::printf("direction-optimized binary eval, %s fixture "
-              "(%u nodes, %zu edges, 1 thread):\n",
-              name, r.nodes, r.edges);
-  std::printf("  sparse  %8.3fs/run\n", r.sparse_seconds);
-  std::printf("  dense   %8.3fs/run  (vs sparse %.2fx)\n", r.dense_seconds,
-              Speedup(r.sparse_seconds, r.dense_seconds));
-  std::printf("  hybrid  %8.3fs/run  (vs sparse %.2fx; %llu sparse + %llu "
-              "dense rounds, dense in %llu batches)\n",
-              r.hybrid_seconds, Speedup(r.sparse_seconds, r.hybrid_seconds),
-              static_cast<unsigned long long>(r.hybrid_sparse_rounds),
-              static_cast<unsigned long long>(r.hybrid_dense_rounds),
-              static_cast<unsigned long long>(r.hybrid_dense_batches));
-}
-
 struct CondensedQueryResult {
   const char* name = "";
   const char* pattern = "";
@@ -943,9 +842,8 @@ void PrintDynamicJson(FILE* out, const DynamicBenchResult& r) {
 }
 
 /// Full configuration-cube identity check on a reduced high-density
-/// fixture: condense {off, on, auto} × threads {1, 8} × force modes
-/// {auto, sparse, dense}, binary vs the seed reference and
-/// monadic vs the seed reference. Runs at a fixed small size on every
+/// fixture: condense {off, on, auto} × threads {1, 8}, binary vs the seed
+/// reference and monadic vs the seed reference. Runs at a fixed small size on every
 /// bench scale so the CI perf job always re-proves the cube.
 void CheckCondensedIdentityCube() {
   ScaleFreeOptions graph_options;
@@ -962,26 +860,20 @@ void CheckCondensedIdentityCube() {
   for (CondenseMode condense :
        {CondenseMode::kOff, CondenseMode::kOn, CondenseMode::kAuto}) {
     for (uint32_t threads : {1u, 8u}) {
-      for (EvalMode mode :
-           {EvalMode::kAuto, EvalMode::kSparse, EvalMode::kDense}) {
-        EvalOptions options;
-        options.condense = condense;
-        options.threads = threads;
-        options.force_mode = mode;
-        options.parallel_threshold_pairs = 0;
-        auto pairs = bench::EvalAllPairs(graph, query, options);
-        RPQ_CHECK(pairs.ok());
-        RPQ_CHECK(*pairs == expected_pairs)
-            << "condensed identity cube: binary diverged at condense="
-            << static_cast<int>(condense) << " threads=" << threads
-            << " mode=" << static_cast<int>(mode);
-        auto monadic = EvalMonadic(graph, query, options);
-        RPQ_CHECK(monadic.ok());
-        RPQ_CHECK(*monadic == expected_monadic)
-            << "condensed identity cube: monadic diverged at condense="
-            << static_cast<int>(condense) << " threads=" << threads
-            << " mode=" << static_cast<int>(mode);
-      }
+      EvalOptions options;
+      options.condense = condense;
+      options.threads = threads;
+      options.parallel_threshold_pairs = 0;
+      auto pairs = bench::EvalAllPairs(graph, query, options);
+      RPQ_CHECK(pairs.ok());
+      RPQ_CHECK(*pairs == expected_pairs)
+          << "condensed identity cube: binary diverged at condense="
+          << static_cast<int>(condense) << " threads=" << threads;
+      auto monadic = EvalMonadic(graph, query, options);
+      RPQ_CHECK(monadic.ok());
+      RPQ_CHECK(*monadic == expected_monadic)
+          << "condensed identity cube: monadic diverged at condense="
+          << static_cast<int>(condense) << " threads=" << threads;
     }
   }
 }
@@ -1037,30 +929,6 @@ void PrintCondensedJson(FILE* out, const CondensedFixtureResult& r) {
   std::fprintf(out, "  },\n");
 }
 
-void PrintDirectionJson(FILE* out, const char* name,
-                        const DirectionFixtureResult& r, bool last) {
-  std::fprintf(out,
-               "    \"%s\": {\n"
-               "      \"nodes\": %u,\n"
-               "      \"edges\": %zu,\n"
-               "      \"sparse_seconds\": %.6f,\n"
-               "      \"dense_seconds\": %.6f,\n"
-               "      \"hybrid_seconds\": %.6f,\n"
-               "      \"hybrid_sparse_rounds\": %llu,\n"
-               "      \"hybrid_dense_rounds\": %llu,\n"
-               "      \"hybrid_dense_batches\": %llu,\n"
-               "      \"dense_vs_sparse_speedup\": %.2f,\n"
-               "      \"hybrid_vs_sparse_speedup\": %.2f\n"
-               "    }%s\n",
-               name, r.nodes, r.edges, r.sparse_seconds, r.dense_seconds,
-               r.hybrid_seconds,
-               static_cast<unsigned long long>(r.hybrid_sparse_rounds),
-               static_cast<unsigned long long>(r.hybrid_dense_rounds),
-               static_cast<unsigned long long>(r.hybrid_dense_batches),
-               Speedup(r.sparse_seconds, r.dense_seconds),
-               Speedup(r.sparse_seconds, r.hybrid_seconds), last ? "" : ",");
-}
-
 }  // namespace
 }  // namespace rpqlearn
 
@@ -1114,23 +982,14 @@ int main() {
               par.monadic_one_thread_seconds, par.threads,
               par.monadic_parallel_seconds, par_monadic_speedup);
 
-  // --- direction-optimizing rounds -------------------------------------
-  // The standard fixture (the paper's 3× edge density) plus a high-density
-  // one (10×) where saturated frontiers push the auto heuristic into dense
-  // rounds; RPQ_EVAL_DENSE_THRESHOLD moves the crossover.
-  auto dir_standard = BenchDirection(eval_nodes, 3, trials);
-  auto dir_high = BenchDirection(eval_nodes, 10, trials);
-  PrintDirectionFixture("standard", dir_standard);
-  PrintDirectionFixture("high-density", dir_high);
-
   // --- SCC-condensed kleene-star evaluation ----------------------------
   // The condensation planner step on the high-density fixture (large
   // per-label SCCs) with star-heavy queries, plus the full
-  // condense × threads × mode identity cube against the seed reference on
-  // a fixed reduced fixture.
+  // condense × threads identity cube against the seed reference on a fixed
+  // reduced fixture.
   CheckCondensedIdentityCube();
-  std::printf("condensed identity cube: ok (condense x threads x mode vs "
-              "seed reference)\n");
+  std::printf("condensed identity cube: ok (condense x threads vs seed "
+              "reference)\n");
   auto condensed = BenchCondensed(eval_nodes, 10, trials);
   PrintCondensed("high-density", condensed);
 
@@ -1194,8 +1053,7 @@ int main() {
                "    \"monadic_one_thread_seconds\": %.6f,\n"
                "    \"monadic_parallel_seconds\": %.6f,\n"
                "    \"monadic_speedup\": %.2f\n"
-               "  },\n"
-               "  \"eval_direction\": {\n",
+               "  },\n",
                paper ? "paper" : "small", merge.pta_states, merge.attempted,
                merge.ref_seconds, merge.fast_seconds, merge_ref_ops,
                merge_fast_ops, merge_speedup, eval.nodes, eval.edges,
@@ -1205,9 +1063,6 @@ int main() {
                par.binary_parallel_seconds, par_binary_speedup,
                par.monadic_one_thread_seconds, par.monadic_parallel_seconds,
                par_monadic_speedup);
-  PrintDirectionJson(out, "standard", dir_standard, /*last=*/false);
-  PrintDirectionJson(out, "high_density", dir_high, /*last=*/true);
-  std::fprintf(out, "  },\n");
   PrintCondensedJson(out, condensed);
   PrintDynamicJson(out, dynamic);
   PrintIncrementalJson(out, incremental);

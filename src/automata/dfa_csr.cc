@@ -39,8 +39,7 @@ FrozenDfa::FrozenDfa(const Dfa& dfa)
   }
 
   // Per-target list of non-empty reverse cells, symbol-ascending — the
-  // iteration order of the backward monadic sweep and the bottom-up dense
-  // rounds (ReverseInto).
+  // iteration order of the backward monadic sweep (ReverseInto).
   rev_entry_offsets_.assign(num_states_ + 1, 0);
   for (StateId t = 0; t < num_states_; ++t) {
     rev_entry_offsets_[t + 1] = rev_entry_offsets_[t];

@@ -45,8 +45,8 @@ class FrozenDfa {
   };
 
   /// The non-empty reverse cells of `target`, symbol-ascending: exactly the
-  /// (symbol, sources) pairs that can advance a backward/bottom-up product
-  /// step into `target`. Empty cells never appear, so traversal loops skip
+  /// (symbol, sources) pairs that can advance a backward product step into
+  /// `target`. Empty cells never appear, so traversal loops skip
   /// symbols that cannot fire without probing them.
   std::span<const ReverseEntry> ReverseInto(StateId target) const {
     return {rev_entries_.data() + rev_entry_offsets_[target],

@@ -22,9 +22,8 @@ struct InteractiveSummary {
 };
 
 /// Runs one interactive session against `goal` and summarizes it. `eval`
-/// carries the evaluation knobs (thread count, direction-optimizing
-/// mode/threshold) for the oracle's goal set and every per-interaction F1
-/// scoring pass. An ExecContext in `eval.exec` bounds the whole run; its
+/// carries the evaluation knobs (thread count, parallel threshold) for the
+/// oracle's goal set and every per-interaction F1 scoring pass. An ExecContext in `eval.exec` bounds the whole run; its
 /// trip Status (and any other evaluation failure) propagates instead of
 /// aborting the process.
 StatusOr<InteractiveSummary> RunInteractiveExperiment(

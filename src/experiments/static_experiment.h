@@ -29,8 +29,8 @@ struct StaticSweepOptions {
   int trials = 3;
   uint64_t seed = 1;
   LearnerOptions learner;
-  /// Evaluation knobs (thread count, direction-optimizing mode/threshold,
-  /// condensation policy) for scoring learned queries against the goal.
+  /// Evaluation knobs (thread count, parallel threshold) for scoring
+  /// learned queries against the goal.
   /// An ExecContext in `eval.exec` governs the whole sweep (it is also
   /// handed to the learner when `learner.exec` is unset); its trip Status —
   /// like any evaluation failure — propagates out of the sweep instead of

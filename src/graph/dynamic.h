@@ -41,8 +41,8 @@ struct MaintenanceStats {
 /// a per-label CondensedGraph — kept consistent with the live edge set
 /// across InsertEdge / DeleteEdge by incremental repair instead of
 /// rebuild-from-scratch. This is the serving shape for a mutating graph:
-/// the query server's Engine (and any evaluation call) borrows the snapshot
-/// through WithCaches(), and the version keying (Graph::version ↔ the
+/// the query server's Engine (and any binary evaluation call) borrows the
+/// snapshot through WithCaches(), and the version keying (Graph::version ↔ the
 /// snapshot's graph_version) guarantees the evaluation engines can never
 /// read a snapshot that missed an update.
 /// Materialized monadic results (MaterializeMonadic) ride the same update

@@ -23,11 +23,9 @@ SessionResult RunInteractiveSession(const Graph& graph, const Oracle& oracle,
   // learner's hypotheses recur as labels arrive (a negative often sends it
   // back to an earlier query), and the session graph never mutates, so a
   // repeat hypothesis hits the engine's plan cache and is answered from the
-  // plan's retained monadic fixed point without any sweep. The engine also
-  // owns the graph-only evaluation structure the options may call for (the
-  // per-label SCC condensation), building it lazily once instead of per
-  // call. Results are bit-identical to EvalMonadic — plans and snapshots
-  // are pure reuse.
+  // plan's retained monadic fixed point without any sweep. Every run is
+  // monadic, so the engine builds no condensation snapshot. Results are
+  // bit-identical to EvalMonadic — plans are pure reuse.
   ExecContext* exec = options.eval.exec;
   EngineOptions engine_options;
   engine_options.eval = options.eval;

@@ -24,8 +24,8 @@ struct SessionOptions {
   size_t max_interactions = 100000;
   /// Learner configuration used after every label.
   LearnerOptions learner;
-  /// Evaluation knobs (thread count, direction mode, condensation policy)
-  /// for the per-interaction F1 scoring. When `eval.exec` is set,
+  /// Evaluation knobs (thread count, parallel threshold, ExecContext) for
+  /// the per-interaction F1 scoring. When `eval.exec` is set,
   /// the same ExecContext governs the whole session: one checkpoint per
   /// interaction, plus the finer-grained checkpoints inside every learner
   /// rerun and evaluation. A trip halts the session cleanly with the typed

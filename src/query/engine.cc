@@ -17,8 +17,7 @@ QueryPlan::QueryPlan(const Engine* engine, Dfa dfa)
       fingerprint_(DfaFingerprint(frozen_)) {}
 
 StatusOr<MonadicNodes> QueryPlan::RunMonadic(ExecContext* exec) const {
-  std::shared_ptr<const Engine::Snapshots> snapshots;
-  StatusOr<EvalOptions> options = engine_->PrepareRun(exec, &snapshots);
+  StatusOr<EvalOptions> options = engine_->PrepareRun(exec, nullptr);
   if (!options.ok()) return options.status();
 
   std::lock_guard<std::mutex> lock(monadic_mutex_);
@@ -34,7 +33,6 @@ StatusOr<MonadicNodes> QueryPlan::RunMonadic(ExecContext* exec) const {
     // Create() uses `exec` for this one build only (see build_exec).
     EvalOptions retained = *options;
     retained.exec = engine_->options_.eval.exec;
-    retained.condensed_cache = nullptr;  // materializations are snapshot-free
     StatusOr<std::unique_ptr<MaterializedMonadic>> created =
         MaterializedMonadic::Create(engine_->graph(), dfa_, retained,
                                     options->exec);
@@ -174,13 +172,16 @@ StatusOr<EvalOptions> Engine::PrepareRun(
     ExecContext* exec, std::shared_ptr<const Snapshots>* holder) const {
   if (!validated_.ok()) return validated_.status();
   EvalOptions options = *validated_;
-  if (dynamic_ != nullptr) {
-    // Borrow the DynamicGraph's incrementally maintained snapshot; the
-    // holder stays empty (the DynamicGraph owns its lifetime).
-    options = dynamic_->WithCaches(options);
-  } else {
-    *holder = CurrentSnapshots();
-    if (*holder != nullptr) options.condensed_cache = &(*holder)->condensed;
+  // Monadic runs pass no holder: nothing monadic reads a condensation.
+  if (holder != nullptr) {
+    if (dynamic_ != nullptr) {
+      // Borrow the DynamicGraph's incrementally maintained snapshot; the
+      // holder stays empty (the DynamicGraph owns its lifetime).
+      options = dynamic_->WithCaches(options);
+    } else {
+      *holder = CurrentSnapshots();
+      if (*holder != nullptr) options.condensed_cache = &(*holder)->condensed;
+    }
   }
   if (exec != nullptr) options.exec = exec;
   {

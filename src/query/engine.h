@@ -22,9 +22,10 @@
 ///     recurring hypotheses, a server's hot queries — reuses its frozen
 ///     transition tables, parse/canonicalization work, and warm results;
 ///   - a **graph snapshot**: the per-label SCC condensation
-///     (CondensedGraph) the round engines consult, built lazily and
-///     re-validated against Graph::version() per run — a mutated graph
-///     triggers one rebuild, never a stale read (the evaluation engines
+///     (CondensedGraph) the binary rounds consult, built lazily by the
+///     first binary run and re-validated against Graph::version() per
+///     binary run — a mutated graph triggers one rebuild, never a stale
+///     read (the evaluation engines
 ///     independently reject mismatched snapshots, so the version keying
 ///     here is belt over braces). An Engine constructed over a DynamicGraph
 ///     borrows that graph's incrementally *maintained* snapshot instead of
@@ -79,8 +80,9 @@ struct EngineCounters {
   uint64_t plan_misses = 0;
   /// Plans dropped by the LRU policy (capacity overflow).
   uint64_t plan_evictions = 0;
-  /// Condensation snapshot (re)builds — 1 on a static graph; one more per
-  /// graph version the engine actually served.
+  /// Condensation snapshot (re)builds — only binary runs build one: 0 on
+  /// an engine that serves only monadic plans, 1 on a static graph, one
+  /// more per graph version a binary run actually served.
   uint64_t snapshot_builds = 0;
   /// RunMonadic / RunBinary / RunBinaryBatch calls through this engine.
   uint64_t runs = 0;
@@ -167,8 +169,8 @@ class QueryPlan {
 /// Engine configuration. The eval options are validated at construction
 /// (Plan and the runs surface the Status of an invalid configuration).
 struct EngineOptions {
-  /// Base evaluation knobs for every run: threads, direction mode,
-  /// condensation policy, default ExecContext and stats sink.
+  /// Base evaluation knobs for every run: threads, condensation policy,
+  /// default ExecContext and stats sink.
   EvalOptions eval;
   /// Plans kept by the LRU cache; 0 disables caching (every Plan() call
   /// compiles afresh — for tests and cold-path benchmarks).
@@ -186,9 +188,9 @@ class Engine {
 
   /// An engine over a borrowed graph; `graph` must outlive the engine.
   explicit Engine(const Graph& graph, EngineOptions options = {});
-  /// An engine borrowing a DynamicGraph's *maintained* snapshot: runs
-  /// consult dynamic.condensed() (incrementally repaired on every update)
-  /// instead of an engine-built one. `dynamic` must outlive the
+  /// An engine borrowing a DynamicGraph's *maintained* snapshot: binary
+  /// runs consult dynamic.condensed() (incrementally repaired on every
+  /// update) instead of an engine-built one. `dynamic` must outlive the
   /// engine; updates still require external serialization against runs.
   explicit Engine(const DynamicGraph& dynamic, EngineOptions options = {});
 
@@ -215,17 +217,20 @@ class Engine {
  private:
   friend class QueryPlan;
 
-  /// Version-keyed snapshot bundle. Runs hold the shared_ptr for their
-  /// whole duration, so a concurrent refresh (graph mutated between runs)
-  /// can never pull structures out from under an in-flight evaluation.
+  /// Version-keyed snapshot bundle. Binary runs hold the shared_ptr for
+  /// their whole duration, so a concurrent refresh (graph mutated between
+  /// runs) can never pull structures out from under an in-flight
+  /// evaluation.
   struct Snapshots {
     uint64_t graph_version = 0;
     CondensedGraph condensed;
   };
 
-  /// The engine's EvalOptions for one run: snapshot cache pointer filled
-  /// in, the run's ExecContext (when non-null) overriding the engine-level
-  /// one. `holder` receives the snapshot bundle keeping that pointer alive.
+  /// The engine's EvalOptions for one run, the run's ExecContext (when
+  /// non-null) overriding the engine-level one. A binary run passes
+  /// `holder`: the snapshot cache pointer is filled in and `holder`
+  /// receives the bundle keeping it alive. A monadic run passes nullptr
+  /// and acquires no snapshot.
   StatusOr<EvalOptions> PrepareRun(ExecContext* exec,
                                    std::shared_ptr<const Snapshots>* holder) const;
 

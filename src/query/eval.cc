@@ -9,7 +9,6 @@
 #include "query/eval_binary_sweeper.h"
 #include "query/eval_internal.h"
 #include "query/eval_monadic_sweeper.h"
-#include "query/eval_views.h"
 #include "util/exec_context.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -17,23 +16,18 @@
 namespace rpqlearn {
 
 // The shared building blocks live in eval_internal.h (tables, condensation
-// plans, direction policy, round counters, the dense-pull kernel) and the
-// sweeper headers (the round machinery, instantiated over the adjacency
-// views of eval_views.h). This TU keeps the drivers: worker scheduling,
-// batch slicing, result recovery, and the public entry points.
-using eval_internal::ApplyCondensePlanToTables;
+// plans, round counters, scratch estimates) and the sweeper headers (the
+// round machinery). This TU keeps the drivers: worker scheduling, batch
+// slicing, result recovery, and the public entry points.
 using eval_internal::BinaryScratchBytes;
 using eval_internal::BinarySweeper;
 using eval_internal::BinaryTables;
 using eval_internal::BuildBinaryTables;
 using eval_internal::BuildCondensePlan;
 using eval_internal::CondensePlan;
-using eval_internal::DirectionPolicy;
-using eval_internal::GlobalGraphView;
 using eval_internal::kLaneBatch;
 using eval_internal::MonadicSweeper;
 using eval_internal::MonadicSweepScratchBytes;
-using eval_internal::ResolveDirectionPolicy;
 using eval_internal::RoundCounters;
 
 namespace {
@@ -68,7 +62,7 @@ Status TripStatusWithProgress(const ExecContext& exec,
   const Status trip = exec.TripStatus();
   return Status(trip.code(),
                 trip.message() + "; progress: rounds=" +
-                    std::to_string(totals.sparse + totals.dense) +
+                    std::to_string(totals.sparse) +
                     ", pairs_settled=" + std::to_string(totals.pairs));
 }
 
@@ -83,12 +77,6 @@ RoundCounters AccumulateMonadicRounds(
   if (validated.stats == nullptr) return totals;
   validated.stats->monadic_sparse_rounds.fetch_add(totals.sparse,
                                                    std::memory_order_relaxed);
-  validated.stats->monadic_dense_rounds.fetch_add(totals.dense,
-                                                  std::memory_order_relaxed);
-  validated.stats->condensed_expansions.fetch_add(totals.condensed_expansions,
-                                                  std::memory_order_relaxed);
-  validated.stats->components_collapsed.fetch_add(totals.components_collapsed,
-                                                  std::memory_order_relaxed);
   validated.stats->pairs_settled.fetch_add(totals.pairs,
                                            std::memory_order_relaxed);
   return totals;
@@ -100,9 +88,7 @@ RoundCounters AccumulateMonadicRounds(
 /// of the per-range sweeps equals the full sweep — that is the parallel
 /// decomposition.
 BitVector MonadicSweepRange(const Graph& graph, const BinaryTables& tables,
-                            const CondensePlan& plan,
-                            const DirectionPolicy& policy, NodeId node_lo,
-                            NodeId node_hi, ExecContext* exec,
+                            NodeId node_lo, NodeId node_hi, ExecContext* exec,
                             RoundCounters* rounds) {
   const uint32_t nq = tables.nq;
   const uint32_t nv = graph.num_nodes();
@@ -111,19 +97,16 @@ BitVector MonadicSweepRange(const Graph& graph, const BinaryTables& tables,
   // overflow latches kResourceExhausted and the empty partial is discarded
   // by the caller's tripped() exit.
   ScopedExecCharge charge(
-      exec, MonadicSweepScratchBytes(static_cast<size_t>(nv) * nq, plan));
+      exec, MonadicSweepScratchBytes(static_cast<size_t>(nv) * nq));
   if (!charge.ok()) return result;
-  MonadicSweeper<GlobalGraphView> sweeper(GlobalGraphView{&graph}, tables,
-                                          plan, policy, exec);
+  MonadicSweeper sweeper(graph, tables);
   auto no_hook = [](NodeId, StateId) {};
   for (StateId q : tables.accepting_states) {
     for (NodeId v = node_lo; v < node_hi; ++v) sweeper.Visit(v, q, no_hook);
   }
-  sweeper.RunCondenseClosure(no_hook, rounds);
   while (sweeper.frontier_pairs() > 0) {
     if (exec != nullptr && !exec->Checkpoint()) break;
     sweeper.RunRound(no_hook, rounds);
-    sweeper.RunCondenseClosure(no_hook, rounds);
   }
   if (exec != nullptr && exec->tripped()) return result;
 
@@ -149,13 +132,8 @@ StatusOr<BitVector> EvalMonadicImpl(const Graph& graph, const Dfa& query,
   const uint32_t nv = graph.num_nodes();
   ExecContext* exec = validated.exec;
   const FrozenDfa frozen(query);
-  BinaryTables tables = BuildBinaryTables(graph, frozen);
-  CondensePlan plan;
-  BuildCondensePlan(graph, tables, validated, /*auto_needs_cache=*/true,
-                    &plan);
-  ApplyCondensePlanToTables(plan, &tables);
+  const BinaryTables tables = BuildBinaryTables(graph, frozen);
   const size_t num_pairs = static_cast<size_t>(nv) * nq;
-  const DirectionPolicy policy = ResolveDirectionPolicy(validated, num_pairs);
 
   uint32_t workers = ResolveWorkers(validated, num_pairs, nv);
   if (workers > 1) {
@@ -167,8 +145,7 @@ StatusOr<BitVector> EvalMonadicImpl(const Graph& graph, const Dfa& query,
   }
   if (workers == 1) {
     RoundCounters rounds;
-    BitVector result =
-        MonadicSweepRange(graph, tables, plan, policy, 0, nv, exec, &rounds);
+    BitVector result = MonadicSweepRange(graph, tables, 0, nv, exec, &rounds);
     const RoundCounters totals =
         AccumulateMonadicRounds(validated, {&rounds, 1});
     if (exec != nullptr && exec->tripped()) {
@@ -188,8 +165,8 @@ StatusOr<BitVector> EvalMonadicImpl(const Graph& graph, const Dfa& query,
             static_cast<NodeId>(static_cast<size_t>(nv) * chunk / workers);
         const NodeId hi = static_cast<NodeId>(static_cast<size_t>(nv) *
                                               (chunk + 1) / workers);
-        partial[chunk] = MonadicSweepRange(graph, tables, plan, policy, lo,
-                                           hi, exec, &per_sweep[chunk]);
+        partial[chunk] =
+            MonadicSweepRange(graph, tables, lo, hi, exec, &per_sweep[chunk]);
       },
       exec);
   const RoundCounters totals = AccumulateMonadicRounds(validated, per_sweep);
@@ -214,24 +191,21 @@ class BinaryBatchScratch {
   /// Binds the sweeper to the graph and sizes its scratch; idempotent, so
   /// workers call it lazily on their first batch.
   void Prepare(const Graph& graph, const BinaryTables& tables,
-               const CondensePlan& plan, const DirectionPolicy& policy,
-               ExecContext* exec) {
-    sweeper_.Prepare(GlobalGraphView{&graph}, tables, plan, policy, exec);
+               const CondensePlan& plan, ExecContext* exec) {
+    sweeper_.Prepare(graph, tables, plan, exec);
   }
 
   /// Evaluates one batch of ≤ 64 sources (lane i = sources[i]) and appends
   /// its (src, dst) pairs to `out`, grouped by lane in input order with
   /// destinations ascending, adding its round counts to `rounds`. Pure
   /// function of (graph, tables, plan, sources): scratch reuse, worker
-  /// assignment, the direction policy and the condensation plan never
-  /// change the output.
+  /// assignment and the condensation plan never change the output.
   void RunBatch(std::span<const NodeId> sources, ExecContext* exec,
                 std::vector<std::pair<NodeId, NodeId>>* out,
                 RoundCounters* rounds) {
     RPQ_DCHECK(sources.size() <= kLaneBatch);
     const uint32_t lanes = static_cast<uint32_t>(sources.size());
-    sweeper_.BeginBatch(lanes == kLaneBatch ? ~uint64_t{0}
-                                            : (uint64_t{1} << lanes) - 1);
+    sweeper_.BeginBatch();
     const StateId q0 = sweeper_.tables().q0;
     for (uint32_t lane = 0; lane < lanes; ++lane) {
       sweeper_.Deliver(sources[lane], q0, uint64_t{1} << lane);
@@ -250,29 +224,19 @@ class BinaryBatchScratch {
   }
 
  private:
-  BinarySweeper<GlobalGraphView> sweeper_;
+  BinarySweeper sweeper_;
   std::vector<NodeId> per_lane_[kLaneBatch];
 };
 
 /// Sums per-batch round counters into EvalOptions.stats, if present. The
 /// totals are deterministic: each batch's counts are a pure function of
-/// (graph, query, batch sources, policy), independent of scheduling.
-/// `per_batch` must hold one row per *batch*, so dense_batches counts
-/// batches in which at least one dense round ran.
+/// (graph, query, batch sources, plan), independent of scheduling.
 RoundCounters AccumulateStats(const EvalOptions& validated,
                               std::span<const RoundCounters> per_batch) {
   RoundCounters totals;
-  uint64_t dense_batches = 0;
-  for (const RoundCounters& rounds : per_batch) {
-    totals += rounds;
-    if (rounds.dense > 0) ++dense_batches;
-  }
+  for (const RoundCounters& rounds : per_batch) totals += rounds;
   if (validated.stats == nullptr) return totals;
   validated.stats->sparse_rounds.fetch_add(totals.sparse,
-                                           std::memory_order_relaxed);
-  validated.stats->dense_rounds.fetch_add(totals.dense,
-                                          std::memory_order_relaxed);
-  validated.stats->dense_batches.fetch_add(dense_batches,
                                            std::memory_order_relaxed);
   validated.stats->condensed_expansions.fetch_add(totals.condensed_expansions,
                                                   std::memory_order_relaxed);
@@ -296,13 +260,10 @@ StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinaryImpl(
   const uint32_t nq = query.num_states();
   RPQ_DCHECK(nq > 0);
   const FrozenDfa frozen(query);
-  BinaryTables tables = BuildBinaryTables(graph, frozen);
+  const BinaryTables tables = BuildBinaryTables(graph, frozen);
   CondensePlan plan;
-  BuildCondensePlan(graph, tables, validated, /*auto_needs_cache=*/false,
-                    &plan);
-  ApplyCondensePlanToTables(plan, &tables);
+  BuildCondensePlan(graph, tables, validated, &plan);
   const size_t num_pairs = static_cast<size_t>(tables.nv) * nq;
-  const DirectionPolicy policy = ResolveDirectionPolicy(validated, num_pairs);
   const size_t num_batches = (sources.size() + kLaneBatch - 1) / kLaneBatch;
   auto batch_sources = [&](size_t batch) {
     const size_t base = batch * kLaneBatch;
@@ -316,7 +277,7 @@ StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinaryImpl(
     ScopedExecCharge charge(exec, BinaryScratchBytes(num_pairs, plan));
     if (charge.ok()) {
       BinaryBatchScratch scratch;
-      scratch.Prepare(graph, tables, plan, policy, exec);
+      scratch.Prepare(graph, tables, plan, exec);
       for (size_t batch = 0; batch < num_batches; ++batch) {
         if (exec != nullptr && exec->tripped()) break;
         scratch.RunBatch(batch_sources(batch), exec, &result,
@@ -340,7 +301,7 @@ StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinaryImpl(
     EvalPool().ParallelFor(
         workers, num_batches,
         [&](uint32_t worker, size_t batch) {
-          scratch[worker].Prepare(graph, tables, plan, policy, exec);
+          scratch[worker].Prepare(graph, tables, plan, exec);
           scratch[worker].RunBatch(batch_sources(batch), exec,
                                    &per_batch[batch],
                                    &per_batch_rounds[batch]);
@@ -379,25 +340,6 @@ StatusOr<EvalOptions> ValidateEvalOptions(EvalOptions options) {
         "DefaultEvalThreads() for one worker per hardware thread");
   }
   options.threads = std::min(options.threads, kMaxEvalThreads);
-  // `!(x >= 0 && x <= 1)` rather than `x < 0 || x > 1` so NaN is rejected.
-  if (!(options.dense_threshold >= 0.0 && options.dense_threshold <= 1.0)) {
-    return Status::InvalidArgument(
-        "EvalOptions.dense_threshold must lie in [0, 1] (got " +
-        std::to_string(options.dense_threshold) +
-        "): it is the frontier fraction of the (node, state) pair space at "
-        "which batched rounds switch to the dense bottom-up sweep");
-  }
-  switch (options.force_mode) {
-    case EvalMode::kAuto:
-    case EvalMode::kSparse:
-    case EvalMode::kDense:
-      break;
-    default:
-      return Status::InvalidArgument(
-          "EvalOptions.force_mode must be EvalMode::kAuto, kSparse or "
-          "kDense (got " +
-          std::to_string(static_cast<int>(options.force_mode)) + ")");
-  }
   switch (options.condense) {
     case CondenseMode::kAuto:
     case CondenseMode::kOn:

@@ -24,36 +24,19 @@ uint32_t DefaultEvalThreads();
 /// Hard cap on EvalOptions.threads; ValidateEvalOptions clamps to it.
 inline constexpr uint32_t kMaxEvalThreads = 256;
 
-/// Traversal-direction policy of the product-BFS rounds (both entry
-/// points). The engine is direction-optimizing: each round it compares the
-/// frontier against EvalOptions.dense_threshold and runs either a sparse
-/// push from the frontier pairs or a dense pull that sweeps every product
-/// pair against a bitmap frontier. Both rounds compute the same monotone
-/// fixed point, so the mode sequence never changes the result — kSparse /
-/// kDense pin one round kind for testing and benchmarking.
-enum class EvalMode : uint8_t {
-  kAuto = 0,   ///< per-round heuristic on frontier density (production)
-  kSparse = 1, ///< always top-down push (pre-direction-optimizing behavior)
-  kDense = 2,  ///< always bottom-up pull
-};
-
-/// SCC-condensation policy of the kleene-star planner step. When a DFA
-/// state carries a single-label self-loop (an `a*`-shaped state), the
-/// per-label condensation (src/graph/condense.h) lets the rounds expand
-/// such frontiers component-at-a-time — saturate the frontier node's SCC,
-/// hop the condensation DAG, scatter to members — instead of rediscovering
-/// intra-SCC reachability edge by edge, round after round. Pure scheduling:
-/// every cell the condensed expansion marks lies in the same monotone fixed
-/// point the per-edge rounds compute, so results are bit-identical for
-/// every mode (see docs/ARCHITECTURE.md, "SCC condensation").
+/// SCC-condensation policy of the binary kleene-star planner step. When a
+/// DFA state carries a single-label self-loop (an `a*`-shaped state), the
+/// per-label condensation (src/graph/condense.h) lets the batched binary
+/// rounds expand such frontiers component-at-a-time — saturate the
+/// frontier node's SCC, hop the condensation DAG, scatter to members —
+/// instead of rediscovering intra-SCC reachability edge by edge, round
+/// after round. Pure scheduling: every cell the condensed expansion marks
+/// lies in the same monotone fixed point the per-edge rounds compute, so
+/// results are bit-identical for every mode (see docs/ARCHITECTURE.md,
+/// "SCC condensation"). Monadic sweeps never condense.
 enum class CondenseMode : uint8_t {
   kAuto = 0,  ///< condense when the query has star states and the per-label
-              ///< summary shows a nontrivial component (production).
-              ///< Monadic sweeps additionally require a matching
-              ///< EvalOptions.condensed_cache: one backward sweep is a
-              ///< single linear pass, so a per-call Tarjan build would cost
-              ///< more than it saves, while the batched binary engines
-              ///< amortize a per-call build across their source batches.
+              ///< summary shows a nontrivial component (production)
   kOn = 1,    ///< condense every star state regardless of the summary
   kOff = 2,   ///< never condense (pre-condensation behavior)
 };
@@ -64,11 +47,12 @@ enum class CondenseMode : uint8_t {
 /// contributes a scheduling-independent count), only the add order varies.
 struct EvalStats {
   std::atomic<uint64_t> sparse_rounds{0};
+  /// Always 0: every round is a sparse push. Kept, with
+  /// monadic_dense_rounds, because the repository benchmark sums both into
+  /// its `eval.dense_rounds` metric.
   std::atomic<uint64_t> dense_rounds{0};
-  /// Batches in which at least one dense round ran.
-  std::atomic<uint64_t> dense_batches{0};
-  /// Rounds of the direction-optimized monadic backward sweeps (counted
-  /// separately from the batched binary rounds above).
+  /// Rounds of the monadic backward sweeps (counted separately from the
+  /// batched binary rounds above).
   std::atomic<uint64_t> monadic_sparse_rounds{0};
   std::atomic<uint64_t> monadic_dense_rounds{0};
   /// Component expansions performed by the SCC-condensation planner step:
@@ -89,7 +73,6 @@ struct EvalStats {
   void Reset() {
     sparse_rounds.store(0, std::memory_order_relaxed);
     dense_rounds.store(0, std::memory_order_relaxed);
-    dense_batches.store(0, std::memory_order_relaxed);
     monadic_sparse_rounds.store(0, std::memory_order_relaxed);
     monadic_dense_rounds.store(0, std::memory_order_relaxed);
     condensed_expansions.store(0, std::memory_order_relaxed);
@@ -114,42 +97,26 @@ struct EvalOptions {
   /// inner-loop evaluations on toy graphs sequential. Tests set 0 to force
   /// the parallel path.
   size_t parallel_threshold_pairs = size_t{1} << 12;
-  /// Direction-optimizing crossover for the batched product BFS: a round
-  /// whose frontier holds at least `dense_threshold` × (nodes × states)
-  /// product pairs runs bottom-up (dense bitmap pull); below it, top-down
-  /// (sparse push). Evaluated every round, so the engine switches back as
-  /// soon as the frontier shrinks under the cutoff. Must lie in [0, 1]:
-  /// 0 makes every round dense, 1 effectively none (only a frontier covering
-  /// the whole pair space qualifies). Pure scheduling — results are
-  /// bit-identical for every value. Ignored when force_mode != kAuto.
-  /// The default is where the bench_hotpath crossover sits: dense rounds pay
-  /// off once a sparse round would touch a quarter of the pair space (the
-  /// saturated phase of kleene-star queries on dense graphs), and low-density
-  /// workloads never reach it, keeping them purely sparse.
-  double dense_threshold = 0.25;
-  /// Pins the round kind of the batched product BFS regardless of frontier
-  /// density; kAuto applies the dense_threshold heuristic. For tests and
-  /// benchmarks — results are identical in every mode.
-  EvalMode force_mode = EvalMode::kAuto;
-  /// SCC-condensation policy of the kleene-star planner step (see
-  /// CondenseMode). Pure scheduling — results are bit-identical for every
-  /// value; kOff restores the exact pre-condensation code path.
+  /// SCC-condensation policy of binary evaluation's kleene-star planner
+  /// step (see CondenseMode); monadic evaluation ignores it. Pure
+  /// scheduling — results are bit-identical for every value; kOff restores
+  /// the exact pre-condensation code path.
   CondenseMode condense = CondenseMode::kAuto;
-  /// Optional pre-built condensation of the evaluated graph. When non-null
-  /// and matching (same node count, edge count and Graph::version(),
-  /// covering the star labels the planner needs), the evaluation consults
-  /// it instead of condensing per call; Engine and DynamicGraph fill it
-  /// from their version-keyed snapshots. Mismatching caches are ignored (a
-  /// fresh per-call condensation is built); the pointee must outlive the
-  /// evaluation call. A cache built from a *different* graph that happens
+  /// Optional pre-built condensation of the evaluated graph, read by binary
+  /// evaluation only. When non-null and matching (same node count, edge
+  /// count and Graph::version(), covering the star labels the planner
+  /// needs), the evaluation consults it instead of condensing per call;
+  /// Engine and DynamicGraph fill it from their version-keyed snapshots.
+  /// Mismatching caches are ignored (a fresh per-call condensation is
+  /// built); the pointee must outlive the evaluation call. A cache built from a *different* graph that happens
   /// to share all three values is a caller contract violation the engine
   /// cannot detect.
   const CondensedGraph* condensed_cache = nullptr;
   /// Optional round counters; when non-null, every evaluation through these
-  /// options adds its counts — monadic sweeps to the monadic_* rounds,
-  /// binary batches to sparse/dense rounds and dense_batches, both to the
-  /// condensation and pairs_settled counters. The pointee must outlive the
-  /// evaluation call. Never read, only added to.
+  /// options adds its counts — monadic sweeps to monadic_sparse_rounds,
+  /// binary batches to sparse_rounds and the condensation counters, both to
+  /// pairs_settled. The pointee must outlive the evaluation call. Never
+  /// read, only added to.
   EvalStats* stats = nullptr;
   /// Optional cooperative execution control: a wall-clock deadline, an
   /// externally-triggerable cancellation token, and a byte-accounted memory
@@ -169,9 +136,8 @@ struct EvalOptions {
   ExecContext* exec = nullptr;
 };
 
-/// The single validation point for EvalOptions: rejects threads == 0,
-/// dense_threshold outside [0, 1] (or NaN), and unknown force_mode /
-/// condense values with InvalidArgument, and clamps threads to
+/// The single validation point for EvalOptions: rejects threads == 0 and
+/// unknown condense values with InvalidArgument, and clamps threads to
 /// kMaxEvalThreads. Both evaluation entry points call this first.
 StatusOr<EvalOptions> ValidateEvalOptions(EvalOptions options);
 

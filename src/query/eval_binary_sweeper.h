@@ -8,72 +8,56 @@
 #include <utility>
 #include <vector>
 
+#include "graph/graph.h"
 #include "query/eval_internal.h"
-#include "query/eval_views.h"
-#include "util/bit_vector.h"
 #include "util/exec_context.h"
-#include "util/logging.h"
 
 namespace rpqlearn {
 namespace eval_internal {
 
-/// The 64-lane batched product-BFS round machinery, written once over an
-/// adjacency view (eval_views.h). One BinarySweeper owns the per-worker
-/// scratch of the batched multi-source BFS and runs
-/// the direction-optimized rounds plus the condensation closure to the
-/// monotone lane-mask fixed point of the view's adjacency:
+/// The 64-lane batched product-BFS round machinery. One BinarySweeper owns
+/// the per-worker scratch of the batched multi-source BFS and runs the
+/// level-synchronous push rounds plus the condensation closure to the
+/// monotone lane-mask fixed point of the graph's adjacency:
 ///
 ///   - `mask[(v, q)]` holds the lane set that has reached the product pair,
-///     `pending` marks pairs queued in a sparse frontier,
-///     `frontier_bits`/`next_bits` are the bitmap frontiers of the dense
-///     bottom-up rounds, and `touched` records cells whose mask went
-///     nonzero, so per-batch clearing and result recovery cost O(cells the
-///     BFS actually reached) instead of O(num_nodes·nq);
-///   - every round the frontier size (in product pairs) is compared against
-///     DirectionPolicy.dense_cutoff_pairs: below the cutoff the round runs
-///     sparse — pop each frontier pair, push its lanes over Out (work ∝
-///     edges out of the frontier); at or above it the round runs dense —
-///     sweep every product pair (u, t) and pull lanes from its predecessors
-///     over In and the frozen DFA's reverse entries, gated by a frontier
-///     bitmap (work ∝ |E|·|δ⁻¹|, frontier-independent). Both round kinds
-///     apply the same monotone mask-join, and the frontier invariant —
-///     every pair whose mask changed in round k propagates in round k+1
-///     unless its state never propagates per edge — is preserved across
-///     mode switches, so the fixed point is identical for every mode
-///     sequence;
+///     `pending` marks pairs queued in the frontier, and `touched` records
+///     cells whose mask went nonzero, so per-batch clearing and result
+///     recovery cost O(cells the BFS actually reached) instead of
+///     O(num_nodes·nq);
+///   - each round pops every frontier pair and pushes its lanes over the
+///     graph's out-edges (work ∝ edges out of the frontier); a pair whose
+///     mask gains lanes joins the next frontier unless its state never
+///     propagates per edge;
 ///   - the condensation closure (HeapPush / TriggerCondense /
 ///     RunCondenseClosure) expands engaged kleene-star components
 ///     reverse-topologically between rounds;
 ///   - ExecContext checkpoints gate every round and every closure wave — in
 ///     exactly one place each. An early return leaves the scratch torn
-///     (masks uncleared, frontier mid-representation) — safe because a
-///     tripped evaluation discards every scratch and unwinds.
+///     (masks uncleared, frontier half-built) — safe because a tripped
+///     evaluation discards every scratch and unwinds.
 ///
 /// The driver (src/query/eval.cc) owns everything around the fixed point:
 /// batch slicing, seeding order, and result recovery ordering.
-template <typename View>
 class BinarySweeper {
  public:
   BinarySweeper() = default;
 
-  /// Binds the view and sizes the scratch for its (node, state) product
+  /// Binds the graph and sizes the scratch for its (node, state) product
   /// space (and the plan's per-component expanded-lane tables); idempotent,
-  /// so monolithic workers call it lazily on their first batch. `tables`,
+  /// so workers call it lazily on their first batch. `graph`, `tables`,
   /// `plan` and `exec` must outlive the sweeper's use.
-  void Prepare(View view, const BinaryTables& tables, const CondensePlan& plan,
-               DirectionPolicy policy, ExecContext* exec) {
-    view_ = view;
+  void Prepare(const Graph& graph, const BinaryTables& tables,
+               const CondensePlan& plan, ExecContext* exec) {
+    graph_ = &graph;
     tables_ = &tables;
     plan_ = &plan;
-    policy_ = policy;
     exec_ = exec;
     const size_t num_pairs =
-        static_cast<size_t>(view.num_nodes()) * tables.nq;
+        static_cast<size_t>(graph.num_nodes()) * tables.nq;
     if (mask_.size() != num_pairs) {
       mask_.assign(num_pairs, 0);
       pending_.assign(num_pairs, 0);
-      frontier_bits_ = BitVector(num_pairs);
-      next_bits_ = BitVector(num_pairs);
     }
     if (plan.active && cond_expanded_.size() != plan.num_loops) {
       cond_expanded_.resize(plan.num_loops);
@@ -89,9 +73,8 @@ class BinarySweeper {
   const BinaryTables& tables() const { return *tables_; }
 
   /// Resets the per-batch state (masks via the touched list, condensation
-  /// expanded sets) for a batch whose full-lane mask is `batch_full`.
-  void BeginBatch(uint64_t batch_full) {
-    batch_full_ = batch_full;
+  /// expanded sets).
+  void BeginBatch() {
     for (size_t cell : touched_) mask_[cell] = 0;
     touched_.clear();
     for (uint32_t i = 0; i < static_cast<uint32_t>(cond_touched_.size());
@@ -100,13 +83,11 @@ class BinarySweeper {
       cond_touched_[i].clear();
     }
     frontier_.clear();
-    dense_ = false;
   }
 
   /// Merges `lanes` into cell (v, q): fresh lanes update the mask, queue
   /// the condensation closure when q is a star state, and enqueue the cell
-  /// in the sparse frontier. Callable between rounds only (seeding), when
-  /// the frontier representation is sparse.
+  /// in the frontier. Callable between rounds only (seeding).
   void Deliver(NodeId v, StateId q, uint64_t lanes) {
     const size_t cell = static_cast<size_t>(v) * tables_->nq + q;
     const uint64_t fresh = lanes & ~mask_[cell];
@@ -122,37 +103,21 @@ class BinarySweeper {
     }
   }
 
-  /// Runs the direction-optimized rounds until the frontier drains (the
-  /// fixed point given everything delivered so far), adding round counts
-  /// to `rounds`. The condensation closure runs before the first round
-  /// (seed gains) and after every round. On an ExecContext trip
-  /// the scratch is left torn — callers must check tripped() before
-  /// recovering anything.
+  /// Runs the rounds until the frontier drains (the fixed point given
+  /// everything delivered so far), adding round counts to `rounds`. The
+  /// condensation closure runs before the first round (seed gains) and
+  /// after every round. On an ExecContext trip the scratch is left torn —
+  /// callers must check tripped() before recovering anything.
   void RunRounds(RoundCounters* rounds) {
-    size_t frontier_pairs = frontier_.size();
-    frontier_pairs += RunCondenseClosure(rounds);
-    while (frontier_pairs > 0) {
+    RunCondenseClosure(rounds);
+    while (!frontier_.empty()) {
       // Per-round trip point; torn state is discarded by the driver's
       // tripped() guard before any recovery.
       if (exec_ != nullptr && !exec_->Checkpoint()) return;
-      rounds->pairs += frontier_pairs;
-      const bool want_dense = frontier_pairs >= policy_.dense_cutoff_pairs;
-      if (want_dense != dense_) {
-        if (want_dense) {
-          SparseFrontierToBits();
-        } else {
-          BitsToSparseFrontier();
-        }
-        dense_ = want_dense;
-      }
-      if (dense_) {
-        frontier_pairs = DenseRound(rounds);
-      } else {
-        frontier_pairs = SparseRound(rounds);
-      }
-      frontier_pairs += RunCondenseClosure(rounds);
+      rounds->pairs += frontier_.size();
+      SparseRound(rounds);
+      RunCondenseClosure(rounds);
     }
-    dense_ = false;  // frontier is empty; both representations agree
   }
 
   /// Appends the per-lane destinations (ascending) to `lanes_out[lane]`.
@@ -163,7 +128,7 @@ class BinarySweeper {
     const uint32_t nq = tables_->nq;
     const size_t num_pairs = mask_.size();
     if (num_pairs > 0 && touched_.size() >= num_pairs / 4) {
-      const uint32_t nv = view_.num_nodes();
+      const uint32_t nv = graph_->num_nodes();
       for (NodeId u = 0; u < nv; ++u) {
         uint64_t h = 0;
         for (StateId q : tables_->accepting_states) {
@@ -229,20 +194,18 @@ class BinarySweeper {
   /// Tarjan numbers every DAG successor below its predecessors — so within
   /// one label each component is scattered at most once per wave, with DAG
   /// successors receiving component-level pending lanes rather than member
-  /// scatters. Newly propagating cells join the current frontier
-  /// representation; returns how many were added. Every scattered cell
-  /// lies in the monotone fixed point (members of an SCC are mutually
+  /// scatters. Newly propagating cells join the frontier. Every scattered
+  /// cell lies in the monotone fixed point (members of an SCC are mutually
   /// a*-reachable; a DAG successor's members are reachable through one
   /// a-edge plus intra-SCC a-paths), so the closure never changes the
   /// output.
-  size_t RunCondenseClosure(RoundCounters* rounds) {
-    size_t added = 0;
+  void RunCondenseClosure(RoundCounters* rounds) {
     const uint32_t nq = tables_->nq;
     while (!cond_heap_.empty()) {
       // Per-wave trip point (one pop can scatter a whole SCC cone); the
       // abandoned heap is torn scratch the driver's tripped() guard
       // discards.
-      if (exec_ != nullptr && !exec_->Checkpoint()) return added;
+      if (exec_ != nullptr && !exec_->Checkpoint()) return;
       std::pop_heap(cond_heap_.begin(), cond_heap_.end());
       const auto [c, loop_index] = cond_heap_.back();
       cond_heap_.pop_back();
@@ -269,16 +232,9 @@ class BinarySweeper {
         // Same-loop re-triggers die on the expanded check; this feeds the
         // state's other star labels (e.g. the (a+b)* alternation).
         TriggerCondense(u, q, fresh);
-        if (!propagates) continue;
-        if (dense_) {
-          if (!frontier_bits_.Test(cell)) {
-            frontier_bits_.Set(cell);
-            ++added;
-          }
-        } else if (!pending_[cell]) {
+        if (propagates && !pending_[cell]) {
           pending_[cell] = 1;
           frontier_.emplace_back(u, q);
-          ++added;
         }
       }
       for (uint32_t succ : loop.label->DagOut(c)) {
@@ -290,15 +246,14 @@ class BinarySweeper {
         succ_pending |= add;
       }
     }
-    return added;
   }
 
-  /// One sparse top-down round: expand every frontier pair over the view's
-  /// out-edges, pushing fresh lanes into successors. Returns the next
-  /// frontier's size. Pairs whose target state never propagates per edge
-  /// are not enqueued (reaching them only updates the mask — or, for star
-  /// states, feeds the closure).
-  size_t SparseRound(RoundCounters* rounds) {
+  /// One round: expand every frontier pair over the graph's out-edges,
+  /// pushing fresh lanes into successors; the fresh pairs become the
+  /// frontier. Pairs whose target state never propagates per edge are not
+  /// enqueued (reaching them only updates the mask — or, for star states,
+  /// feeds the closure).
+  void SparseRound(RoundCounters* rounds) {
     const uint32_t nq = tables_->nq;
     next_.clear();
     for (auto [v, q] : frontier_) {
@@ -311,7 +266,7 @@ class BinarySweeper {
             plan_->Engaged(q, tr.symbol)) {
           continue;  // the closure owns the star hop
         }
-        for (NodeId u : view_.Out(v, tr.symbol)) {
+        for (NodeId u : graph_->OutNeighbors(v, tr.symbol)) {
           const size_t ut = static_cast<size_t>(u) * nq + tr.target;
           const uint64_t fresh = lanes_here & ~mask_[ut];
           if (fresh == 0) continue;
@@ -329,84 +284,11 @@ class BinarySweeper {
     }
     std::swap(frontier_, next_);
     ++rounds->sparse;
-    return frontier_.size();
   }
 
-  /// One dense bottom-up round: for every product pair (u, t), pull the
-  /// lanes of its predecessor pairs — (v, p) with edge (v, a, u) and
-  /// δ(p, a) = t, iterated as the frozen DFA's reverse entries × per-label
-  /// in-neighbor runs — gated by the frontier bitmap (word-at-a-time via
-  /// PullMissingLanes). Cells whose mask grows form the next frontier
-  /// bitmap. Returns its population count.
-  ///
-  /// Two pull short-circuits exploit the saturated regime dense rounds run
-  /// in: a cell already holding every batch lane is skipped outright, and a
-  /// pull stops as soon as it has gained all the cell's missing lanes —
-  /// both are no-ops on the fixed point (a full cell gains nothing; gained
-  /// lanes beyond `missing` were already present).
-  size_t DenseRound(RoundCounters* rounds) {
-    const uint32_t nq = tables_->nq;
-    const FrozenDfa& frozen = *tables_->frozen;
-    next_bits_.Clear();
-    size_t next_pairs = 0;
-    const uint32_t nv = view_.num_nodes();
-    auto in = [this](NodeId u, Symbol a) { return view_.In(u, a); };
-    for (StateId t = 0; t < nq; ++t) {
-      if (frozen.ReverseInto(t).empty()) continue;
-      const bool has_out = plan_->propagates[t] != 0;
-      const bool engaged = plan_->active && plan_->engaged_any[t];
-      for (NodeId u = 0; u < nv; ++u) {
-        const size_t cell = static_cast<size_t>(u) * nq + t;
-        const uint64_t missing = batch_full_ & ~mask_[cell];
-        if (missing == 0) continue;  // cell complete, nothing to gain
-        const uint64_t gained =
-            PullMissingLanes(*tables_, *plan_, frontier_bits_, mask_, in, u,
-                             t, missing);
-        if (gained == 0) continue;
-        if (mask_[cell] == 0) touched_.push_back(cell);
-        mask_[cell] |= gained;
-        if (engaged) TriggerCondense(u, t, gained);
-        if (has_out) {
-          next_bits_.Set(cell);
-          ++next_pairs;
-        }
-      }
-    }
-    std::swap(frontier_bits_, next_bits_);
-    ++rounds->dense;
-    return next_pairs;
-  }
-
-  /// Sparse → dense switch: move the frontier list into the bitmap (which
-  /// is all-zero outside rounds) and drop the pending flags.
-  void SparseFrontierToBits() {
-    const uint32_t nq = tables_->nq;
-    for (auto [v, q] : frontier_) {
-      const size_t vq = static_cast<size_t>(v) * nq + q;
-      pending_[vq] = 0;
-      frontier_bits_.Set(vq);
-    }
-    frontier_.clear();
-  }
-
-  /// Dense → sparse switch: drain the bitmap into the frontier list
-  /// (ascending cell order — irrelevant to the fixed point) and restore the
-  /// pending flags, leaving the bitmap all-zero.
-  void BitsToSparseFrontier() {
-    const uint32_t nq = tables_->nq;
-    frontier_.clear();
-    frontier_bits_.ForEachSetBit([&](size_t cell) {
-      pending_[cell] = 1;
-      frontier_.emplace_back(static_cast<NodeId>(cell / nq),
-                             static_cast<StateId>(cell % nq));
-    });
-    frontier_bits_.Clear();
-  }
-
-  View view_{};
+  const Graph* graph_ = nullptr;
   const BinaryTables* tables_ = nullptr;
   const CondensePlan* plan_ = nullptr;
-  DirectionPolicy policy_;
   ExecContext* exec_ = nullptr;
   std::vector<uint64_t> mask_;
   std::vector<uint8_t> pending_;
@@ -419,10 +301,6 @@ class BinarySweeper {
   std::vector<std::vector<uint64_t>> cond_expanded_;  // per loop × component
   std::vector<std::vector<uint64_t>> cond_pending_;   // per loop × component
   std::vector<std::vector<uint32_t>> cond_touched_;
-  BitVector frontier_bits_;
-  BitVector next_bits_;
-  uint64_t batch_full_ = 0;  // all lanes of the current batch
-  bool dense_ = false;
   std::vector<NodeId> scratch_[kLaneBatch];  // CollectLanes sort buffers
 };
 

@@ -7,11 +7,8 @@
 namespace rpqlearn {
 
 using eval_internal::BuildBinaryTables;
-using eval_internal::BuildCondensePlan;
-using eval_internal::GlobalGraphView;
 using eval_internal::MonadicSweeper;
 using eval_internal::MonadicSweepScratchBytes;
-using eval_internal::ResolveDirectionPolicy;
 using eval_internal::RoundCounters;
 
 namespace {
@@ -23,22 +20,7 @@ void FoldMonadicCounters(EvalStats* stats, const RoundCounters& totals) {
   if (stats == nullptr) return;
   stats->monadic_sparse_rounds.fetch_add(totals.sparse,
                                          std::memory_order_relaxed);
-  stats->monadic_dense_rounds.fetch_add(totals.dense,
-                                        std::memory_order_relaxed);
-  stats->condensed_expansions.fetch_add(totals.condensed_expansions,
-                                        std::memory_order_relaxed);
-  stats->components_collapsed.fetch_add(totals.components_collapsed,
-                                        std::memory_order_relaxed);
   stats->pairs_settled.fetch_add(totals.pairs, std::memory_order_relaxed);
-}
-
-/// Validated options with the condensation planner pinned off: the retained
-/// sweeper repairs through per-edge rounds only (see the header comment),
-/// so the plan must never activate — BuildCondensePlan then still fills the
-/// `propagates` table the sweeper consults unconditionally.
-EvalOptions PinCondenseOff(EvalOptions validated) {
-  validated.condense = CondenseMode::kOff;
-  return validated;
 }
 
 }  // namespace
@@ -84,10 +66,6 @@ MaterializedMonadic::MaterializedMonadic(const Graph& graph, const Dfa& query,
                                          EvalOptions validated)
     : graph_(&graph), frozen_(query), validated_(std::move(validated)) {
   tables_ = BuildBinaryTables(graph, frozen_);
-  BuildCondensePlan(graph, tables_, PinCondenseOff(validated_),
-                    /*auto_needs_cache=*/false, &plan_);
-  policy_ = ResolveDirectionPolicy(
-      validated_, static_cast<size_t>(tables_.nv) * tables_.nq);
 }
 
 StatusOr<std::unique_ptr<MaterializedMonadic>> MaterializedMonadic::Create(
@@ -111,15 +89,14 @@ Status MaterializedMonadic::BuildFixedPoint() {
   ExecContext* exec = validated_.exec;
   const size_t num_pairs = static_cast<size_t>(tables_.nv) * tables_.nq;
   ScopedExecCharge charge(sweeper_ == nullptr ? exec : nullptr,
-                          MonadicSweepScratchBytes(num_pairs, plan_));
+                          MonadicSweepScratchBytes(num_pairs));
   if (!charge.ok()) {
     stale_ = true;
     return exec->TripStatus();
   }
   // Rebuilt, not reused: the monadic sweeper's reached() bitmap has no
   // per-batch reset path (one materialization is one perpetual sweep).
-  sweeper_ = std::make_unique<MonadicSweeper<GlobalGraphView>>(
-      GlobalGraphView{graph_}, tables_, plan_, policy_, exec);
+  sweeper_ = std::make_unique<MonadicSweeper>(*graph_, tables_);
   result_ = BitVector(graph_->num_nodes());
   const StateId q0 = tables_.q0;
   const auto hook = [this, q0](NodeId v, StateId q) {

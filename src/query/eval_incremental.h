@@ -18,13 +18,6 @@
 /// and falls back to a full rebuild, counted in MaterializedStats so the
 /// bench shows the crossover.
 ///
-/// The retained sweeper always runs with the SCC-condensation plan
-/// inactive: the closure's component structure is a property of the graph
-/// at build time, and an insert can merge components — repairing through a
-/// stale condensation could skip reachability the new edge created.
-/// Per-edge-only rounds keep the monotone argument airtight (kOff is the
-/// exact pre-condensation path).
-///
 /// DynamicGraph (src/graph/dynamic.h) routes its updates to every
 /// materialization registered on it, and a QueryPlan (src/query/engine.h)
 /// keeps one as its warm monadic result; see docs/ARCHITECTURE.md,
@@ -40,7 +33,6 @@
 #include "query/eval.h"
 #include "query/eval_internal.h"
 #include "query/eval_monadic_sweeper.h"
-#include "query/eval_views.h"
 #include "util/bit_vector.h"
 #include "util/status.h"
 
@@ -145,13 +137,10 @@ class MaterializedMonadic {
   const Graph* graph_;
   FrozenDfa frozen_;
   eval_internal::BinaryTables tables_;
-  eval_internal::CondensePlan plan_;  // inactive
-  eval_internal::DirectionPolicy policy_;
   EvalOptions validated_;
   /// Retained sweep state; rebuilt (not reused) on fallback — the monadic
   /// sweeper's reached() bitmap has no per-batch reset path.
-  std::unique_ptr<eval_internal::MonadicSweeper<eval_internal::GlobalGraphView>>
-      sweeper_;
+  std::unique_ptr<eval_internal::MonadicSweeper> sweeper_;
   BitVector result_;
   uint64_t synced_version_ = 0;
   /// Per shared label: Graph::label_version at last sync. A version()

@@ -45,10 +45,8 @@ class BitVector {
 
   /// The `width` bits starting at bit `base`, packed into the low bits of
   /// one word (bit j of the result = bit base + j of the vector). Requires
-  /// width ≤ 64 and base + width ≤ size(). This is the word-at-a-time
-  /// gather the dense evaluation rounds use to test a whole per-node state
-  /// window of the frontier bitmap against a precomputed state mask,
-  /// replacing per-bit Test calls.
+  /// width ≤ 64 and base + width ≤ size(). A word-at-a-time gather that
+  /// replaces `width` per-bit Test calls.
   uint64_t Window(size_t base, size_t width) const {
     RPQ_DCHECK(width <= kBitsPerWord);
     RPQ_DCHECK(base + width <= size_);
@@ -129,9 +127,8 @@ class BitVector {
     return true;
   }
 
-  /// Invokes `fn(index)` for every set bit, ascending, without allocating.
-  /// The word-at-a-time scan (countr_zero + clear-lowest) is what the dense
-  /// evaluation rounds use to drain frontier bitmaps.
+  /// Invokes `fn(index)` for every set bit, ascending, without allocating
+  /// (a word-at-a-time countr_zero + clear-lowest scan).
   template <typename Fn>
   void ForEachSetBit(Fn&& fn) const {
     for (size_t wi = 0; wi < words_.size(); ++wi) {

@@ -10,9 +10,8 @@
 namespace rpqlearn {
 namespace {
 
-// Property tests for the BitVector word-level operations the
-// direction-optimizing evaluation rounds rely on (and/or/andnot, popcount,
-// set-bit iteration, raw word access), cross-checked against a naive
+// Property tests for the BitVector word-level operations (and/or/andnot,
+// popcount, set-bit iteration, raw word access), cross-checked against a naive
 // std::vector<bool> model over randomized sizes — including 0, the 63/64/65
 // word boundaries, and sizes whose last word is partially used.
 
@@ -177,8 +176,7 @@ TEST(BitVectorWordOpsTest, CountEqualsWordPopcountSum) {
 TEST(BitVectorWordOpsTest, WindowMatchesPerBitTest) {
   // Window(base, width) must equal the bits gathered one Test at a time,
   // for every alignment — including windows straddling a word boundary and
-  // windows ending exactly at size(). This is the gather the word-at-a-time
-  // dense-pull frontier check builds on.
+  // windows ending exactly at size().
   Rng rng(105);
   for (size_t size : kSizes) {
     if (size == 0) continue;
@@ -197,8 +195,7 @@ TEST(BitVectorWordOpsTest, WindowMatchesPerBitTest) {
 }
 
 TEST(BitVectorWordOpsTest, ForEachSetBitEarlyDense) {
-  // A fully set vector iterates every index exactly once, in order — the
-  // pattern the dense rounds hit when a frontier saturates the pair space.
+  // A fully set vector iterates every index exactly once, in order.
   for (size_t size : {64, 65, 200}) {
     Model model(size, true);
     const BitVector bv = FromModel(model);

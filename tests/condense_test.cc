@@ -23,8 +23,8 @@ namespace {
 // Structural invariants of the per-label SCC condensation (components vs a
 // brute-force mutual-reachability model, member/DAG conservation, summary
 // consistency) plus the evaluation-level differential: star-heavy queries
-// across condense × threads × force modes against the seed
-// reference, with engagement counters proving the component path ran.
+// across condense × threads against the seed reference, with engagement
+// counters proving the component path ran.
 
 Graph RandomGraph(uint64_t seed, uint32_t num_nodes, size_t num_edges,
                   uint32_t num_labels) {
@@ -278,27 +278,21 @@ TEST(EvalCondenseTest, StarQueriesMatchReferenceAcrossTheKnobCube) {
       for (CondenseMode condense :
            {CondenseMode::kOff, CondenseMode::kOn, CondenseMode::kAuto}) {
         for (uint32_t threads : {1u, 8u}) {
-          for (EvalMode mode :
-               {EvalMode::kAuto, EvalMode::kSparse, EvalMode::kDense}) {
-            EvalOptions options;
-            options.condense = condense;
-            options.threads = threads;
-            options.force_mode = mode;
-            options.dense_threshold = 0.05;
-            options.parallel_threshold_pairs = 0;
-            const auto config = [&] {
-              return std::string(pattern) + " condense=" +
-                     std::to_string(static_cast<int>(condense)) +
-                     " threads=" + std::to_string(threads) +
-                     " mode=" + std::to_string(static_cast<int>(mode));
-            };
-            auto pairs = EvalAllPairs(graph, query, options);
-            ASSERT_TRUE(pairs.ok()) << config();
-            EXPECT_EQ(*pairs, expected_pairs) << config();
-            auto monadic = EvalMonadic(graph, query, options);
-            ASSERT_TRUE(monadic.ok()) << config();
-            EXPECT_TRUE(*monadic == expected_monadic) << config();
-          }
+          EvalOptions options;
+          options.condense = condense;
+          options.threads = threads;
+          options.parallel_threshold_pairs = 0;
+          const auto config = [&] {
+            return std::string(pattern) + " condense=" +
+                   std::to_string(static_cast<int>(condense)) +
+                   " threads=" + std::to_string(threads);
+          };
+          auto pairs = EvalAllPairs(graph, query, options);
+          ASSERT_TRUE(pairs.ok()) << config();
+          EXPECT_EQ(*pairs, expected_pairs) << config();
+          auto monadic = EvalMonadic(graph, query, options);
+          ASSERT_TRUE(monadic.ok()) << config();
+          EXPECT_TRUE(*monadic == expected_monadic) << config();
         }
       }
     }
@@ -338,12 +332,14 @@ TEST(EvalCondenseTest, EngagementCountersProveTheComponentPathRan) {
   EXPECT_EQ(off_stats.condensed_expansions.load(), 0u);
   EXPECT_EQ(off_stats.components_collapsed.load(), 0u);
 
-  // Monadic sweeps engage through the same plan.
+  // Monadic sweeps never condense, even under kOn: they are plain
+  // backward BFS.
   EvalStats monadic_stats;
   EvalOptions monadic_on = on;
   monadic_on.stats = &monadic_stats;
   ASSERT_TRUE(EvalMonadic(graph, query, monadic_on).ok());
-  EXPECT_GT(monadic_stats.condensed_expansions.load(), 0u);
+  EXPECT_EQ(monadic_stats.condensed_expansions.load(), 0u);
+  EXPECT_GT(monadic_stats.monadic_sparse_rounds.load(), 0u);
 }
 
 TEST(EvalCondenseTest, CachesAreConsultedAndMismatchesIgnored) {

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -25,6 +26,7 @@
 #include "util/fault.h"
 #include "util/random.h"
 #include "eval_test_util.h"
+#include "fuzz_env.h"
 
 namespace rpqlearn {
 namespace {
@@ -33,8 +35,8 @@ namespace {
 // random graphs (Erdős–Rényi and scale-free, from src/graph/generators.*) ×
 // random queries (regex ASTs from src/regex/random_regex.* compiled through
 // the production Thompson → determinize → minimize pipeline, plus raw
-// random DFAs) drive the seed reference against every engine configuration —
-// sparse, dense, hybrid (auto crossover) — across thread counts {1, 2, 8}.
+// random DFAs) drive the seed reference against the engines at thread
+// counts {1, 2, 8}.
 // On a mismatch the failing case is shrunk (greedy edge and node removal
 // while the mismatch persists) and printed as a self-contained
 // reproduction block.
@@ -52,13 +54,7 @@ namespace {
 //
 // The default run fuzzes 200 cases; set RPQ_FUZZ_ITERS for longer campaigns
 // (the nightly CI job runs 10×).
-
-uint32_t FuzzIterations() {
-  const char* env = std::getenv("RPQ_FUZZ_ITERS");
-  if (env == nullptr) return 200;
-  const long parsed = std::strtol(env, nullptr, 10);
-  return parsed >= 1 ? static_cast<uint32_t>(parsed) : 200;
-}
+constexpr uint32_t kDefaultFuzzIterations = 200;
 
 /// Whether the update-interleaving campaign runs: RPQ_FUZZ_UPDATES ∈
 /// {on, off}, default on (the nightly matrix sweeps both). Any other value
@@ -109,22 +105,20 @@ FuzzFaults FuzzFaultsMode() {
 }
 
 /// SCC-condensation mode of every configuration row: randomized per fuzz
-/// case by default; RPQ_EVAL_CONDENSE ∈ {auto, on, off} pins one value for
-/// targeted campaigns (the nightly job sweeps {auto, off}).
-bool FuzzCondenseOverride(CondenseMode* mode) {
+/// case by default (nullopt); RPQ_EVAL_CONDENSE ∈ {auto, on, off} pins one
+/// value for targeted campaigns (the nightly job sweeps {auto, off}). Any
+/// other value is a typo: InvalidArgument naming it, so the campaign fails
+/// loudly rather than silently fuzzing randomized modes.
+StatusOr<std::optional<CondenseMode>> FuzzCondenseOverride() {
   const char* env = std::getenv("RPQ_EVAL_CONDENSE");
-  if (env == nullptr) return false;
+  if (env == nullptr) return std::optional<CondenseMode>();
   const std::string value(env);
-  if (value == "auto") {
-    *mode = CondenseMode::kAuto;
-  } else if (value == "on") {
-    *mode = CondenseMode::kOn;
-  } else if (value == "off") {
-    *mode = CondenseMode::kOff;
-  } else {
-    return false;
-  }
-  return true;
+  if (value == "auto") return std::optional(CondenseMode::kAuto);
+  if (value == "on") return std::optional(CondenseMode::kOn);
+  if (value == "off") return std::optional(CondenseMode::kOff);
+  return Status::InvalidArgument("invalid RPQ_EVAL_CONDENSE value \"" +
+                                 value +
+                                 "\"; expected \"auto\", \"on\" or \"off\"");
 }
 
 const char* CondenseName(CondenseMode mode) {
@@ -186,7 +180,7 @@ EdgeList RandomEdgeList(Rng* rng, uint32_t num_labels) {
   }
   if (kind < 7) {
     // Scale-free topology with Zipfian labels: heavy hubs saturate the
-    // product BFS, the regime where dense rounds engage.
+    // product BFS.
     ScaleFreeOptions options;
     options.num_nodes = 10 + static_cast<uint32_t>(rng->NextBelow(80));
     options.num_edges = 3 * static_cast<size_t>(options.num_nodes);
@@ -298,34 +292,20 @@ FuzzCase DrawCase(Rng* rng) {
 
 struct EngineConfig {
   const char* name;
-  EvalMode mode;
-  double dense_threshold;
   uint32_t threads;
 };
 
-/// The fuzzed configuration matrix: every force_mode plus the hybrid
-/// crossover (auto with a threshold low enough to engage dense rounds on
-/// these small graphs), each at thread counts 1, 2 and 8.
+/// The fuzzed configuration matrix: thread counts 1, 2 and 8.
 const EngineConfig kEngineConfigs[] = {
-    {"sparse/threads=1", EvalMode::kSparse, 0.05, 1},
-    {"sparse/threads=2", EvalMode::kSparse, 0.05, 2},
-    {"sparse/threads=8", EvalMode::kSparse, 0.05, 8},
-    {"dense/threads=1", EvalMode::kDense, 0.05, 1},
-    {"dense/threads=2", EvalMode::kDense, 0.05, 2},
-    {"dense/threads=8", EvalMode::kDense, 0.05, 8},
-    {"hybrid/threads=1", EvalMode::kAuto, 0.02, 1},
-    {"hybrid/threads=2", EvalMode::kAuto, 0.02, 2},
-    {"hybrid/threads=8", EvalMode::kAuto, 0.02, 8},
-    {"auto-default/threads=1", EvalMode::kAuto,
-     EvalOptions{}.dense_threshold, 1},
+    {"sparse/threads=1", 1},
+    {"sparse/threads=2", 2},
+    {"sparse/threads=8", 8},
 };
 
 EvalOptions ToOptions(const EngineConfig& config, CondenseMode case_condense) {
   EvalOptions options;
   options.threads = config.threads;
   options.parallel_threshold_pairs = 0;  // force the parallel path
-  options.force_mode = config.mode;
-  options.dense_threshold = config.dense_threshold;
   options.condense = case_condense;
   return options;
 }
@@ -442,8 +422,7 @@ std::string ReproBlock(uint64_t case_seed, CheckKind check,
       << "case_seed: " << case_seed << "\n"
       << "check: " << CheckName(check) << "\n"
       << "engine: " << config.name
-      << " (dense_threshold=" << config.dense_threshold
-      << ", condense=" << CondenseName(case_condense) << ")\n"
+      << " (condense=" << CondenseName(case_condense) << ")\n"
       << "query: " << query_description << "\n"
       << "graph: nodes=" << graph.num_nodes
       << " labels=" << graph.num_labels << " edges=" << graph.edges.size()
@@ -466,12 +445,16 @@ std::string ReproBlock(uint64_t case_seed, CheckKind check,
 // ------------------------------------------------------------ the fuzzer
 
 TEST(EvalFuzzTest, DifferentialAgainstSeedReference) {
-  const uint32_t iterations = FuzzIterations();
-  CondenseMode condense_override = CondenseMode::kAuto;
-  const bool condense_pinned = FuzzCondenseOverride(&condense_override);
+  const StatusOr<uint32_t> iterations =
+      FuzzIterations(kDefaultFuzzIterations);
+  ASSERT_TRUE(iterations.ok()) << iterations.status().ToString();
+  const StatusOr<std::optional<CondenseMode>> condense_override =
+      FuzzCondenseOverride();
+  ASSERT_TRUE(condense_override.ok())
+      << condense_override.status().ToString();
   Rng master(0x5eedf00d);
   uint32_t mismatches = 0;
-  for (uint32_t iteration = 0; iteration < iterations; ++iteration) {
+  for (uint32_t iteration = 0; iteration < *iterations; ++iteration) {
     const uint64_t case_seed = master.Next();
     Rng rng(case_seed);
     // The case-defining draws (condense, labels, graph, query) are shared
@@ -479,8 +462,8 @@ TEST(EvalFuzzTest, DifferentialAgainstSeedReference) {
     // value only after the full draw, so the corpus stays identical across
     // sweeps.
     FuzzCase fuzz_case = DrawCase(&rng);
-    CondenseMode case_condense = fuzz_case.case_condense;
-    if (condense_pinned) case_condense = condense_override;
+    const CondenseMode case_condense =
+        condense_override->value_or(fuzz_case.case_condense);
     const EdgeList& edge_list = fuzz_case.edge_list;
     const Graph graph = edge_list.BuildGraph();
     const bool oversized_alphabet = fuzz_case.oversized_alphabet;
@@ -520,36 +503,56 @@ TEST(EvalFuzzTest, DifferentialAgainstSeedReference) {
     }
     if (mismatches >= 5) {
       ADD_FAILURE() << "stopping after 5 mismatching cases ("
-                    << iteration + 1 << " of " << iterations
+                    << iteration + 1 << " of " << *iterations
                     << " iterations fuzzed)";
       break;
     }
   }
 }
 
-TEST(EvalFuzzTest, HybridEngagesDenseRoundsSomewhere) {
-  // Meta-check on the corpus: across a slice of the fuzzed cases, the
-  // hybrid configuration must actually cross into dense rounds at least
-  // once — otherwise the matrix above silently stops covering the
-  // direction-optimizing path (e.g. after a threshold or fixture change).
-  Rng master(0x5eedf00d);
-  EvalStats stats;
-  for (uint32_t iteration = 0; iteration < 40; ++iteration) {
-    const uint64_t case_seed = master.Next();
-    Rng rng(case_seed);
-    const FuzzCase fuzz_case = DrawCase(&rng);
-    const Graph graph = fuzz_case.edge_list.BuildGraph();
+/// `value` in double quotes, the way a knob error names it.
+std::string Quoted(const char* value) {
+  std::string quoted = "\"";
+  quoted += value;
+  quoted += '"';
+  return quoted;
+}
 
-    EvalOptions hybrid;
-    hybrid.threads = 1;
-    hybrid.dense_threshold = 0.02;
-    hybrid.stats = &stats;
-    auto result = EvalAllPairs(graph, fuzz_case.query.dfa, hybrid);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
+TEST(EvalFuzzTest, MalformedIterationCountIsRejected) {
+  // A typoed RPQ_FUZZ_ITERS fails the campaigns, naming the value, instead
+  // of fuzzing some other count.
+  for (const char* bad : {"2k", "garbage", "0", "-5", "", " 7", "1e3",
+                          "99999999999"}) {
+    const ScopedEnv env("RPQ_FUZZ_ITERS", bad);
+    const StatusOr<uint32_t> iterations =
+        FuzzIterations(kDefaultFuzzIterations);
+    ASSERT_FALSE(iterations.ok()) << "RPQ_FUZZ_ITERS=\"" << bad << "\"";
+    EXPECT_EQ(iterations.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(iterations.status().message().find(Quoted(bad)),
+              std::string::npos)
+        << iterations.status().ToString();
   }
-  EXPECT_GT(stats.dense_rounds.load(), 0u)
-      << "no fuzzed case engaged dense rounds under the hybrid config";
-  EXPECT_GT(stats.sparse_rounds.load(), 0u);
+  const ScopedEnv env("RPQ_FUZZ_ITERS", "2000");
+  const StatusOr<uint32_t> iterations = FuzzIterations(kDefaultFuzzIterations);
+  ASSERT_TRUE(iterations.ok()) << iterations.status().ToString();
+  EXPECT_EQ(*iterations, 2000u);
+}
+
+TEST(EvalFuzzTest, UnknownCondensePinIsRejected) {
+  // A typoed RPQ_EVAL_CONDENSE fails the campaigns, naming the value,
+  // instead of silently fuzzing randomized modes.
+  for (const char* bad : {"Off", "ON", "none", ""}) {
+    const ScopedEnv env("RPQ_EVAL_CONDENSE", bad);
+    const StatusOr<std::optional<CondenseMode>> pin = FuzzCondenseOverride();
+    ASSERT_FALSE(pin.ok()) << "RPQ_EVAL_CONDENSE=\"" << bad << "\"";
+    EXPECT_EQ(pin.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(pin.status().message().find(Quoted(bad)), std::string::npos)
+        << pin.status().ToString();
+  }
+  const ScopedEnv env("RPQ_EVAL_CONDENSE", "off");
+  const StatusOr<std::optional<CondenseMode>> pin = FuzzCondenseOverride();
+  ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+  EXPECT_EQ(*pin, std::optional(CondenseMode::kOff));
 }
 
 TEST(EvalFuzzTest, CondenseEngagesComponentsSomewhere) {
@@ -638,12 +641,15 @@ TEST(EvalFuzzTest, FaultInjectionCampaign) {
                     "RPQ_FUZZ_FAULTS=on to run it";
   }
 
-  const uint32_t iterations = FuzzIterations();
-  constexpr size_t kNumConfigs =
-      sizeof(kEngineConfigs) / sizeof(kEngineConfigs[0]);
+  const StatusOr<uint32_t> iterations =
+      FuzzIterations(kDefaultFuzzIterations);
+  ASSERT_TRUE(iterations.ok()) << iterations.status().ToString();
+  // The engine draw stays ten-way, so every later draw of a case stays put;
+  // its slots map onto the three configurations by thread count.
+  constexpr size_t kConfigSlots[] = {0, 1, 2, 0, 1, 2, 0, 1, 2, 0};
   Rng master(0x5eedf00d);
   uint64_t fired_cases = 0;
-  for (uint32_t iteration = 0; iteration < iterations; ++iteration) {
+  for (uint32_t iteration = 0; iteration < *iterations; ++iteration) {
     const uint64_t case_seed = master.Next();
     Rng rng(case_seed);
     FuzzCase fuzz_case = DrawCase(&rng);
@@ -667,7 +673,8 @@ TEST(EvalFuzzTest, FaultInjectionCampaign) {
       checks.push_back(CheckKind::kMonadic);
     }
     const CheckKind check = checks[rng.NextBelow(checks.size())];
-    const EngineConfig& config = kEngineConfigs[rng.NextBelow(kNumConfigs)];
+    const EngineConfig& config =
+        kEngineConfigs[kConfigSlots[rng.NextBelow(std::size(kConfigSlots))]];
     SCOPED_TRACE("case_seed=" + std::to_string(case_seed) + " check=" +
                  CheckName(check) + " engine=" + config.name);
 
@@ -726,7 +733,7 @@ TEST(EvalFuzzTest, FaultInjectionCampaign) {
   }
   // The overshoot keeps ~80% of plans inside the run; a campaign where
   // (almost) nothing fired is fuzzing nothing and must fail loudly.
-  EXPECT_GT(fired_cases, iterations / 4)
+  EXPECT_GT(fired_cases, *iterations / 4)
       << "too few injected faults actually fired";
 }
 
@@ -785,10 +792,9 @@ std::vector<TraceStep> DrawTraceSteps(Rng* rng) {
   return steps;
 }
 
-/// The update campaign's engine rows: threads {1, 8}, hybrid mode with a
-/// threshold low enough to cross into dense rounds; condensation comes from
-/// the per-case draw (or the RPQ_EVAL_CONDENSE pin), giving the condense
-/// {auto,off} × threads {1,8} cube across the nightly matrix legs.
+/// The update campaign's engine rows: threads {1, 8}; condensation comes
+/// from the per-case draw (or the RPQ_EVAL_CONDENSE pin), giving the
+/// condense {auto,off} × threads {1,8} cube across the nightly matrix legs.
 struct UpdateRow {
   const char* name;
   uint32_t threads;
@@ -805,7 +811,6 @@ EvalOptions UpdateRowOptions(const UpdateRow& row,
   EvalOptions options;
   options.threads = row.threads;
   options.parallel_threshold_pairs = 0;
-  options.dense_threshold = 0.02;  // engage hybrid crossovers
   options.condense = case_condense;
   return options;
 }
@@ -1139,17 +1144,21 @@ TEST(EvalFuzzTest, UpdateInterleavingDifferentialCampaign) {
       << std::getenv("RPQ_EVAL_INCREMENTAL")
       << "\"; expected \"on\" or \"off\"";
 
-  const uint32_t iterations = FuzzIterations();
-  CondenseMode condense_override = CondenseMode::kAuto;
-  const bool condense_pinned = FuzzCondenseOverride(&condense_override);
+  const StatusOr<uint32_t> iterations =
+      FuzzIterations(kDefaultFuzzIterations);
+  ASSERT_TRUE(iterations.ok()) << iterations.status().ToString();
+  const StatusOr<std::optional<CondenseMode>> condense_override =
+      FuzzCondenseOverride();
+  ASSERT_TRUE(condense_override.ok())
+      << condense_override.status().ToString();
   Rng master(0x5eedda7a);
   uint32_t mismatching_cases = 0;
-  for (uint32_t iteration = 0; iteration < iterations; ++iteration) {
+  for (uint32_t iteration = 0; iteration < *iterations; ++iteration) {
     const uint64_t case_seed = master.Next();
     Rng rng(case_seed);
     const UpdateCase update = DrawUpdateCase(&rng);
-    CondenseMode case_condense = update.base.case_condense;
-    if (condense_pinned) case_condense = condense_override;
+    const CondenseMode case_condense =
+        condense_override->value_or(update.base.case_condense);
 
     bool case_failed = false;
     for (size_t r = 0; r < kNumUpdateRows && !case_failed; ++r) {
@@ -1175,7 +1184,7 @@ TEST(EvalFuzzTest, UpdateInterleavingDifferentialCampaign) {
     }
     if (mismatching_cases >= 5) {
       ADD_FAILURE() << "stopping after 5 mismatching cases ("
-                    << iteration + 1 << " of " << iterations
+                    << iteration + 1 << " of " << *iterations
                     << " iterations fuzzed)";
       break;
     }

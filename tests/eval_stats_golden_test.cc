@@ -15,8 +15,8 @@ namespace {
 // {1, 8} × condense {auto, off}) on one fixed workload.
 // The counters are documented as deterministic and scheduling-independent,
 // so each cube point must (a) reproduce run-to-run, (b) be invariant under
-// the thread count, and (c) match the hard-coded golden row recorded when
-// the unified sweepers landed. A golden drift means the round machinery
+// the thread count, and (c) match the hard-coded golden row below. A golden
+// drift means the round machinery
 // changed behavior — counting differently is an API break for the tuning
 // loops that read these counters, even when results stay bit-identical.
 
@@ -24,7 +24,6 @@ namespace {
 struct StatsSnapshot {
   uint64_t sparse_rounds;
   uint64_t dense_rounds;
-  uint64_t dense_batches;
   uint64_t monadic_sparse_rounds;
   uint64_t monadic_dense_rounds;
   uint64_t condensed_expansions;
@@ -36,16 +35,15 @@ struct StatsSnapshot {
 
 StatsSnapshot Take(const EvalStats& stats) {
   return StatsSnapshot{
-      stats.sparse_rounds.load(),        stats.dense_rounds.load(),
-      stats.dense_batches.load(),        stats.monadic_sparse_rounds.load(),
-      stats.monadic_dense_rounds.load(), stats.condensed_expansions.load(),
-      stats.components_collapsed.load(), stats.pairs_settled.load()};
+      stats.sparse_rounds.load(),         stats.dense_rounds.load(),
+      stats.monadic_sparse_rounds.load(), stats.monadic_dense_rounds.load(),
+      stats.condensed_expansions.load(),  stats.components_collapsed.load(),
+      stats.pairs_settled.load()};
 }
 
 std::string Format(const StatsSnapshot& s) {
   return "{sparse=" + std::to_string(s.sparse_rounds) +
          " dense=" + std::to_string(s.dense_rounds) +
-         " dense_batches=" + std::to_string(s.dense_batches) +
          " monadic_sparse=" + std::to_string(s.monadic_sparse_rounds) +
          " monadic_dense=" + std::to_string(s.monadic_dense_rounds) +
          " cond_expansions=" + std::to_string(s.condensed_expansions) +
@@ -56,9 +54,8 @@ std::string Format(const StatsSnapshot& s) {
 enum class Engine { kBinary, kMonadic };
 
 /// The fixed workload: big enough that the all-sources binary evaluation
-/// spans 3 batches, each label carries enough edges to clear the kAuto
-/// condensation floor, and the low dense_threshold makes kAuto rounds
-/// cross into dense mode.
+/// spans 3 batches, and each label carries enough edges to clear the kAuto
+/// condensation floor.
 Graph GoldenGraph() {
   ErdosRenyiOptions options;
   options.num_nodes = 150;
@@ -87,7 +84,6 @@ StatsSnapshot RunPoint(const Graph& g, const Dfa& q, Engine engine,
   EvalOptions options;
   options.threads = threads;
   options.parallel_threshold_pairs = 0;
-  options.dense_threshold = 0.02;
   options.condense = condense;
   options.stats = &stats;
   if (engine == Engine::kBinary) {
@@ -107,20 +103,21 @@ struct GoldenRow {
   StatsSnapshot expected;
 };
 
-// Recorded at threads = 1 when the four round engines were unified behind
-// the shared sweepers; regenerate (and justify) only on an intentional
-// round-machinery change. Monadic kAuto rows equal their kOff rows because
-// kAuto condensation for single sweeps engages only through
-// EvalOptions.condensed_cache, which this fixture does not supply.
+// Recorded at threads = 1; regenerate (and justify) only on an intentional
+// round-machinery change. The rows moved when the dense bottom-up rounds
+// were deleted: every round is now a sparse push, so each row equals the
+// earlier engine's counts with the round kind pinned to sparse (rounds and
+// pairs both moved), and the dense fields read 0. Monadic sweeps never
+// condense, so both monadic rows agree.
 constexpr GoldenRow kGolden[] = {
     {"binary condense=auto", Engine::kBinary, CondenseMode::kAuto,
-     {0, 6, 3, 0, 0, 228, 4, 403}},
+     {6, 0, 0, 0, 228, 4, 403}},
     {"binary condense=off", Engine::kBinary, CondenseMode::kOff,
-     {12, 27, 3, 0, 0, 0, 0, 732}},
+     {40, 0, 0, 0, 0, 0, 768}},
     {"monadic condense=auto", Engine::kMonadic, CondenseMode::kAuto,
-     {0, 0, 0, 1, 4, 0, 0, 365}},
+     {0, 0, 5, 0, 0, 0, 365}},
     {"monadic condense=off", Engine::kMonadic, CondenseMode::kOff,
-     {0, 0, 0, 1, 4, 0, 0, 365}},
+     {0, 0, 5, 0, 0, 0, 365}},
 };
 
 TEST(EvalStatsGoldenTest, CountersMatchGoldenAndAreThreadInvariant) {
@@ -152,33 +149,6 @@ TEST(EvalStatsGoldenTest, CountersMatchGoldenAndAreThreadInvariant) {
           << "\n  expected " << Format(at_one);
     }
   }
-}
-
-TEST(EvalStatsGoldenTest, ForcedModesShiftRoundKindsOnly) {
-  // force_mode repartitions rounds between the sparse and dense counters
-  // but keeps dense_batches' meaning: every batch with work is a dense
-  // batch under kDense and none is under kSparse.
-  const Graph g = GoldenGraph();
-  const Dfa q = GoldenQuery();
-  EvalStats stats;
-  EvalOptions options;
-  options.threads = 1;
-  options.parallel_threshold_pairs = 0;
-  options.condense = CondenseMode::kOff;
-  options.stats = &stats;
-
-  options.force_mode = EvalMode::kSparse;
-  ASSERT_TRUE(EvalAllPairs(g, q, options).ok());
-  EXPECT_EQ(stats.dense_rounds.load(), 0u);
-  EXPECT_EQ(stats.dense_batches.load(), 0u);
-  EXPECT_GT(stats.sparse_rounds.load(), 0u);
-
-  stats.Reset();
-  options.force_mode = EvalMode::kDense;
-  ASSERT_TRUE(EvalAllPairs(g, q, options).ok());
-  EXPECT_EQ(stats.sparse_rounds.load(), 0u);
-  EXPECT_EQ(stats.dense_batches.load(), 3u);
-  EXPECT_GT(stats.dense_rounds.load(), 0u);
 }
 
 }  // namespace

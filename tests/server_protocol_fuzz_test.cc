@@ -12,6 +12,7 @@
 
 #include "server/server.h"
 #include "util/random.h"
+#include "fuzz_env.h"
 
 namespace rpqlearn::server {
 namespace {
@@ -23,13 +24,6 @@ namespace {
 // garbage must answer typed ERR lines and keep serving. ASan-clean runs of
 // this file are part of the nightly fuzz matrix (RPQ_FUZZ_ITERS scales the
 // effort; the default keeps CI fast).
-
-size_t FuzzIterations(size_t base) {
-  const char* env = std::getenv("RPQ_FUZZ_ITERS");
-  if (env == nullptr) return base;
-  const long parsed = std::strtol(env, nullptr, 10);
-  return parsed > 0 ? static_cast<size_t>(parsed) : base;
-}
 
 /// Random bytes biased toward protocol-looking content: keywords, digits,
 /// separators, and raw binary in proportion.
@@ -61,8 +55,10 @@ std::string RandomLine(Rng& rng, size_t max_len) {
 }
 
 TEST(ServerProtocolFuzzTest, ParseCommandNeverCrashesOnArbitraryBytes) {
+  const StatusOr<uint32_t> iterations = FuzzIterations(20000);
+  ASSERT_TRUE(iterations.ok()) << iterations.status().ToString();
   Rng rng(20260809);
-  for (size_t i = 0; i < FuzzIterations(20000); ++i) {
+  for (size_t i = 0; i < *iterations; ++i) {
     const std::string line = RandomLine(rng, 256);
     StatusOr<Command> command = ParseCommand(line);
     if (!command.ok()) {
@@ -73,6 +69,8 @@ TEST(ServerProtocolFuzzTest, ParseCommandNeverCrashesOnArbitraryBytes) {
 }
 
 TEST(ServerProtocolFuzzTest, ParseCommandSurvivesTruncatedValidCommands) {
+  const StatusOr<uint32_t> iterations = FuzzIterations(5000);
+  ASSERT_TRUE(iterations.ok()) << iterations.status().ToString();
   Rng rng(7);
   const std::string valid[] = {
       "LOAD /tmp/graph.txt",
@@ -82,7 +80,7 @@ TEST(ServerProtocolFuzzTest, ParseCommandSurvivesTruncatedValidCommands) {
       "LEARN (a+b)* SEED 99 MAX 1000",
       "STATS",
   };
-  for (size_t i = 0; i < FuzzIterations(5000); ++i) {
+  for (size_t i = 0; i < *iterations; ++i) {
     std::string line = valid[rng.NextBelow(std::size(valid))];
     line = line.substr(0, rng.NextBelow(line.size() + 1));
     // Optionally splice a random byte into the truncation point.
@@ -94,9 +92,11 @@ TEST(ServerProtocolFuzzTest, ParseCommandSurvivesTruncatedValidCommands) {
 }
 
 TEST(ServerProtocolFuzzTest, LineBufferHonorsItsBoundUnderRandomChunking) {
+  const StatusOr<uint32_t> iterations = FuzzIterations(500);
+  ASSERT_TRUE(iterations.ok()) << iterations.status().ToString();
   Rng rng(99);
   constexpr size_t kBound = 512;
-  for (size_t round = 0; round < FuzzIterations(500); ++round) {
+  for (size_t round = 0; round < *iterations; ++round) {
     LineBuffer buffer(kBound);
     // A stream mixing normal lines, empty lines, CRLF, oversized floods.
     std::string stream;
@@ -175,13 +175,15 @@ TEST(ServerProtocolFuzzTest, LineBufferAtBoundVerdictIgnoresChunking) {
 }
 
 TEST(ServerProtocolFuzzTest, LiveServerSurvivesGarbageStreams) {
+  const StatusOr<uint32_t> iterations = FuzzIterations(50);
+  ASSERT_TRUE(iterations.ok()) << iterations.status().ToString();
   ServerOptions options;
   options.max_line_bytes = 1024;
   RpqServer server(options);
   ASSERT_TRUE(server.Start().ok());
 
   Rng rng(4242);
-  for (size_t round = 0; round < FuzzIterations(50); ++round) {
+  for (size_t round = 0; round < *iterations; ++round) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     ASSERT_GE(fd, 0);
     sockaddr_in addr{};
