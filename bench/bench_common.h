@@ -100,20 +100,6 @@ inline uint32_t EvalThreads() {
   return ParseEnvOrDie("RPQ_EVAL_THREADS", DefaultEvalThreads());
 }
 
-/// SCC-condensation policy of the binary kleene-star planner step,
-/// selected with RPQ_EVAL_CONDENSE (`auto` — the summary-gated default — or
-/// `on` / `off` to pin it). Results are bit-identical for every mode (see "SCC
-/// condensation" in docs/ARCHITECTURE.md).
-inline CondenseMode EvalCondense() {
-  const char* env = std::getenv("RPQ_EVAL_CONDENSE");
-  if (env == nullptr) return CondenseMode::kAuto;
-  const std::string value(env);
-  if (value == "auto") return CondenseMode::kAuto;
-  if (value == "on") return CondenseMode::kOn;
-  if (value == "off") return CondenseMode::kOff;
-  DieBadKnob("RPQ_EVAL_CONDENSE", env, "\"auto\", \"on\" or \"off\"");
-}
-
 /// Wall-clock deadline in milliseconds for the whole driver run, selected
 /// with RPQ_EVAL_DEADLINE_MS (unset = no deadline). The clock starts at the
 /// first EvalConfig()/EnvExecContext() call; once it elapses every
@@ -125,8 +111,8 @@ inline uint32_t EvalDeadlineMs() {
 
 /// Evaluation scratch budget in MiB, selected with RPQ_EVAL_MEM_BUDGET_MB
 /// (unset = unlimited). Covers the byte-accounted product-space scratch of
-/// the round engines — reached bitmaps, lane masks, condensation tables —
-/// not the graph or index structures themselves.
+/// the round engines — reached bitmaps, lane masks — not the graph or index
+/// structures themselves.
 inline uint32_t EvalMemBudgetMb() {
   return ParseEnvOrDie("RPQ_EVAL_MEM_BUDGET_MB", 0);
 }
@@ -177,13 +163,12 @@ inline ExecContext* EnvExecContext() {
   return context;
 }
 
-/// EvalOptions for the current environment: RPQ_EVAL_THREADS workers, the
-/// RPQ_EVAL_CONDENSE kleene-star condensation policy, and the
-/// RPQ_EVAL_DEADLINE_MS / RPQ_EVAL_MEM_BUDGET_MB execution-control limits.
+/// EvalOptions for the current environment: RPQ_EVAL_THREADS workers and
+/// the RPQ_EVAL_DEADLINE_MS / RPQ_EVAL_MEM_BUDGET_MB execution-control
+/// limits.
 inline EvalOptions EvalConfig() {
   EvalOptions options;
   options.threads = EvalThreads();
-  options.condense = EvalCondense();
   options.exec = EnvExecContext();
   return options;
 }

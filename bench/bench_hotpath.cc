@@ -14,7 +14,6 @@
 
 #include "automata/pta.h"
 #include "bench/bench_common.h"
-#include "graph/condense.h"
 #include "graph/dynamic.h"
 #include "graph/generators.h"
 #include "learn/rpni.h"
@@ -240,120 +239,6 @@ ParallelEvalResult BenchParallelEval(uint32_t num_nodes, int trials) {
     RPQ_CHECK_EQ(r->Count(), sequential_monadic->Count());
   }
   result.monadic_parallel_seconds = timer.ElapsedSeconds() / monadic_trials;
-  return result;
-}
-
-struct CondensedQueryResult {
-  const char* name = "";
-  const char* pattern = "";
-  double off_seconds = 0;
-  double on_seconds = 0;
-  double auto_seconds = 0;
-  uint64_t condensed_expansions = 0;
-  uint64_t components_collapsed = 0;
-};
-
-struct CondensedFixtureResult {
-  uint32_t nodes = 0;
-  size_t edges = 0;
-  uint32_t l0_components = 0;
-  uint32_t l0_largest_component = 0;
-  double l0_collapse_ratio = 0;
-  std::vector<CondensedQueryResult> queries;
-};
-
-/// SCC-condensed vs per-edge kleene-star evaluation on the high-density
-/// fixture (large per-label SCCs) with star-heavy queries, pinned to one
-/// thread so the condensation planner step is the only variable. Outputs
-/// are checked bit-identical across the three condense modes before
-/// timing; the `on` run records its expansion counters so the JSON proves
-/// the component path engaged.
-CondensedFixtureResult BenchCondensed(uint32_t num_nodes,
-                                      size_t edges_per_node, int trials) {
-  ScaleFreeOptions graph_options;
-  graph_options.num_nodes = num_nodes;
-  graph_options.num_edges = edges_per_node * static_cast<size_t>(num_nodes);
-  graph_options.num_labels = 8;
-  graph_options.seed = 7;
-  Graph graph = GenerateScaleFree(graph_options);
-
-  CondensedFixtureResult result;
-  result.nodes = graph.num_nodes();
-  result.edges = graph.num_edges();
-  {
-    const Symbol l0 = 0;
-    const CondensedGraph cond = CondensedGraph::Build(graph, {&l0, 1});
-    const CondensationSummary& summary = cond.Label(l0).summary();
-    result.l0_components = summary.num_components;
-    result.l0_largest_component = summary.largest_component;
-    result.l0_collapse_ratio = summary.collapse_ratio;
-  }
-
-  auto mode_options = [](CondenseMode condense) {
-    EvalOptions options;
-    options.threads = 1;
-    options.condense = condense;
-    return options;
-  };
-
-  const struct {
-    const char* name;
-    const char* pattern;
-  } kQueries[] = {{"star", "l0*"}, {"star_concat", "(l0+l1)*.l2"}};
-  for (const auto& spec : kQueries) {
-    Dfa query = CompileQuery(spec.pattern, graph);
-    CondensedQueryResult row;
-    row.name = spec.name;
-    row.pattern = spec.pattern;
-
-    auto off_pairs =
-        bench::EvalAllPairs(graph, query, mode_options(CondenseMode::kOff));
-    auto on_pairs =
-        bench::EvalAllPairs(graph, query, mode_options(CondenseMode::kOn));
-    auto auto_pairs =
-        bench::EvalAllPairs(graph, query, mode_options(CondenseMode::kAuto));
-    RPQ_CHECK(off_pairs.ok() && on_pairs.ok() && auto_pairs.ok());
-    RPQ_CHECK(*on_pairs == *off_pairs)
-        << "condensed all-pairs evaluation diverged from condense=off on "
-        << spec.pattern;
-    RPQ_CHECK(*auto_pairs == *off_pairs)
-        << "condense=auto all-pairs evaluation diverged from condense=off on "
-        << spec.pattern;
-
-    WallTimer timer;
-    for (int t = 0; t < trials; ++t) {
-      auto pairs =
-          bench::EvalAllPairs(graph, query, mode_options(CondenseMode::kOff));
-      RPQ_CHECK_EQ(pairs->size(), off_pairs->size());
-    }
-    row.off_seconds = timer.ElapsedSeconds() / trials;
-
-    EvalStats stats;
-    EvalOptions on = mode_options(CondenseMode::kOn);
-    on.stats = &stats;
-    timer.Restart();
-    for (int t = 0; t < trials; ++t) {
-      auto pairs = bench::EvalAllPairs(graph, query, on);
-      RPQ_CHECK_EQ(pairs->size(), off_pairs->size());
-    }
-    row.on_seconds = timer.ElapsedSeconds() / trials;
-    // Per-trial expansion counts (identical every trial: deterministic).
-    row.condensed_expansions =
-        stats.condensed_expansions.load() / static_cast<uint64_t>(trials);
-    row.components_collapsed =
-        stats.components_collapsed.load() / static_cast<uint64_t>(trials);
-    RPQ_CHECK(row.condensed_expansions > 0)
-        << "condense=on never expanded a component on " << spec.pattern;
-
-    timer.Restart();
-    for (int t = 0; t < trials; ++t) {
-      auto pairs =
-          bench::EvalAllPairs(graph, query, mode_options(CondenseMode::kAuto));
-      RPQ_CHECK_EQ(pairs->size(), off_pairs->size());
-    }
-    row.auto_seconds = timer.ElapsedSeconds() / trials;
-    result.queries.push_back(row);
-  }
   return result;
 }
 
@@ -841,11 +726,11 @@ void PrintDynamicJson(FILE* out, const DynamicBenchResult& r) {
   std::fprintf(out, "  },\n");
 }
 
-/// Full configuration-cube identity check on a reduced high-density
-/// fixture: condense {off, on, auto} × threads {1, 8}, binary vs the seed
-/// reference and monadic vs the seed reference. Runs at a fixed small size on every
-/// bench scale so the CI perf job always re-proves the cube.
-void CheckCondensedIdentityCube() {
+/// Identity check on a high-density fixture with large per-label SCCs:
+/// threads {1, 8}, binary and monadic, each against its seed reference.
+/// Runs at a fixed small size on every bench scale so the CI perf job
+/// always re-proves it.
+void CheckHighDensityIdentity() {
   ScaleFreeOptions graph_options;
   graph_options.num_nodes = 1500;
   graph_options.num_edges = 10 * static_cast<size_t>(graph_options.num_nodes);
@@ -857,76 +742,19 @@ void CheckCondensedIdentityCube() {
   const auto expected_pairs = EvalBinaryReference(graph, query);
   const BitVector expected_monadic = EvalMonadicReference(graph, query);
 
-  for (CondenseMode condense :
-       {CondenseMode::kOff, CondenseMode::kOn, CondenseMode::kAuto}) {
-    for (uint32_t threads : {1u, 8u}) {
-      EvalOptions options;
-      options.condense = condense;
-      options.threads = threads;
-      options.parallel_threshold_pairs = 0;
-      auto pairs = bench::EvalAllPairs(graph, query, options);
-      RPQ_CHECK(pairs.ok());
-      RPQ_CHECK(*pairs == expected_pairs)
-          << "condensed identity cube: binary diverged at condense="
-          << static_cast<int>(condense) << " threads=" << threads;
-      auto monadic = EvalMonadic(graph, query, options);
-      RPQ_CHECK(monadic.ok());
-      RPQ_CHECK(*monadic == expected_monadic)
-          << "condensed identity cube: monadic diverged at condense="
-          << static_cast<int>(condense) << " threads=" << threads;
-    }
+  for (uint32_t threads : {1u, 8u}) {
+    EvalOptions options;
+    options.threads = threads;
+    options.parallel_threshold_pairs = 0;
+    auto pairs = bench::EvalAllPairs(graph, query, options);
+    RPQ_CHECK(pairs.ok());
+    RPQ_CHECK(*pairs == expected_pairs)
+        << "high-density identity: binary diverged at threads=" << threads;
+    auto monadic = EvalMonadic(graph, query, options);
+    RPQ_CHECK(monadic.ok());
+    RPQ_CHECK(*monadic == expected_monadic)
+        << "high-density identity: monadic diverged at threads=" << threads;
   }
-}
-
-void PrintCondensed(const char* name, const CondensedFixtureResult& r) {
-  std::printf("SCC-condensed eval, %s fixture (%u nodes, %zu edges, "
-              "RPQ_EVAL_CONDENSE to pin; l0: %u comps, largest %u, "
-              "collapse %.2f):\n",
-              name, r.nodes, r.edges, r.l0_components,
-              r.l0_largest_component, r.l0_collapse_ratio);
-  for (const CondensedQueryResult& q : r.queries) {
-    std::printf("  %-12s %-14s off %8.3fs  on %8.3fs (%.2fx)  auto %8.3fs "
-                "(%.2fx)  %llu expansions, %llu collapsed\n",
-                q.name, q.pattern, q.off_seconds, q.on_seconds,
-                Speedup(q.off_seconds, q.on_seconds), q.auto_seconds,
-                Speedup(q.off_seconds, q.auto_seconds),
-                static_cast<unsigned long long>(q.condensed_expansions),
-                static_cast<unsigned long long>(q.components_collapsed));
-  }
-}
-
-void PrintCondensedJson(FILE* out, const CondensedFixtureResult& r) {
-  std::fprintf(out,
-               "  \"eval_condensed\": {\n"
-               "    \"nodes\": %u,\n"
-               "    \"edges\": %zu,\n"
-               "    \"l0_components\": %u,\n"
-               "    \"l0_largest_component\": %u,\n"
-               "    \"l0_collapse_ratio\": %.4f,\n"
-               "    \"identity_cube_checked\": true,\n",
-               r.nodes, r.edges, r.l0_components, r.l0_largest_component,
-               r.l0_collapse_ratio);
-  for (size_t i = 0; i < r.queries.size(); ++i) {
-    const CondensedQueryResult& q = r.queries[i];
-    std::fprintf(out,
-                 "    \"%s\": {\n"
-                 "      \"pattern\": \"%s\",\n"
-                 "      \"off_seconds\": %.6f,\n"
-                 "      \"on_seconds\": %.6f,\n"
-                 "      \"auto_seconds\": %.6f,\n"
-                 "      \"on_vs_off_speedup\": %.2f,\n"
-                 "      \"auto_vs_off_speedup\": %.2f,\n"
-                 "      \"condensed_expansions\": %llu,\n"
-                 "      \"components_collapsed\": %llu\n"
-                 "    }%s\n",
-                 q.name, q.pattern, q.off_seconds, q.on_seconds,
-                 q.auto_seconds, Speedup(q.off_seconds, q.on_seconds),
-                 Speedup(q.off_seconds, q.auto_seconds),
-                 static_cast<unsigned long long>(q.condensed_expansions),
-                 static_cast<unsigned long long>(q.components_collapsed),
-                 i + 1 < r.queries.size() ? "," : "");
-  }
-  std::fprintf(out, "  },\n");
 }
 
 }  // namespace
@@ -982,16 +810,11 @@ int main() {
               par.monadic_one_thread_seconds, par.threads,
               par.monadic_parallel_seconds, par_monadic_speedup);
 
-  // --- SCC-condensed kleene-star evaluation ----------------------------
-  // The condensation planner step on the high-density fixture (large
-  // per-label SCCs) with star-heavy queries, plus the full
-  // condense × threads identity cube against the seed reference on a fixed
-  // reduced fixture.
-  CheckCondensedIdentityCube();
-  std::printf("condensed identity cube: ok (condense x threads vs seed "
-              "reference)\n");
-  auto condensed = BenchCondensed(eval_nodes, 10, trials);
-  PrintCondensed("high-density", condensed);
+  // --- high-density identity check ------------------------------------
+  // Threads {1, 8} against the seed references on a fixed fixture with
+  // large per-label SCCs and a star-heavy query.
+  CheckHighDensityIdentity();
+  std::printf("high-density identity: ok (threads x seed reference)\n");
 
   // --- dynamic graphs: overlay vs rebuild-from-scratch ------------------
   // Evaluate-after-k-updates on the standard fixture: the delta-edge
@@ -1063,7 +886,6 @@ int main() {
                par.binary_parallel_seconds, par_binary_speedup,
                par.monadic_one_thread_seconds, par.monadic_parallel_seconds,
                par_monadic_speedup);
-  PrintCondensedJson(out, condensed);
   PrintDynamicJson(out, dynamic);
   PrintIncrementalJson(out, incremental);
   std::fprintf(out,

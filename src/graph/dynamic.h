@@ -3,12 +3,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
-#include "graph/condense.h"
 #include "graph/graph.h"
 #include "query/eval.h"
 #include "query/eval_incremental.h"
@@ -16,10 +13,8 @@
 
 namespace rpqlearn {
 
-/// Telemetry of incremental structure maintenance: how often each repair
-/// path fired. The condense_* counters sum over every maintained update
-/// (one per update when condensation maintenance is on); see CondenseRepair
-/// for what each path does.
+/// Telemetry of update routing: how many updates applied, were rejected,
+/// and how often the overlay was compacted.
 struct MaintenanceStats {
   /// Successful InsertEdge / DeleteEdge calls (graph mutated).
   uint64_t inserts = 0;
@@ -27,9 +22,8 @@ struct MaintenanceStats {
   /// No-op calls: inserting a live edge or deleting an absent one.
   uint64_t rejected_updates = 0;
   uint64_t compactions = 0;
-  /// CondenseRepair outcome tallies.
-  uint64_t condense_untouched_labels = 0;
-  uint64_t condense_no_structural_change = 0;
+  /// Retired, always 0: no condensation is maintained. Kept only because
+  /// perfbench/src/serving.cc reads them.
   uint64_t condense_dag_rebuilds = 0;
   uint64_t condense_retarjans = 0;
   /// Compactions triggered by the pending-delta threshold policy (a subset
@@ -37,21 +31,16 @@ struct MaintenanceStats {
   uint64_t auto_compactions = 0;
 };
 
-/// Owns a Graph plus an optional *maintained* derived-structure snapshot —
-/// a per-label CondensedGraph — kept consistent with the live edge set
-/// across InsertEdge / DeleteEdge by incremental repair instead of
-/// rebuild-from-scratch. This is the serving shape for a mutating graph:
-/// the query server's Engine (and any binary evaluation call) borrows the
-/// snapshot through WithCaches(), and the version keying (Graph::version ↔ the
-/// snapshot's graph_version) guarantees the evaluation engines can never
-/// read a snapshot that missed an update.
-/// Materialized monadic results (MaterializeMonadic) ride the same update
-/// routing: their retained fixed points are repaired in place by
-/// delta-frontier re-seeding as edges arrive.
+/// Owns a Graph and routes every InsertEdge / DeleteEdge to the
+/// materialized monadic results registered on it (MaterializeMonadic),
+/// whose retained fixed points are repaired in place by delta-frontier
+/// re-seeding as edges arrive; it also runs the auto-compaction policy.
+/// This is the serving shape for a mutating graph: the query server's
+/// Engine runs over graph().
 ///
 /// Mutations must be externally synchronized against readers, exactly like
 /// Graph itself. All maintenance is deterministic: a DynamicGraph that
-/// replayed the same updates holds a bit-identical snapshot.
+/// replayed the same updates holds bit-identical materialized results.
 class DynamicGraph {
  public:
   static constexpr size_t kDefaultAutoCompactThreshold = 256;
@@ -60,26 +49,23 @@ class DynamicGraph {
 
   const Graph& graph() const { return graph_; }
 
-  /// Builds the maintained condensation over every label / over `labels`;
-  /// subsequent updates repair it per affected label.
-  void MaintainCondensation();
-  void MaintainCondensation(std::span<const Symbol> labels);
+  /// Retired no-op: no condensation is maintained. Kept only because
+  /// perfbench/src/serving.cc names it.
+  void MaintainCondensation() {}
 
   /// Registers a materialized monadic query (src/query/eval_incremental.h)
   /// maintained by this DynamicGraph: every subsequent successful update is
   /// routed to it (delta-frontier repair on inserts, per-label invalidation
-  /// on deletes) in registration order, after the maintained condensation
-  /// was repaired. The returned pointer is owned by this DynamicGraph and
-  /// stays valid for its lifetime.
+  /// on deletes) in registration order. The returned pointer is owned by
+  /// this DynamicGraph and stays valid for its lifetime.
   StatusOr<MaterializedMonadic*> MaterializeMonadic(
       const Dfa& query, const EvalOptions& options = {});
 
-  /// Graph::InsertEdge / DeleteEdge plus incremental repair of the
-  /// maintained condensation and every registered materialized query.
-  /// Returns whether the graph mutated. After repairs, the auto-compaction
-  /// policy may fold the delta overlay (see set_auto_compact_threshold) — by
-  /// construction never mid-evaluation, since evaluations only run between
-  /// updates.
+  /// Graph::InsertEdge / DeleteEdge plus incremental repair of every
+  /// registered materialized query. Returns whether the graph mutated.
+  /// After repairs, the auto-compaction policy may fold the delta overlay
+  /// (see set_auto_compact_threshold) — by construction never
+  /// mid-evaluation, since evaluations only run between updates.
   bool InsertEdge(NodeId src, Symbol a, NodeId dst);
   bool DeleteEdge(NodeId src, Symbol a, NodeId dst);
 
@@ -95,29 +81,20 @@ class DynamicGraph {
   }
   size_t auto_compact_threshold() const { return auto_compact_threshold_; }
 
-  /// Graph::Compact(). The condensation is exact at all times and carries
-  /// no patch state, so it is left untouched; versions are preserved, so it
-  /// stays valid.
+  /// Graph::Compact(), then notifies every registered materialized query;
+  /// versions are preserved, so their results stay valid.
   void Compact();
 
-  /// Maintained snapshot; null until MaintainCondensation.
-  const CondensedGraph* condensed() const {
-    return condensed_ ? &*condensed_ : nullptr;
-  }
-
-  /// Returns `options` with the maintained condensation filled in as its
-  /// cache pointer (a caller-supplied pointer wins). The evaluation engines
-  /// still re-validate by version, so handing it out is always safe.
-  EvalOptions WithCaches(EvalOptions options) const;
+  /// Retired: returns `options` unchanged. Kept only because
+  /// perfbench/src/serving.cc calls it.
+  EvalOptions WithCaches(EvalOptions options) const { return options; }
 
   const MaintenanceStats& stats() const { return stats_; }
 
  private:
-  void ApplyToCondensation(Symbol a, NodeId src, NodeId dst, bool inserted);
   void MaybeAutoCompact();
 
   Graph graph_;
-  std::optional<CondensedGraph> condensed_;
   /// Registered materialized queries, notified in registration order.
   std::vector<std::unique_ptr<MaterializedMonadic>> materialized_;
   size_t auto_compact_threshold_ = kDefaultAutoCompactThreshold;

@@ -168,15 +168,14 @@ class Graph {
   size_t num_pending_deltas() const;
 
   /// Mutation counter: bumped by every successful InsertEdge/DeleteEdge,
-  /// preserved by Compact(). Derived structures (CondensedGraph) record it
-  /// at build/update time and the evaluation engines reject caches whose
-  /// recorded version mismatches — a stale cache can therefore never serve
-  /// a mutated graph.
+  /// preserved by Compact(). Derived results (MaterializedMonadic) record
+  /// it when they sync and re-sync when it moved — a stale result can
+  /// therefore never serve a mutated graph.
   uint64_t version() const { return version_; }
 
   /// Per-label mutation counter: bumped only by updates carrying `a`.
-  /// Cache layers key invalidation on it so an update touching label `a`
-  /// leaves snapshots of other labels frozen.
+  /// Derived results key invalidation on it, so an update touching only
+  /// labels a query does not read leaves its result valid.
   uint64_t label_version(Symbol a) const { return label_versions_[a]; }
 
  private:

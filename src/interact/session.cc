@@ -23,8 +23,7 @@ SessionResult RunInteractiveSession(const Graph& graph, const Oracle& oracle,
   // learner's hypotheses recur as labels arrive (a negative often sends it
   // back to an earlier query), and the session graph never mutates, so a
   // repeat hypothesis hits the engine's plan cache and is answered from the
-  // plan's retained monadic fixed point without any sweep. Every run is
-  // monadic, so the engine builds no condensation snapshot. Results are
+  // plan's retained monadic fixed point without any sweep. Results are
   // bit-identical to EvalMonadic — plans are pure reuse.
   ExecContext* exec = options.eval.exec;
   EngineOptions engine_options;

@@ -17,7 +17,7 @@ QueryPlan::QueryPlan(const Engine* engine, Dfa dfa)
       fingerprint_(DfaFingerprint(frozen_)) {}
 
 StatusOr<MonadicNodes> QueryPlan::RunMonadic(ExecContext* exec) const {
-  StatusOr<EvalOptions> options = engine_->PrepareRun(exec, nullptr);
+  StatusOr<EvalOptions> options = engine_->PrepareRun(exec);
   if (!options.ok()) return options.status();
 
   std::lock_guard<std::mutex> lock(monadic_mutex_);
@@ -53,8 +53,7 @@ StatusOr<MonadicNodes> QueryPlan::RunMonadic(ExecContext* exec) const {
 
 StatusOr<std::vector<std::pair<NodeId, NodeId>>> QueryPlan::RunBinary(
     std::span<const NodeId> sources, ExecContext* exec) const {
-  std::shared_ptr<const Engine::Snapshots> snapshots;
-  StatusOr<EvalOptions> options = engine_->PrepareRun(exec, &snapshots);
+  StatusOr<EvalOptions> options = engine_->PrepareRun(exec);
   if (!options.ok()) return options.status();
   return EvalBinaryFromSources(engine_->graph(), dfa_, sources, *options);
 }
@@ -106,10 +105,7 @@ Engine::Engine(const Graph& graph, EngineOptions options)
       validated_(ValidateEvalOptions(options_.eval)) {}
 
 Engine::Engine(const DynamicGraph& dynamic, EngineOptions options)
-    : graph_(&dynamic.graph()),
-      dynamic_(&dynamic),
-      options_(std::move(options)),
-      validated_(ValidateEvalOptions(options_.eval)) {}
+    : Engine(dynamic.graph(), std::move(options)) {}
 
 StatusOr<Engine::PlanPtr> Engine::Plan(const Dfa& query) const {
   if (!validated_.ok()) return validated_.status();
@@ -168,42 +164,15 @@ void Engine::CountMonadicWarmHit() const {
   ++counters_.monadic_warm_hits;
 }
 
-StatusOr<EvalOptions> Engine::PrepareRun(
-    ExecContext* exec, std::shared_ptr<const Snapshots>* holder) const {
+StatusOr<EvalOptions> Engine::PrepareRun(ExecContext* exec) const {
   if (!validated_.ok()) return validated_.status();
   EvalOptions options = *validated_;
-  // Monadic runs pass no holder: nothing monadic reads a condensation.
-  if (holder != nullptr) {
-    if (dynamic_ != nullptr) {
-      // Borrow the DynamicGraph's incrementally maintained snapshot; the
-      // holder stays empty (the DynamicGraph owns its lifetime).
-      options = dynamic_->WithCaches(options);
-    } else {
-      *holder = CurrentSnapshots();
-      if (*holder != nullptr) options.condensed_cache = &(*holder)->condensed;
-    }
-  }
   if (exec != nullptr) options.exec = exec;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++counters_.runs;
   }
   return options;
-}
-
-std::shared_ptr<const Engine::Snapshots> Engine::CurrentSnapshots() const {
-  if (validated_->condense == CondenseMode::kOff) return nullptr;
-
-  const uint64_t version = graph_->version();
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (snapshots_ != nullptr && snapshots_->graph_version == version) {
-    return snapshots_;
-  }
-  auto fresh = std::make_shared<Snapshots>(
-      Snapshots{version, CondensedGraph::Build(*graph_)});
-  ++counters_.snapshot_builds;
-  snapshots_ = std::move(fresh);
-  return snapshots_;
 }
 
 }  // namespace rpqlearn

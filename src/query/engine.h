@@ -15,21 +15,12 @@
 /// is on), RunBinary drives EvalBinaryFromSources, and RunBinaryBatch
 /// coalesces several RunBinary requests into one evaluation.
 ///
-/// An `Engine` owns, per graph:
-///   - a **plan cache**: an LRU of QueryPlans keyed by the structural
-///     fingerprint of the canonical query DFA (collisions resolved by exact
-///     structural comparison), so a repeat query — the interactive loop's
-///     recurring hypotheses, a server's hot queries — reuses its frozen
-///     transition tables, parse/canonicalization work, and warm results;
-///   - a **graph snapshot**: the per-label SCC condensation
-///     (CondensedGraph) the binary rounds consult, built lazily by the
-///     first binary run and re-validated against Graph::version() per
-///     binary run — a mutated graph triggers one rebuild, never a stale
-///     read (the evaluation engines
-///     independently reject mismatched snapshots, so the version keying
-///     here is belt over braces). An Engine constructed over a DynamicGraph
-///     borrows that graph's incrementally *maintained* snapshot instead of
-///     rebuilding from scratch.
+/// An `Engine` owns, per graph, a **plan cache**: an LRU of QueryPlans
+/// keyed by the structural fingerprint of the canonical query DFA
+/// (collisions resolved by exact structural comparison), so a repeat query
+/// — the interactive loop's recurring hypotheses, a server's hot queries —
+/// reuses its frozen transition tables, parse/canonicalization work, and
+/// warm results.
 ///
 /// A `QueryPlan` owns, per query:
 ///   - the canonical Dfa and its FrozenDfa (flat + reverse-CSR tables);
@@ -40,8 +31,7 @@
 ///     path of the interactive session's recurring hypotheses.
 ///
 /// Every result is bit-identical to the corresponding eval.h call with the
-/// same options: plans and snapshots are pure reuse, never a different
-/// algorithm.
+/// same options: plans are pure reuse, never a different algorithm.
 ///
 /// Thread-safety: Plan() and the QueryPlan runs are safe to call
 /// concurrently from any number of threads **as long as the graph is not
@@ -61,7 +51,6 @@
 
 #include "automata/dfa.h"
 #include "automata/dfa_csr.h"
-#include "graph/condense.h"
 #include "query/eval.h"
 #include "query/eval_incremental.h"
 #include "util/bit_vector.h"
@@ -80,10 +69,6 @@ struct EngineCounters {
   uint64_t plan_misses = 0;
   /// Plans dropped by the LRU policy (capacity overflow).
   uint64_t plan_evictions = 0;
-  /// Condensation snapshot (re)builds — only binary runs build one: 0 on
-  /// an engine that serves only monadic plans, 1 on a static graph, one
-  /// more per graph version a binary run actually served.
-  uint64_t snapshot_builds = 0;
   /// RunMonadic / RunBinary / RunBinaryBatch calls through this engine.
   uint64_t runs = 0;
   /// Monadic runs answered from a plan's retained fixed point without a
@@ -169,7 +154,7 @@ class QueryPlan {
 /// Engine configuration. The eval options are validated at construction
 /// (Plan and the runs surface the Status of an invalid configuration).
 struct EngineOptions {
-  /// Base evaluation knobs for every run: threads, condensation policy,
+  /// Base evaluation knobs for every run: threads, parallel threshold,
   /// default ExecContext and stats sink.
   EvalOptions eval;
   /// Plans kept by the LRU cache; 0 disables caching (every Plan() call
@@ -188,10 +173,8 @@ class Engine {
 
   /// An engine over a borrowed graph; `graph` must outlive the engine.
   explicit Engine(const Graph& graph, EngineOptions options = {});
-  /// An engine borrowing a DynamicGraph's *maintained* snapshot: binary
-  /// runs consult dynamic.condensed() (incrementally repaired on every
-  /// update) instead of an engine-built one. `dynamic` must outlive the
-  /// engine; updates still require external serialization against runs.
+  /// An engine over `dynamic.graph()`; `dynamic` must outlive the engine,
+  /// and its updates still require external serialization against runs.
   explicit Engine(const DynamicGraph& dynamic, EngineOptions options = {});
 
   Engine(const Engine&) = delete;
@@ -208,8 +191,7 @@ class Engine {
   StatusOr<PlanPtr> Plan(std::string_view regex) const;
 
   const Graph& graph() const { return *graph_; }
-  /// The validated base EvalOptions every run starts from (the snapshot
-  /// cache pointer is filled per run and never set here).
+  /// The validated base EvalOptions every run starts from.
   const StatusOr<EvalOptions>& eval_options() const { return validated_; }
 
   EngineCounters counters() const;
@@ -217,36 +199,19 @@ class Engine {
  private:
   friend class QueryPlan;
 
-  /// Version-keyed snapshot bundle. Binary runs hold the shared_ptr for
-  /// their whole duration, so a concurrent refresh (graph mutated between
-  /// runs) can never pull structures out from under an in-flight
-  /// evaluation.
-  struct Snapshots {
-    uint64_t graph_version = 0;
-    CondensedGraph condensed;
-  };
-
   /// The engine's EvalOptions for one run, the run's ExecContext (when
-  /// non-null) overriding the engine-level one. A binary run passes
-  /// `holder`: the snapshot cache pointer is filled in and `holder`
-  /// receives the bundle keeping it alive. A monadic run passes nullptr
-  /// and acquires no snapshot.
-  StatusOr<EvalOptions> PrepareRun(ExecContext* exec,
-                                   std::shared_ptr<const Snapshots>* holder) const;
-
-  std::shared_ptr<const Snapshots> CurrentSnapshots() const;
+  /// non-null) overriding the engine-level one.
+  StatusOr<EvalOptions> PrepareRun(ExecContext* exec) const;
 
   void CountMonadicWarmHit() const;
 
   const Graph* graph_;
-  const DynamicGraph* dynamic_ = nullptr;  ///< non-null: borrow its snapshot
   EngineOptions options_;
   StatusOr<EvalOptions> validated_;
 
   mutable std::mutex mutex_;
   /// Most-recently-used first.
   mutable std::vector<std::shared_ptr<QueryPlan>> plans_;
-  mutable std::shared_ptr<const Snapshots> snapshots_;
   mutable EngineCounters counters_;
 };
 

@@ -15,16 +15,14 @@
 
 namespace rpqlearn {
 
-// The shared building blocks live in eval_internal.h (tables, condensation
-// plans, round counters, scratch estimates) and the sweeper headers (the
-// round machinery). This TU keeps the drivers: worker scheduling, batch
+// The shared building blocks live in eval_internal.h (tables, round
+// counters, scratch estimates) and the sweeper headers (the round
+// machinery). This TU keeps the drivers: worker scheduling, batch
 // slicing, result recovery, and the public entry points.
 using eval_internal::BinaryScratchBytes;
 using eval_internal::BinarySweeper;
 using eval_internal::BinaryTables;
 using eval_internal::BuildBinaryTables;
-using eval_internal::BuildCondensePlan;
-using eval_internal::CondensePlan;
 using eval_internal::kLaneBatch;
 using eval_internal::MonadicSweeper;
 using eval_internal::MonadicSweepScratchBytes;
@@ -191,15 +189,15 @@ class BinaryBatchScratch {
   /// Binds the sweeper to the graph and sizes its scratch; idempotent, so
   /// workers call it lazily on their first batch.
   void Prepare(const Graph& graph, const BinaryTables& tables,
-               const CondensePlan& plan, ExecContext* exec) {
-    sweeper_.Prepare(graph, tables, plan, exec);
+               ExecContext* exec) {
+    sweeper_.Prepare(graph, tables, exec);
   }
 
   /// Evaluates one batch of ≤ 64 sources (lane i = sources[i]) and appends
   /// its (src, dst) pairs to `out`, grouped by lane in input order with
   /// destinations ascending, adding its round counts to `rounds`. Pure
-  /// function of (graph, tables, plan, sources): scratch reuse, worker
-  /// assignment and the condensation plan never change the output.
+  /// function of (graph, tables, sources): scratch reuse and worker
+  /// assignment never change the output.
   void RunBatch(std::span<const NodeId> sources, ExecContext* exec,
                 std::vector<std::pair<NodeId, NodeId>>* out,
                 RoundCounters* rounds) {
@@ -230,7 +228,7 @@ class BinaryBatchScratch {
 
 /// Sums per-batch round counters into EvalOptions.stats, if present. The
 /// totals are deterministic: each batch's counts are a pure function of
-/// (graph, query, batch sources, plan), independent of scheduling.
+/// (graph, query, batch sources), independent of scheduling.
 RoundCounters AccumulateStats(const EvalOptions& validated,
                               std::span<const RoundCounters> per_batch) {
   RoundCounters totals;
@@ -238,10 +236,6 @@ RoundCounters AccumulateStats(const EvalOptions& validated,
   if (validated.stats == nullptr) return totals;
   validated.stats->sparse_rounds.fetch_add(totals.sparse,
                                            std::memory_order_relaxed);
-  validated.stats->condensed_expansions.fetch_add(totals.condensed_expansions,
-                                                  std::memory_order_relaxed);
-  validated.stats->components_collapsed.fetch_add(totals.components_collapsed,
-                                                  std::memory_order_relaxed);
   validated.stats->pairs_settled.fetch_add(totals.pairs,
                                            std::memory_order_relaxed);
   return totals;
@@ -261,8 +255,6 @@ StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinaryImpl(
   RPQ_DCHECK(nq > 0);
   const FrozenDfa frozen(query);
   const BinaryTables tables = BuildBinaryTables(graph, frozen);
-  CondensePlan plan;
-  BuildCondensePlan(graph, tables, validated, &plan);
   const size_t num_pairs = static_cast<size_t>(tables.nv) * nq;
   const size_t num_batches = (sources.size() + kLaneBatch - 1) / kLaneBatch;
   auto batch_sources = [&](size_t batch) {
@@ -274,10 +266,10 @@ StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinaryImpl(
   std::vector<RoundCounters> per_batch_rounds(num_batches);
   const uint32_t workers = ResolveWorkers(validated, num_pairs, num_batches);
   if (workers == 1) {
-    ScopedExecCharge charge(exec, BinaryScratchBytes(num_pairs, plan));
+    ScopedExecCharge charge(exec, BinaryScratchBytes(num_pairs));
     if (charge.ok()) {
       BinaryBatchScratch scratch;
-      scratch.Prepare(graph, tables, plan, exec);
+      scratch.Prepare(graph, tables, exec);
       for (size_t batch = 0; batch < num_batches; ++batch) {
         if (exec != nullptr && exec->tripped()) break;
         scratch.RunBatch(batch_sources(batch), exec, &result,
@@ -294,14 +286,14 @@ StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinaryImpl(
   // Each worker owns one product-space scratch; charge them all before the
   // fan-out so a budget trip happens up front rather than mid-flight.
   ScopedExecCharge charge(
-      exec, static_cast<size_t>(workers) * BinaryScratchBytes(num_pairs, plan));
+      exec, static_cast<size_t>(workers) * BinaryScratchBytes(num_pairs));
   std::vector<std::vector<std::pair<NodeId, NodeId>>> per_batch(num_batches);
   if (charge.ok()) {
     std::vector<BinaryBatchScratch> scratch(workers);
     EvalPool().ParallelFor(
         workers, num_batches,
         [&](uint32_t worker, size_t batch) {
-          scratch[worker].Prepare(graph, tables, plan, exec);
+          scratch[worker].Prepare(graph, tables, exec);
           scratch[worker].RunBatch(batch_sources(batch), exec,
                                    &per_batch[batch],
                                    &per_batch_rounds[batch]);
@@ -340,17 +332,6 @@ StatusOr<EvalOptions> ValidateEvalOptions(EvalOptions options) {
         "DefaultEvalThreads() for one worker per hardware thread");
   }
   options.threads = std::min(options.threads, kMaxEvalThreads);
-  switch (options.condense) {
-    case CondenseMode::kAuto:
-    case CondenseMode::kOn:
-    case CondenseMode::kOff:
-      break;
-    default:
-      return Status::InvalidArgument(
-          "EvalOptions.condense must be CondenseMode::kAuto, kOn or kOff "
-          "(got " +
-          std::to_string(static_cast<int>(options.condense)) + ")");
-  }
   return options;
 }
 

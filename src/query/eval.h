@@ -14,7 +14,6 @@
 
 namespace rpqlearn {
 
-class CondensedGraph;
 class ExecContext;
 
 /// Worker count used by default-constructed EvalOptions: every hardware
@@ -24,22 +23,9 @@ uint32_t DefaultEvalThreads();
 /// Hard cap on EvalOptions.threads; ValidateEvalOptions clamps to it.
 inline constexpr uint32_t kMaxEvalThreads = 256;
 
-/// SCC-condensation policy of the binary kleene-star planner step. When a
-/// DFA state carries a single-label self-loop (an `a*`-shaped state), the
-/// per-label condensation (src/graph/condense.h) lets the batched binary
-/// rounds expand such frontiers component-at-a-time — saturate the
-/// frontier node's SCC, hop the condensation DAG, scatter to members —
-/// instead of rediscovering intra-SCC reachability edge by edge, round
-/// after round. Pure scheduling: every cell the condensed expansion marks
-/// lies in the same monotone fixed point the per-edge rounds compute, so
-/// results are bit-identical for every mode (see docs/ARCHITECTURE.md,
-/// "SCC condensation"). Monadic sweeps never condense.
-enum class CondenseMode : uint8_t {
-  kAuto = 0,  ///< condense when the query has star states and the per-label
-              ///< summary shows a nontrivial component (production)
-  kOn = 1,    ///< condense every star state regardless of the summary
-  kOff = 2,   ///< never condense (pre-condensation behavior)
-};
+/// Retired: binary evaluation no longer condenses. The one value stays
+/// only because perfbench/src/serving.cc names it.
+enum class CondenseMode : uint8_t { kOff };
 
 /// Round counters of one or more evaluation calls, filled when
 /// EvalOptions.stats points here. Atomic so parallel batch workers can
@@ -55,14 +41,9 @@ struct EvalStats {
   /// batched binary rounds above).
   std::atomic<uint64_t> monadic_sparse_rounds{0};
   std::atomic<uint64_t> monadic_dense_rounds{0};
-  /// Component expansions performed by the SCC-condensation planner step:
-  /// each count is one (star state, component) whose fresh lanes were
-  /// scattered to the component's members and DAG successors in one hop.
-  /// 0 whenever condensation never engaged.
+  /// Retired, always 0: binary evaluation no longer condenses. Kept only
+  /// because perfbench/src/serving.cc reads it.
   std::atomic<uint64_t> condensed_expansions{0};
-  /// The subset of condensed_expansions whose component held ≥ 2 members —
-  /// expansions that actually collapsed intra-SCC BFS rounds.
-  std::atomic<uint64_t> components_collapsed{0};
   /// Product (node, state) pairs expanded from round frontiers, summed over
   /// every round of every engine — the progress measure an ExecContext trip
   /// status reports alongside rounds. A pair counts once per round it is
@@ -76,13 +57,13 @@ struct EvalStats {
     monadic_sparse_rounds.store(0, std::memory_order_relaxed);
     monadic_dense_rounds.store(0, std::memory_order_relaxed);
     condensed_expansions.store(0, std::memory_order_relaxed);
-    components_collapsed.store(0, std::memory_order_relaxed);
     pairs_settled.store(0, std::memory_order_relaxed);
   }
 };
 
-/// Knobs of the evaluation engine. Both entry points validate through ValidateEvalOptions and surfaces its Status — an
-/// invalid configuration is an error, never a silent fallback.
+/// Knobs of the evaluation engine: four settable fields. Both entry points
+/// validate through ValidateEvalOptions and surface its Status — an invalid
+/// configuration is an error, never a silent fallback.
 struct EvalOptions {
   /// Worker contexts the evaluation may use. 1 runs the exact
   /// single-threaded path; 0 is InvalidArgument. The parallel results are
@@ -97,37 +78,24 @@ struct EvalOptions {
   /// inner-loop evaluations on toy graphs sequential. Tests set 0 to force
   /// the parallel path.
   size_t parallel_threshold_pairs = size_t{1} << 12;
-  /// SCC-condensation policy of binary evaluation's kleene-star planner
-  /// step (see CondenseMode); monadic evaluation ignores it. Pure
-  /// scheduling — results are bit-identical for every value; kOff restores
-  /// the exact pre-condensation code path.
-  CondenseMode condense = CondenseMode::kAuto;
-  /// Optional pre-built condensation of the evaluated graph, read by binary
-  /// evaluation only. When non-null and matching (same node count, edge
-  /// count and Graph::version(), covering the star labels the planner
-  /// needs), the evaluation consults it instead of condensing per call;
-  /// Engine and DynamicGraph fill it from their version-keyed snapshots.
-  /// Mismatching caches are ignored (a fresh per-call condensation is
-  /// built); the pointee must outlive the evaluation call. A cache built from a *different* graph that happens
-  /// to share all three values is a caller contract violation the engine
-  /// cannot detect.
-  const CondensedGraph* condensed_cache = nullptr;
+  /// Retired: binary evaluation no longer condenses. Readable, never
+  /// settable; kept only because perfbench/src/serving.cc reads it.
+  static constexpr CondenseMode condense = CondenseMode::kOff;
   /// Optional round counters; when non-null, every evaluation through these
   /// options adds its counts — monadic sweeps to monadic_sparse_rounds,
-  /// binary batches to sparse_rounds and the condensation counters, both to
-  /// pairs_settled. The pointee must outlive the evaluation call. Never
-  /// read, only added to.
+  /// binary batches to sparse_rounds, both to pairs_settled. The pointee
+  /// must outlive the evaluation call. Never read, only added to.
   EvalStats* stats = nullptr;
   /// Optional cooperative execution control: a wall-clock deadline, an
   /// externally-triggerable cancellation token, and a byte-accounted memory
   /// budget (src/util/exec_context.h). When non-null, every engine polls
-  /// ExecContext::Checkpoint at round / closure-wave granularity — never
-  /// per edge — and charges its product-space scratch (sweep bitmaps,
-  /// per-worker BinaryBatchScratch, condensation pending heaps) against the
-  /// budget before allocating. A trip discards the partial result, folds
-  /// the progress made into `stats`, and unwinds to the context's typed
-  /// Status (kDeadlineExceeded / kCancelled / kResourceExhausted) annotated
-  /// with rounds and pairs settled, so callers can degrade gracefully.
+  /// ExecContext::Checkpoint once per round — never per edge — and
+  /// charges its product-space scratch (sweep bitmaps, per-worker
+  /// BinaryBatchScratch) against the budget before allocating. A trip
+  /// discards the partial result, folds the progress made into `stats`,
+  /// and unwinds to the context's typed Status (kDeadlineExceeded /
+  /// kCancelled / kResourceExhausted) annotated with rounds and pairs
+  /// settled, so callers can degrade gracefully.
   /// Null — the default — keeps every code path behaviorally identical to
   /// the uncontrolled engine, so a call with default options never trips.
   /// The pointee must outlive the evaluation call and may be shared
@@ -136,9 +104,9 @@ struct EvalOptions {
   ExecContext* exec = nullptr;
 };
 
-/// The single validation point for EvalOptions: rejects threads == 0 and
-/// unknown condense values with InvalidArgument, and clamps threads to
-/// kMaxEvalThreads. Both evaluation entry points call this first.
+/// The single validation point for EvalOptions: rejects threads == 0 with
+/// InvalidArgument and clamps threads to kMaxEvalThreads. Both evaluation
+/// entry points call this first.
 StatusOr<EvalOptions> ValidateEvalOptions(EvalOptions options);
 
 /// Monadic evaluation q(G) = {ν | L(q) ∩ paths_G(ν) ≠ ∅} (Sec. 2):

@@ -713,9 +713,6 @@ std::string RpqServer::HandleLoad(const Command& command) {
 
   std::unique_lock<std::shared_mutex> state(state_mutex_);
   dynamic_ = std::make_unique<DynamicGraph>(*std::move(loaded));
-  if (options_.engine.eval.condense != CondenseMode::kOff) {
-    dynamic_->MaintainCondensation();
-  }
   engine_ = std::make_unique<Engine>(*dynamic_, options_.engine);
   {
     std::lock_guard<std::mutex> lock(counters_mutex_);
@@ -871,7 +868,6 @@ std::string RpqServer::HandleStats() {
     stat("engine.plan_hits", engine.plan_hits);
     stat("engine.plan_misses", engine.plan_misses);
     stat("engine.plan_evictions", engine.plan_evictions);
-    stat("engine.snapshot_builds", engine.snapshot_builds);
     stat("engine.runs", engine.runs);
     stat("engine.monadic_warm_hits", engine.monadic_warm_hits);
   }

@@ -30,8 +30,8 @@
 ///
 /// State and consistency: the loaded graph lives in a DynamicGraph with an
 /// Engine over it. Mutations (LOAD, UPDATE) take the state lock exclusively;
-/// QUERY / LEARN / STATS share it. The engine's plan cache and the dynamic
-/// graph's maintained snapshots make repeat queries warm.
+/// QUERY / LEARN / STATS share it. The engine's plan cache and each plan's
+/// retained monadic fixed point make repeat queries warm.
 ///
 /// Admission control: at most `max_in_flight` requests may be queued or
 /// executing; a request arriving beyond that is answered

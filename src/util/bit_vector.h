@@ -33,34 +33,6 @@ class BitVector {
     return words_[wi];
   }
 
-  /// ORs `bits` into storage word `wi`. The caller must not set bits beyond
-  /// size() (checked in debug builds) — every other operation relies on the
-  /// tail of the last word staying zero.
-  void OrWord(size_t wi, uint64_t bits) {
-    RPQ_DCHECK(wi < words_.size());
-    RPQ_DCHECK((wi + 1 < words_.size()) || (size_ % 64 == 0) ||
-               (bits >> (size_ % 64)) == 0);
-    words_[wi] |= bits;
-  }
-
-  /// The `width` bits starting at bit `base`, packed into the low bits of
-  /// one word (bit j of the result = bit base + j of the vector). Requires
-  /// width ≤ 64 and base + width ≤ size(). A word-at-a-time gather that
-  /// replaces `width` per-bit Test calls.
-  uint64_t Window(size_t base, size_t width) const {
-    RPQ_DCHECK(width <= kBitsPerWord);
-    RPQ_DCHECK(base + width <= size_);
-    if (width == 0) return 0;
-    const size_t wi = base >> 6;
-    const size_t off = base & 63;
-    uint64_t bits = words_[wi] >> off;
-    if (off != 0 && wi + 1 < words_.size()) {
-      bits |= words_[wi + 1] << (64 - off);
-    }
-    if (width < kBitsPerWord) bits &= (uint64_t{1} << width) - 1;
-    return bits;
-  }
-
   bool Test(size_t i) const {
     RPQ_DCHECK(i < size_);
     return (words_[i >> 6] >> (i & 63)) & 1;
@@ -125,20 +97,6 @@ class BitVector {
       if ((words_[i] & ~other.words_[i]) != 0) return false;
     }
     return true;
-  }
-
-  /// Invokes `fn(index)` for every set bit, ascending, without allocating
-  /// (a word-at-a-time countr_zero + clear-lowest scan).
-  template <typename Fn>
-  void ForEachSetBit(Fn&& fn) const {
-    for (size_t wi = 0; wi < words_.size(); ++wi) {
-      uint64_t w = words_[wi];
-      while (w != 0) {
-        const int bit = std::countr_zero(w);
-        fn(wi * kBitsPerWord + static_cast<size_t>(bit));
-        w &= w - 1;
-      }
-    }
   }
 
   /// Indices of all set bits, ascending.

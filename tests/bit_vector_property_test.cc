@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -11,7 +11,7 @@ namespace rpqlearn {
 namespace {
 
 // Property tests for the BitVector word-level operations (and/or/andnot,
-// popcount, set-bit iteration, raw word access), cross-checked against a naive
+// popcount, set-bit indices, raw word access), cross-checked against a naive
 // std::vector<bool> model over randomized sizes — including 0, the 63/64/65
 // word boundaries, and sizes whose last word is partially used.
 
@@ -48,11 +48,6 @@ void ExpectMatchesModel(const BitVector& bv, const Model& model,
   EXPECT_EQ(bv.Count(), expected_count) << context;
   EXPECT_EQ(bv.Any(), expected_count > 0) << context;
   EXPECT_EQ(bv.ToIndices(), expected_indices) << context;
-  // ForEachSetBit visits exactly the set bits, ascending.
-  std::vector<uint32_t> visited;
-  bv.ForEachSetBit(
-      [&](size_t i) { visited.push_back(static_cast<uint32_t>(i)); });
-  EXPECT_EQ(visited, expected_indices) << context;
   // The raw words agree with the model, and tail bits beyond size() are 0.
   ASSERT_EQ(bv.num_words(), (model.size() + 63) / 64) << context;
   for (size_t wi = 0; wi < bv.num_words(); ++wi) {
@@ -139,28 +134,6 @@ TEST(BitVectorWordOpsTest, AndOrAndNotMatchModel) {
   }
 }
 
-TEST(BitVectorWordOpsTest, OrWordMatchesBitwiseSets) {
-  Rng rng(103);
-  for (size_t size : {64, 65, 130, 300}) {
-    Model model(size, false);
-    BitVector bv(static_cast<size_t>(size));
-    for (int iteration = 0; iteration < 30; ++iteration) {
-      const size_t wi = rng.NextBelow(bv.num_words());
-      // Random word whose bits all lie below size().
-      uint64_t bits = rng.Next();
-      const size_t base = wi * BitVector::kBitsPerWord;
-      for (size_t bit = 0; bit < 64; ++bit) {
-        if (base + bit >= size) bits &= ~(uint64_t{1} << bit);
-      }
-      bv.OrWord(wi, bits);
-      for (size_t bit = 0; bit < 64; ++bit) {
-        if ((bits >> bit) & 1) model[base + bit] = true;
-      }
-    }
-    ExpectMatchesModel(bv, model, "after OrWord churn");
-  }
-}
-
 TEST(BitVectorWordOpsTest, CountEqualsWordPopcountSum) {
   Rng rng(104);
   for (size_t size : kSizes) {
@@ -170,41 +143,6 @@ TEST(BitVectorWordOpsTest, CountEqualsWordPopcountSum) {
       total += static_cast<size_t>(std::popcount(bv.Word(wi)));
     }
     EXPECT_EQ(bv.Count(), total) << "size " << size;
-  }
-}
-
-TEST(BitVectorWordOpsTest, WindowMatchesPerBitTest) {
-  // Window(base, width) must equal the bits gathered one Test at a time,
-  // for every alignment — including windows straddling a word boundary and
-  // windows ending exactly at size().
-  Rng rng(105);
-  for (size_t size : kSizes) {
-    if (size == 0) continue;
-    const BitVector bv = FromModel(RandomModel(&rng, size, 0.4));
-    for (int trial = 0; trial < 200; ++trial) {
-      const size_t width = rng.NextBelow(std::min<size_t>(size, 64) + 1);
-      const size_t base = rng.NextBelow(size - width + 1);
-      uint64_t expected = 0;
-      for (size_t j = 0; j < width; ++j) {
-        if (bv.Test(base + j)) expected |= uint64_t{1} << j;
-      }
-      EXPECT_EQ(bv.Window(base, width), expected)
-          << "size " << size << " base " << base << " width " << width;
-    }
-  }
-}
-
-TEST(BitVectorWordOpsTest, ForEachSetBitEarlyDense) {
-  // A fully set vector iterates every index exactly once, in order.
-  for (size_t size : {64, 65, 200}) {
-    Model model(size, true);
-    const BitVector bv = FromModel(model);
-    size_t next_expected = 0;
-    bv.ForEachSetBit([&](size_t i) {
-      EXPECT_EQ(i, next_expected);
-      ++next_expected;
-    });
-    EXPECT_EQ(next_expected, size);
   }
 }
 

@@ -3,7 +3,6 @@
 #include <array>
 #include <cstdlib>
 #include <functional>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -45,9 +44,9 @@ namespace {
 // fault-injection campaign (RPQ_FUZZ_FAULTS) that verifies typed unwinding
 // and clean retry under injected faults, and an update-interleaving
 // campaign (RPQ_FUZZ_UPDATES, on by default) that replays random
-// insert/delete/compact/evaluate traces through the delta-edge overlay and
-// its maintained CondensedGraph snapshot, diffing every evaluation
-// bit-for-bit against a rebuild-from-scratch oracle. The update
+// insert/delete/compact/evaluate traces through the delta-edge overlay of a
+// DynamicGraph, diffing every evaluation bit-for-bit against a
+// rebuild-from-scratch oracle. The update
 // campaign additionally carries a live materialized monadic query
 // (RPQ_EVAL_INCREMENTAL, on by default) whose delta-frontier repairs are
 // held to the same bit-for-bit standard at every evaluation step.
@@ -102,32 +101,6 @@ FuzzFaults FuzzFaultsMode() {
   if (value == "on" || value == "1") return FuzzFaults::kOn;
   if (value == "off" || value == "0") return FuzzFaults::kOff;
   return FuzzFaults::kInvalid;
-}
-
-/// SCC-condensation mode of every configuration row: randomized per fuzz
-/// case by default (nullopt); RPQ_EVAL_CONDENSE ∈ {auto, on, off} pins one
-/// value for targeted campaigns (the nightly job sweeps {auto, off}). Any
-/// other value is a typo: InvalidArgument naming it, so the campaign fails
-/// loudly rather than silently fuzzing randomized modes.
-StatusOr<std::optional<CondenseMode>> FuzzCondenseOverride() {
-  const char* env = std::getenv("RPQ_EVAL_CONDENSE");
-  if (env == nullptr) return std::optional<CondenseMode>();
-  const std::string value(env);
-  if (value == "auto") return std::optional(CondenseMode::kAuto);
-  if (value == "on") return std::optional(CondenseMode::kOn);
-  if (value == "off") return std::optional(CondenseMode::kOff);
-  return Status::InvalidArgument("invalid RPQ_EVAL_CONDENSE value \"" +
-                                 value +
-                                 "\"; expected \"auto\", \"on\" or \"off\"");
-}
-
-const char* CondenseName(CondenseMode mode) {
-  switch (mode) {
-    case CondenseMode::kAuto: return "auto";
-    case CondenseMode::kOn: return "on";
-    case CondenseMode::kOff: return "off";
-  }
-  return "?";
 }
 
 // ----------------------------------------------------------- fuzz inputs
@@ -257,11 +230,8 @@ FuzzQuery MakeQuery(Rng* rng, uint32_t query_symbols) {
 /// The case-defining draws of one fuzz iteration, in their fixed order.
 /// The fuzzer and every corpus meta-check below replay this exact prefix
 /// from the case seed, so a meta-check always inspects the same graphs and
-/// queries the differential matrix actually runs; the RPQ_EVAL_CONDENSE
-/// override is applied by the caller *after* the draw, keeping the corpus
-/// identical across sweeps.
+/// queries the differential matrix actually runs.
 struct FuzzCase {
-  CondenseMode case_condense;
   uint32_t num_labels;
   EdgeList edge_list;
   bool oversized_alphabet;
@@ -269,11 +239,10 @@ struct FuzzCase {
 };
 
 FuzzCase DrawCase(Rng* rng) {
-  // Discarded draw: keeps every case seed's graph and query as they were.
+  // Discarded draws (a retired shard count, then a retired condense mode):
+  // they keep every case seed's graph and query as they were.
   rng->NextBelow(7);
-  constexpr CondenseMode kCondenseDraws[] = {
-      CondenseMode::kAuto, CondenseMode::kOn, CondenseMode::kOff};
-  const CondenseMode case_condense = kCondenseDraws[rng->NextBelow(3)];
+  rng->NextBelow(3);
   const uint32_t num_labels = 1 + static_cast<uint32_t>(rng->NextBelow(4));
   EdgeList edge_list = RandomEdgeList(rng, num_labels);
   // Mostly queries over the graph's alphabet; occasionally a strictly
@@ -284,8 +253,8 @@ FuzzCase DrawCase(Rng* rng) {
       oversized_alphabet
           ? num_labels + 1 + static_cast<uint32_t>(rng->NextBelow(2))
           : num_labels;
-  return FuzzCase{case_condense, num_labels, std::move(edge_list),
-                  oversized_alphabet, MakeQuery(rng, query_symbols)};
+  return FuzzCase{num_labels, std::move(edge_list), oversized_alphabet,
+                  MakeQuery(rng, query_symbols)};
 }
 
 // ------------------------------------------------------- engine configs
@@ -302,11 +271,10 @@ const EngineConfig kEngineConfigs[] = {
     {"sparse/threads=8", 8},
 };
 
-EvalOptions ToOptions(const EngineConfig& config, CondenseMode case_condense) {
+EvalOptions ToOptions(const EngineConfig& config) {
   EvalOptions options;
   options.threads = config.threads;
   options.parallel_threshold_pairs = 0;  // force the parallel path
-  options.condense = case_condense;
   return options;
 }
 
@@ -344,10 +312,10 @@ std::vector<std::pair<NodeId, NodeId>> FromSourcesReference(
 /// True iff `config` disagrees with the seed reference on `check`. The
 /// shrinker re-runs this as its failure predicate.
 bool Mismatches(const Graph& graph, const Dfa& query, CheckKind check,
-                const EngineConfig& config, CondenseMode case_condense,
+                const EngineConfig& config,
                 const std::vector<NodeId>& source_template) {
   if (graph.num_nodes() == 0) return false;
-  const EvalOptions options = ToOptions(config, case_condense);
+  const EvalOptions options = ToOptions(config);
   switch (check) {
     case CheckKind::kMonadic: {
       StatusOr<BitVector> actual = EvalMonadic(graph, query, options);
@@ -413,16 +381,14 @@ EdgeList ShrinkGraph(EdgeList current,
 }
 
 std::string ReproBlock(uint64_t case_seed, CheckKind check,
-                       const EngineConfig& config, CondenseMode case_condense,
-                       const EdgeList& graph,
+                       const EngineConfig& config, const EdgeList& graph,
                        const std::string& query_description,
                        const std::vector<NodeId>& sources) {
   std::ostringstream out;
   out << "\n=== RPQ eval fuzz mismatch (minimized) ===\n"
       << "case_seed: " << case_seed << "\n"
       << "check: " << CheckName(check) << "\n"
-      << "engine: " << config.name
-      << " (condense=" << CondenseName(case_condense) << ")\n"
+      << "engine: " << config.name << "\n"
       << "query: " << query_description << "\n"
       << "graph: nodes=" << graph.num_nodes
       << " labels=" << graph.num_labels << " edges=" << graph.edges.size()
@@ -448,22 +414,14 @@ TEST(EvalFuzzTest, DifferentialAgainstSeedReference) {
   const StatusOr<uint32_t> iterations =
       FuzzIterations(kDefaultFuzzIterations);
   ASSERT_TRUE(iterations.ok()) << iterations.status().ToString();
-  const StatusOr<std::optional<CondenseMode>> condense_override =
-      FuzzCondenseOverride();
-  ASSERT_TRUE(condense_override.ok())
-      << condense_override.status().ToString();
   Rng master(0x5eedf00d);
   uint32_t mismatches = 0;
   for (uint32_t iteration = 0; iteration < *iterations; ++iteration) {
     const uint64_t case_seed = master.Next();
     Rng rng(case_seed);
-    // The case-defining draws (condense, labels, graph, query) are shared
-    // with the corpus meta-checks via DrawCase; the override replaces a
-    // value only after the full draw, so the corpus stays identical across
-    // sweeps.
+    // The case-defining draws (labels, graph, query) are shared with the
+    // fault and update campaigns via DrawCase.
     FuzzCase fuzz_case = DrawCase(&rng);
-    const CondenseMode case_condense =
-        condense_override->value_or(fuzz_case.case_condense);
     const EdgeList& edge_list = fuzz_case.edge_list;
     const Graph graph = edge_list.BuildGraph();
     const bool oversized_alphabet = fuzz_case.oversized_alphabet;
@@ -485,18 +443,17 @@ TEST(EvalFuzzTest, DifferentialAgainstSeedReference) {
 
     for (CheckKind check : checks) {
       for (const EngineConfig& config : kEngineConfigs) {
-        if (!Mismatches(graph, query.dfa, check, config, case_condense,
-                        sources)) {
+        if (!Mismatches(graph, query.dfa, check, config, sources)) {
           continue;
         }
         ++mismatches;
         const EdgeList minimized =
             ShrinkGraph(edge_list, [&](const EdgeList& candidate) {
               return Mismatches(candidate.BuildGraph(), query.dfa, check,
-                                config, case_condense, sources);
+                                config, sources);
             });
-        ADD_FAILURE() << ReproBlock(case_seed, check, config, case_condense,
-                                    minimized, query.description, sources);
+        ADD_FAILURE() << ReproBlock(case_seed, check, config, minimized,
+                                    query.description, sources);
         break;  // one repro per check is enough; move to the next check
       }
       if (mismatches >= 5) break;  // don't flood the log
@@ -536,50 +493,6 @@ TEST(EvalFuzzTest, MalformedIterationCountIsRejected) {
   const StatusOr<uint32_t> iterations = FuzzIterations(kDefaultFuzzIterations);
   ASSERT_TRUE(iterations.ok()) << iterations.status().ToString();
   EXPECT_EQ(*iterations, 2000u);
-}
-
-TEST(EvalFuzzTest, UnknownCondensePinIsRejected) {
-  // A typoed RPQ_EVAL_CONDENSE fails the campaigns, naming the value,
-  // instead of silently fuzzing randomized modes.
-  for (const char* bad : {"Off", "ON", "none", ""}) {
-    const ScopedEnv env("RPQ_EVAL_CONDENSE", bad);
-    const StatusOr<std::optional<CondenseMode>> pin = FuzzCondenseOverride();
-    ASSERT_FALSE(pin.ok()) << "RPQ_EVAL_CONDENSE=\"" << bad << "\"";
-    EXPECT_EQ(pin.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(pin.status().message().find(Quoted(bad)), std::string::npos)
-        << pin.status().ToString();
-  }
-  const ScopedEnv env("RPQ_EVAL_CONDENSE", "off");
-  const StatusOr<std::optional<CondenseMode>> pin = FuzzCondenseOverride();
-  ASSERT_TRUE(pin.ok()) << pin.status().ToString();
-  EXPECT_EQ(*pin, std::optional(CondenseMode::kOff));
-}
-
-TEST(EvalFuzzTest, CondenseEngagesComponentsSomewhere) {
-  // Meta-check on the corpus: across a slice of the fuzzed cases, the
-  // condense=on configuration must actually expand components (the random
-  // regex corpus is star-heavy and the random graphs are cyclic often
-  // enough) — otherwise the per-case condense draw above silently stops
-  // covering the condensation closure (e.g. after a planner-gate change).
-  Rng master(0x5eedf00d);
-  EvalStats stats;
-  for (uint32_t iteration = 0; iteration < 40; ++iteration) {
-    const uint64_t case_seed = master.Next();
-    Rng rng(case_seed);
-    const FuzzCase fuzz_case = DrawCase(&rng);
-    const Graph graph = fuzz_case.edge_list.BuildGraph();
-
-    EvalOptions options;
-    options.threads = 1;
-    options.condense = CondenseMode::kOn;
-    options.stats = &stats;
-    auto result = EvalAllPairs(graph, fuzz_case.query.dfa, options);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-  }
-  EXPECT_GT(stats.condensed_expansions.load(), 0u)
-      << "no fuzzed case expanded a component under condense=on";
-  EXPECT_GT(stats.components_collapsed.load(), 0u)
-      << "no fuzzed case collapsed a nontrivial SCC under condense=on";
 }
 
 // ------------------------------------------------- fault-injection fuzzing
@@ -679,7 +592,7 @@ TEST(EvalFuzzTest, FaultInjectionCampaign) {
                  CheckName(check) + " engine=" + config.name);
 
     // Uninterrupted run: reference result + total checkpoint count.
-    EvalOptions options = ToOptions(config, fuzz_case.case_condense);
+    EvalOptions options = ToOptions(config);
     ExecContext baseline;
     EvalStats baseline_stats;
     options.exec = &baseline;
@@ -739,16 +652,15 @@ TEST(EvalFuzzTest, FaultInjectionCampaign) {
 
 // ---------------------------------------- update-interleaving fuzzing
 
-// Differential fuzzing of the delta-edge overlay and its incremental
-// structure maintenance: random traces of insert/delete/compact/evaluate
-// steps replayed against a DynamicGraph (overlay reads, a maintained
-// CondensedGraph snapshot, cache-on and cache-off evaluate steps
-// alternating), with every evaluation diffed bit-for-bit against a
-// rebuild-from-scratch oracle — a fresh CSR built from an independently
-// maintained edge-set model, evaluated by the seed reference. A mismatch is
-// shrunk over *both* axes (drop trace steps, then shrink the initial graph,
-// then drop steps again) and printed as a repro block that serializes the
-// full mutation trace, so a failing case replays standalone.
+// Differential fuzzing of the delta-edge overlay and its update routing:
+// random traces of insert/delete/compact/evaluate steps replayed against a
+// DynamicGraph (overlay reads, auto-compaction), with every evaluation
+// diffed bit-for-bit against a rebuild-from-scratch oracle — a fresh CSR
+// built from an independently maintained edge-set model, evaluated by the
+// seed reference. A mismatch is shrunk over *both* axes (drop trace steps,
+// then shrink the initial graph, then drop steps again) and printed as a
+// repro block that serializes the full mutation trace, so a failing case
+// replays standalone.
 
 /// One step of an update-interleaving trace. Endpoints and labels are
 /// stored raw and clamped (mod the live node/label counts) at replay, so a
@@ -792,9 +704,7 @@ std::vector<TraceStep> DrawTraceSteps(Rng* rng) {
   return steps;
 }
 
-/// The update campaign's engine rows: threads {1, 8}; condensation comes
-/// from the per-case draw (or the RPQ_EVAL_CONDENSE pin), giving the
-/// condense {auto,off} × threads {1,8} cube across the nightly matrix legs.
+/// The update campaign's engine rows: threads {1, 8}.
 struct UpdateRow {
   const char* name;
   uint32_t threads;
@@ -806,12 +716,10 @@ const UpdateRow kUpdateRows[] = {
 };
 constexpr size_t kNumUpdateRows = sizeof(kUpdateRows) / sizeof(kUpdateRows[0]);
 
-EvalOptions UpdateRowOptions(const UpdateRow& row,
-                             CondenseMode case_condense) {
+EvalOptions UpdateRowOptions(const UpdateRow& row) {
   EvalOptions options;
   options.threads = row.threads;
   options.parallel_threshold_pairs = 0;
-  options.condense = case_condense;
   return options;
 }
 
@@ -863,11 +771,10 @@ enum class Sabotage {
 
 /// Replays `trace` and serializes every evaluation's engine result (plus
 /// edge-count/version breadcrumbs), returning the mismatch count against
-/// the rebuild-from-scratch oracle. The engine side is a DynamicGraph with
-/// a maintained condensation whose cache is handed to every *even*-indexed
-/// evaluation (odd ones run cache-free); the oracle side is
-/// an independent edge-set model rebuilt into a fresh CSR per evaluation
-/// and evaluated by the seed reference.
+/// the rebuild-from-scratch oracle. The engine side is a DynamicGraph
+/// evaluated through its overlay; the oracle side is an independent
+/// edge-set model rebuilt into a fresh CSR per evaluation and evaluated by
+/// the seed reference.
 ///
 /// With RPQ_EVAL_INCREMENTAL on (the default), the DynamicGraph also
 /// carries (query alphabet permitting) a MaterializedMonadic across the
@@ -876,7 +783,6 @@ enum class Sabotage {
 /// additionally diffs the materialized result against the same oracle.
 uint32_t ReplayTrace(const UpdateTrace& trace, const Dfa& query,
                      const UpdateRow& row, CheckKind check,
-                     CondenseMode case_condense,
                      const std::vector<NodeId>& sources, Sabotage sabotage,
                      std::string* fingerprint) {
   const uint32_t n = trace.initial.num_nodes;
@@ -894,24 +800,23 @@ uint32_t ReplayTrace(const UpdateTrace& trace, const Dfa& query,
   }
 
   DynamicGraph dynamic(trace.initial.BuildGraph());
-  dynamic.MaintainCondensation();
   std::set<std::array<uint32_t, 3>> model;  // {src, label, dst}
   for (const auto& e : trace.initial.edges) model.insert(e);
 
-  const EvalOptions base_options = UpdateRowOptions(row, case_condense);
+  const EvalOptions options = UpdateRowOptions(row);
   const std::vector<NodeId> clamped = ClampSources(sources, n);
   uint32_t mismatch_count = 0;
 
   // A live materialized monadic query riding the full trace, skipped for
   // oversized query alphabets like the monadic checks. The tiny
   // auto-compact threshold makes most traces compact mid-flight, covering
-  // the notification path and snapshot repair under materialized results.
+  // the notification path under materialized results.
   MaterializedMonadic* mm = nullptr;
   if (FuzzIncrementalMode() == FuzzIncremental::kOn) {
     dynamic.set_auto_compact_threshold(6);
     if (query.num_symbols() <= num_labels) {
       StatusOr<MaterializedMonadic*> monadic =
-          dynamic.MaterializeMonadic(query, base_options);
+          dynamic.MaterializeMonadic(query, options);
       if (monadic.ok()) mm = *monadic; else ++mismatch_count;
     }
   }
@@ -949,8 +854,6 @@ uint32_t ReplayTrace(const UpdateTrace& trace, const Dfa& query,
         rebuilt.edges.assign(model.begin(), model.end());
         const Graph oracle_graph = rebuilt.BuildGraph();
 
-        EvalOptions options = base_options;
-        if (eval_index % 2 == 0) options = dynamic.WithCaches(options);
         StatusOr<std::string> actual = RunCheckSerialized(
             dynamic.graph(), query, check, options, clamped);
         const std::string expected =
@@ -958,10 +861,7 @@ uint32_t ReplayTrace(const UpdateTrace& trace, const Dfa& query,
         const bool mismatch = !actual.ok() || *actual != expected;
         if (mismatch) ++mismatch_count;
         if (fingerprint != nullptr) {
-          *fingerprint += "eval#" + std::to_string(eval_index) +
-                          (options.condensed_cache != nullptr ? " cached " :
-                                                                " fresh ") +
-                          "edges=" +
+          *fingerprint += "eval#" + std::to_string(eval_index) + " edges=" +
                           std::to_string(dynamic.graph().num_edges()) +
                           " version=" +
                           std::to_string(dynamic.graph().version()) + " -> " +
@@ -1049,16 +949,14 @@ const char* StepName(TraceStep::Kind kind) {
 /// with its clamped operands — so a shrunk failing case replays standalone
 /// without the original RNG stream.
 std::string UpdateReproBlock(uint64_t case_seed, CheckKind check,
-                             const UpdateRow& row, CondenseMode case_condense,
-                             const UpdateTrace& trace,
+                             const UpdateRow& row, const UpdateTrace& trace,
                              const std::string& query_description,
                              const std::vector<NodeId>& sources) {
   std::ostringstream out;
   out << "\n=== RPQ update-interleaving fuzz mismatch (minimized) ===\n"
       << "case_seed: " << case_seed << "\n"
       << "check: " << CheckName(check) << "\n"
-      << "engine: " << row.name
-      << " (condense=" << CondenseName(case_condense) << ")\n"
+      << "engine: " << row.name << "\n"
       << "query: " << query_description << "\n"
       << "initial graph: nodes=" << trace.initial.num_nodes
       << " labels=" << trace.initial.num_labels
@@ -1090,7 +988,7 @@ std::string UpdateReproBlock(uint64_t case_seed, CheckKind check,
 }
 
 /// The case-defining draws of one update-campaign iteration: the shared
-/// DrawCase prefix (graph, query, condense) followed by the trace
+/// DrawCase prefix (graph, query) followed by the trace
 /// draws, in this exact order — the campaign, the determinism meta-check,
 /// and the injected-bug test all replay it from the case seed.
 struct UpdateCase {
@@ -1147,18 +1045,12 @@ TEST(EvalFuzzTest, UpdateInterleavingDifferentialCampaign) {
   const StatusOr<uint32_t> iterations =
       FuzzIterations(kDefaultFuzzIterations);
   ASSERT_TRUE(iterations.ok()) << iterations.status().ToString();
-  const StatusOr<std::optional<CondenseMode>> condense_override =
-      FuzzCondenseOverride();
-  ASSERT_TRUE(condense_override.ok())
-      << condense_override.status().ToString();
   Rng master(0x5eedda7a);
   uint32_t mismatching_cases = 0;
   for (uint32_t iteration = 0; iteration < *iterations; ++iteration) {
     const uint64_t case_seed = master.Next();
     Rng rng(case_seed);
     const UpdateCase update = DrawUpdateCase(&rng);
-    const CondenseMode case_condense =
-        condense_override->value_or(update.base.case_condense);
 
     bool case_failed = false;
     for (size_t r = 0; r < kNumUpdateRows && !case_failed; ++r) {
@@ -1166,8 +1058,7 @@ TEST(EvalFuzzTest, UpdateInterleavingDifferentialCampaign) {
       const CheckKind check =
           UpdateCheckFor(iteration + r, update.base.oversized_alphabet);
       if (ReplayTrace(update.trace, update.base.query.dfa, row, check,
-                      case_condense, update.sources,
-                      Sabotage::kNone, nullptr) == 0) {
+                      update.sources, Sabotage::kNone, nullptr) == 0) {
         continue;
       }
       ++mismatching_cases;
@@ -1175,12 +1066,11 @@ TEST(EvalFuzzTest, UpdateInterleavingDifferentialCampaign) {
       const UpdateTrace minimized =
           ShrinkTrace(update.trace, [&](const UpdateTrace& candidate) {
             return ReplayTrace(candidate, update.base.query.dfa, row, check,
-                               case_condense, update.sources,
-                               Sabotage::kNone, nullptr) > 0;
+                               update.sources, Sabotage::kNone, nullptr) > 0;
           });
-      ADD_FAILURE() << UpdateReproBlock(
-          case_seed, check, row, case_condense, minimized,
-          update.base.query.description, update.sources);
+      ADD_FAILURE() << UpdateReproBlock(case_seed, check, row, minimized,
+                                        update.base.query.description,
+                                        update.sources);
     }
     if (mismatching_cases >= 5) {
       ADD_FAILURE() << "stopping after 5 mismatching cases ("
@@ -1193,8 +1083,8 @@ TEST(EvalFuzzTest, UpdateInterleavingDifferentialCampaign) {
 
 TEST(EvalFuzzTest, UpdateTraceReplayIsDeterministic) {
   // Meta-check on the campaign harness: replaying the same trace twice —
-  // including cache-alternation, maintained-snapshot repairs, and the
-  // oracle rebuilds — must produce byte-identical evaluation fingerprints,
+  // including materialized repairs, auto-compactions, and the oracle
+  // rebuilds — must produce byte-identical evaluation fingerprints,
   // the property that makes every repro block replayable standalone.
   if (FuzzUpdatesMode() == FuzzUpdates::kOff) {
     GTEST_SKIP() << "update-interleaving campaign disabled";
@@ -1208,14 +1098,12 @@ TEST(EvalFuzzTest, UpdateTraceReplayIsDeterministic) {
     const CheckKind check =
         UpdateCheckFor(iteration, update.base.oversized_alphabet);
     std::string first, second;
-    const uint32_t mismatches_first = ReplayTrace(
-        update.trace, update.base.query.dfa, row, check,
-        update.base.case_condense, update.sources,
-        Sabotage::kNone, &first);
-    const uint32_t mismatches_second = ReplayTrace(
-        update.trace, update.base.query.dfa, row, check,
-        update.base.case_condense, update.sources,
-        Sabotage::kNone, &second);
+    const uint32_t mismatches_first =
+        ReplayTrace(update.trace, update.base.query.dfa, row, check,
+                    update.sources, Sabotage::kNone, &first);
+    const uint32_t mismatches_second =
+        ReplayTrace(update.trace, update.base.query.dfa, row, check,
+                    update.sources, Sabotage::kNone, &second);
     ASSERT_EQ(mismatches_first, 0u) << "case_seed=" << case_seed;
     ASSERT_EQ(mismatches_second, 0u);
     ASSERT_EQ(first, second) << "replay diverged, case_seed=" << case_seed;
@@ -1242,7 +1130,6 @@ TEST(EvalFuzzTest, InjectedOverlayBugIsCaughtAndShrunkToAMinimalTrace) {
     const CheckKind check = CheckKind::kBinaryAllPairs;
     const auto buggy_fails = [&](const UpdateTrace& candidate) {
       return ReplayTrace(candidate, update.base.query.dfa, row, check,
-                         update.base.case_condense,
                          update.sources, Sabotage::kDropLastInsert,
                          nullptr) > 0;
     };
@@ -1254,9 +1141,9 @@ TEST(EvalFuzzTest, InjectedOverlayBugIsCaughtAndShrunkToAMinimalTrace) {
     EXPECT_LE(minimized.steps.size(), 4u);
     EXPECT_LE(minimized.initial.edges.size(), 12u);
     EXPECT_TRUE(buggy_fails(minimized));
-    const std::string repro = UpdateReproBlock(
-        case_seed, check, row, update.base.case_condense, minimized,
-        update.base.query.description, update.sources);
+    const std::string repro =
+        UpdateReproBlock(case_seed, check, row, minimized,
+                         update.base.query.description, update.sources);
     EXPECT_NE(repro.find("trace ("), std::string::npos);
     EXPECT_NE(repro.find("insert"), std::string::npos);
     return;  // demonstrated: caught + shrunk
@@ -1288,7 +1175,6 @@ TEST(EvalFuzzTest, WithheldReseedIsCaughtByTheMaterializedDiff) {
     const CheckKind check = CheckKind::kBinaryAllPairs;
     const auto buggy_fails = [&](const UpdateTrace& candidate) {
       return ReplayTrace(candidate, update.base.query.dfa, row, check,
-                         update.base.case_condense,
                          update.sources, Sabotage::kSkipLastReseed,
                          nullptr) > 0;
     };
@@ -1300,7 +1186,6 @@ TEST(EvalFuzzTest, WithheldReseedIsCaughtByTheMaterializedDiff) {
     // The honest replay of the same trace must be clean: the corruption is
     // the sabotage, not the trace.
     ASSERT_EQ(ReplayTrace(update.trace, update.base.query.dfa, row, check,
-                          update.base.case_condense,
                           update.sources, Sabotage::kNone, nullptr),
               0u)
         << "case_seed=" << case_seed;

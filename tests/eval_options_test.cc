@@ -13,9 +13,9 @@
 namespace rpqlearn {
 namespace {
 
-// Validation coverage for the EvalOptions knobs and a regression test
-// pinning the sequential engines to the seed reference on the paper-scale
-// fixture.
+// A regression test pinning the sequential engines to the seed reference on
+// the paper-scale fixture. Option validation is covered where both entry
+// points are (EvalParallelOracleTest.ZeroThreadsIsInvalidArgumentEverywhere).
 
 Graph PaperScaleFixture() {
   // The bench_hotpath evaluation fixture: the paper's synthetic setup
@@ -33,36 +33,6 @@ Dfa SaturatingQuery(const Graph& graph) {
   auto q = PathQuery::Parse("(l0+l1)*.l2", &alphabet, graph.num_symbols());
   EXPECT_TRUE(q.ok()) << q.status().ToString();
   return q->dfa();
-}
-
-TEST(EvalOptionsTest, UnknownCondenseModeIsInvalidArgument) {
-  EvalOptions options;
-  options.condense = static_cast<CondenseMode>(9);
-  StatusOr<EvalOptions> validated = ValidateEvalOptions(options);
-  ASSERT_FALSE(validated.ok());
-  EXPECT_EQ(validated.status().code(), StatusCode::kInvalidArgument);
-
-  for (CondenseMode mode :
-       {CondenseMode::kAuto, CondenseMode::kOn, CondenseMode::kOff}) {
-    EvalOptions good;
-    good.condense = mode;
-    EXPECT_TRUE(ValidateEvalOptions(good).ok());
-  }
-
-  // The invalid knob surfaces from the evaluation entry points too.
-  ErdosRenyiOptions graph_options;
-  graph_options.num_nodes = 12;
-  graph_options.num_edges = 30;
-  graph_options.num_labels = 3;
-  graph_options.seed = 5;
-  Graph g = GenerateErdosRenyi(graph_options);
-  Dfa q = SaturatingQuery(g);
-  auto binary = EvalAllPairs(g, q, options);
-  ASSERT_FALSE(binary.ok());
-  EXPECT_EQ(binary.status().code(), StatusCode::kInvalidArgument);
-  StatusOr<BitVector> monadic = EvalMonadic(g, q, options);
-  ASSERT_FALSE(monadic.ok());
-  EXPECT_EQ(monadic.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EvalOptionsTest, SequentialDefaultsMatchSeedReferenceAtPaperScale) {

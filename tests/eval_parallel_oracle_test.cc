@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -8,6 +9,7 @@
 #include "graph/generators.h"
 #include "query/eval.h"
 #include "query/eval_reference.h"
+#include "query/path_query.h"
 #include "util/random.h"
 #include "eval_test_util.h"
 
@@ -237,6 +239,73 @@ TEST(EvalParallelPropertyTest, MonadicInvariantUnderThresholdAndThreads) {
       ASSERT_TRUE(result.ok());
       EXPECT_TRUE(*result == expected)
           << "threads " << threads << ", threshold " << threshold;
+    }
+  }
+}
+
+Dfa StarQuery(const Graph& graph, const char* pattern) {
+  Alphabet alphabet = graph.alphabet();
+  auto q = PathQuery::Parse(pattern, &alphabet, graph.num_symbols());
+  EXPECT_TRUE(q.ok()) << q.status().ToString();
+  return q->dfa();
+}
+
+/// A cyclic fixture with large per-label SCCs: a ring of l0-cliques bridged
+/// by l0 edges (one giant l0 SCC), an l1 ring over half the nodes, and l2
+/// chords that a star-concat query must traverse per edge.
+Graph RingOfCliques() {
+  GraphBuilder builder;
+  builder.InternLabels({"l0", "l1", "l2"});
+  constexpr uint32_t kCliques = 6;
+  constexpr uint32_t kCliqueSize = 5;
+  builder.AddNodes(kCliques * kCliqueSize);
+  for (uint32_t c = 0; c < kCliques; ++c) {
+    const NodeId base = c * kCliqueSize;
+    for (uint32_t i = 0; i < kCliqueSize; ++i) {
+      for (uint32_t j = 0; j < kCliqueSize; ++j) {
+        if (i != j) builder.AddEdge(base + i, "l0", base + j);
+      }
+    }
+    const NodeId next_base = ((c + 1) % kCliques) * kCliqueSize;
+    builder.AddEdge(base, "l0", next_base);
+    builder.AddEdge(next_base + 1, "l0", base + 1);
+  }
+  const uint32_t nv = kCliques * kCliqueSize;
+  for (NodeId v = 0; v < nv / 2; ++v) {
+    builder.AddEdge(v, "l1", (v + 1) % (nv / 2));
+  }
+  for (NodeId v = 0; v < nv; v += 3) {
+    builder.AddEdge(v, "l2", (v * 7 + 11) % nv);
+  }
+  return builder.Build();
+}
+
+TEST(EvalParallelOracleTest, StarQueriesOnCyclicGraphsMatchReference) {
+  // Kleene-star queries over graphs whose labels form large SCCs: every
+  // star state keeps re-entering the frontier until the cycles saturate.
+  ErdosRenyiOptions random_options;
+  random_options.num_nodes = 40;
+  random_options.num_edges = 200;
+  random_options.num_labels = 3;
+  random_options.seed = 17;
+  const Graph fixtures[] = {RingOfCliques(),
+                            GenerateErdosRenyi(random_options)};
+  const char* patterns[] = {"l0*", "(l0+l1)*", "(l0+l1)*.l2", "l2.l0*"};
+  for (const Graph& graph : fixtures) {
+    for (const char* pattern : patterns) {
+      const Dfa query = StarQuery(graph, pattern);
+      const auto expected_pairs = EvalBinaryReference(graph, query);
+      const BitVector expected_monadic = EvalMonadicReference(graph, query);
+      for (uint32_t threads : {1u, 8u}) {
+        const std::string config =
+            std::string(pattern) + " threads=" + std::to_string(threads);
+        auto pairs = EvalAllPairs(graph, query, ParallelOptions(threads));
+        ASSERT_TRUE(pairs.ok()) << config;
+        EXPECT_EQ(*pairs, expected_pairs) << config;
+        auto monadic = EvalMonadic(graph, query, ParallelOptions(threads));
+        ASSERT_TRUE(monadic.ok()) << config;
+        EXPECT_TRUE(*monadic == expected_monadic) << config;
+      }
     }
   }
 }

@@ -12,7 +12,7 @@ namespace rpqlearn {
 namespace {
 
 // Pins the EvalStats counters across the engine cube: (engine × threads
-// {1, 8} × condense {auto, off}) on one fixed workload.
+// {1, 8}) on one fixed workload.
 // The counters are documented as deterministic and scheduling-independent,
 // so each cube point must (a) reproduce run-to-run, (b) be invariant under
 // the thread count, and (c) match the hard-coded golden row below. A golden
@@ -27,7 +27,6 @@ struct StatsSnapshot {
   uint64_t monadic_sparse_rounds;
   uint64_t monadic_dense_rounds;
   uint64_t condensed_expansions;
-  uint64_t components_collapsed;
   uint64_t pairs_settled;
 
   bool operator==(const StatsSnapshot&) const = default;
@@ -37,8 +36,7 @@ StatsSnapshot Take(const EvalStats& stats) {
   return StatsSnapshot{
       stats.sparse_rounds.load(),         stats.dense_rounds.load(),
       stats.monadic_sparse_rounds.load(), stats.monadic_dense_rounds.load(),
-      stats.condensed_expansions.load(),  stats.components_collapsed.load(),
-      stats.pairs_settled.load()};
+      stats.condensed_expansions.load(),  stats.pairs_settled.load()};
 }
 
 std::string Format(const StatsSnapshot& s) {
@@ -47,15 +45,13 @@ std::string Format(const StatsSnapshot& s) {
          " monadic_sparse=" + std::to_string(s.monadic_sparse_rounds) +
          " monadic_dense=" + std::to_string(s.monadic_dense_rounds) +
          " cond_expansions=" + std::to_string(s.condensed_expansions) +
-         " collapsed=" + std::to_string(s.components_collapsed) +
          " pairs=" + std::to_string(s.pairs_settled) + "}";
 }
 
 enum class Engine { kBinary, kMonadic };
 
 /// The fixed workload: big enough that the all-sources binary evaluation
-/// spans 3 batches, and each label carries enough edges to clear the kAuto
-/// condensation floor.
+/// spans 3 batches.
 Graph GoldenGraph() {
   ErdosRenyiOptions options;
   options.num_nodes = 150;
@@ -65,8 +61,7 @@ Graph GoldenGraph() {
   return GenerateErdosRenyi(options);
 }
 
-/// L = a b* c: state 1's b-self-loop is the star state the condensation
-/// planner engages under kAuto.
+/// L = a b* c: state 1's b-self-loop keeps re-entering the frontier.
 Dfa GoldenQuery() {
   Dfa q(3);
   q.AddState(/*accepting=*/false);  // 0: expect a
@@ -79,12 +74,11 @@ Dfa GoldenQuery() {
 }
 
 StatsSnapshot RunPoint(const Graph& g, const Dfa& q, Engine engine,
-                       uint32_t threads, CondenseMode condense) {
+                       uint32_t threads) {
   EvalStats stats;
   EvalOptions options;
   options.threads = threads;
   options.parallel_threshold_pairs = 0;
-  options.condense = condense;
   options.stats = &stats;
   if (engine == Engine::kBinary) {
     auto result = EvalAllPairs(g, q, options);
@@ -99,38 +93,28 @@ StatsSnapshot RunPoint(const Graph& g, const Dfa& q, Engine engine,
 struct GoldenRow {
   const char* name;
   Engine engine;
-  CondenseMode condense;
   StatsSnapshot expected;
 };
 
 // Recorded at threads = 1; regenerate (and justify) only on an intentional
-// round-machinery change. The rows moved when the dense bottom-up rounds
-// were deleted: every round is now a sparse push, so each row equals the
-// earlier engine's counts with the round kind pinned to sparse (rounds and
-// pairs both moved), and the dense fields read 0. Monadic sweeps never
-// condense, so both monadic rows agree.
+// round-machinery change. The dense and condensed fields are retired and
+// read 0.
 constexpr GoldenRow kGolden[] = {
-    {"binary condense=auto", Engine::kBinary, CondenseMode::kAuto,
-     {6, 0, 0, 0, 228, 4, 403}},
-    {"binary condense=off", Engine::kBinary, CondenseMode::kOff,
-     {40, 0, 0, 0, 0, 0, 768}},
-    {"monadic condense=auto", Engine::kMonadic, CondenseMode::kAuto,
-     {0, 0, 5, 0, 0, 0, 365}},
-    {"monadic condense=off", Engine::kMonadic, CondenseMode::kOff,
-     {0, 0, 5, 0, 0, 0, 365}},
+    {"binary", Engine::kBinary, {40, 0, 0, 0, 0, 768}},
+    {"monadic", Engine::kMonadic, {0, 0, 5, 0, 0, 365}},
 };
 
 TEST(EvalStatsGoldenTest, CountersMatchGoldenAndAreThreadInvariant) {
   const Graph g = GoldenGraph();
   const Dfa q = GoldenQuery();
   for (const GoldenRow& row : kGolden) {
-    const StatsSnapshot at_one = RunPoint(g, q, row.engine, 1, row.condense);
+    const StatsSnapshot at_one = RunPoint(g, q, row.engine, 1);
     EXPECT_EQ(at_one, row.expected)
         << row.name << "\n  got      " << Format(at_one) << "\n  expected "
         << Format(row.expected);
 
     // Run-to-run determinism at the same point.
-    const StatsSnapshot again = RunPoint(g, q, row.engine, 1, row.condense);
+    const StatsSnapshot again = RunPoint(g, q, row.engine, 1);
     EXPECT_EQ(again, at_one) << row.name << " (rerun)\n  got      "
                              << Format(again) << "\n  expected "
                              << Format(at_one);
@@ -142,8 +126,7 @@ TEST(EvalStatsGoldenTest, CountersMatchGoldenAndAreThreadInvariant) {
     // oracle suite pins — and that cube edge gets determinism coverage
     // above but no invariance assertion.
     if (row.engine == Engine::kBinary) {
-      const StatsSnapshot at_eight =
-          RunPoint(g, q, row.engine, 8, row.condense);
+      const StatsSnapshot at_eight = RunPoint(g, q, row.engine, 8);
       EXPECT_EQ(at_eight, at_one)
           << row.name << " (threads=8)\n  got      " << Format(at_eight)
           << "\n  expected " << Format(at_one);

@@ -41,7 +41,7 @@ Graph TestGraph() {
   return GenerateScaleFree(options);
 }
 
-/// A star-heavy query, the shape that exercises the condensation planner.
+/// A star-heavy query: its star states keep re-entering the frontier.
 Dfa TestQuery() {
   Alphabet alphabet;
   alphabet.InternGenerated("l", kNumLabels);
@@ -53,28 +53,22 @@ Dfa TestQuery() {
 struct EngineConfig {
   const char* name;
   bool binary;
-  CondenseMode condense;
   uint32_t threads;
 };
 
-/// mode × condense × threads — the acceptance matrix, covering both round
+/// semantics × threads — the acceptance matrix, covering both round
 /// engines (binary/monadic).
 const EngineConfig kConfigs[] = {
-    {"monadic/off/t1", false, CondenseMode::kOff, 1},
-    {"monadic/off/t8", false, CondenseMode::kOff, 8},
-    {"monadic/on/t1", false, CondenseMode::kOn, 1},
-    {"monadic/on/t8", false, CondenseMode::kOn, 8},
-    {"binary/off/t1", true, CondenseMode::kOff, 1},
-    {"binary/off/t8", true, CondenseMode::kOff, 8},
-    {"binary/on/t1", true, CondenseMode::kOn, 1},
-    {"binary/on/t8", true, CondenseMode::kOn, 8},
+    {"monadic/t1", false, 1},
+    {"monadic/t8", false, 8},
+    {"binary/t1", true, 1},
+    {"binary/t8", true, 8},
 };
 
 EvalOptions MakeOptions(const EngineConfig& config, ExecContext* exec,
                         EvalStats* stats) {
   EvalOptions options;
   options.threads = config.threads;
-  options.condense = config.condense;
   options.parallel_threshold_pairs = 0;  // force the parallel path
   options.exec = exec;
   options.stats = stats;

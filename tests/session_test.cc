@@ -5,8 +5,6 @@
 
 #include "automata/dfa_csr.h"
 #include "automata/equivalence.h"
-#include "graph/condense.h"
-#include "graph/dynamic.h"
 #include "graph/fixtures.h"
 #include "interact/session.h"
 #include "query/eval.h"
@@ -116,81 +114,6 @@ TEST(SessionTest, EmptyGoalConvergesToEmptyQuery) {
   SessionResult result = RunInteractiveSession(g, oracle, options);
   ASSERT_TRUE(result.reached_goal);
   EXPECT_TRUE(EvalMonadicOrDie(g, result.final_query).None());
-}
-
-/// Interaction traces and learned selections must be bit-identical: the
-/// session is deterministic given the seed, so any divergence proves a
-/// cache influenced evaluation.
-void CheckSessionsIdentical(const Graph& graph, const SessionResult& a,
-                            const SessionResult& b) {
-  ASSERT_EQ(a.interactions.size(), b.interactions.size());
-  for (size_t i = 0; i < a.interactions.size(); ++i) {
-    EXPECT_EQ(a.interactions[i].node, b.interactions[i].node);
-    EXPECT_EQ(a.interactions[i].positive, b.interactions[i].positive);
-    EXPECT_EQ(a.interactions[i].f1, b.interactions[i].f1);
-  }
-  EXPECT_EQ(a.reached_goal, b.reached_goal);
-  EXPECT_TRUE(EvalMonadicOrDie(graph, a.final_query) ==
-              EvalMonadicOrDie(graph, b.final_query));
-}
-
-TEST(SessionTest, StaleEvalCachesCannotLeakIntoAMutatedGraphSession) {
-  Graph g = Figure1Geographic();
-
-  // Snapshot the cache, then mutate the graph with a delete+insert pair
-  // that restores the edge count — only the mutation counter distinguishes
-  // the snapshot from the live graph, which is exactly what the eval-side
-  // cache match must check.
-  const CondensedGraph stale_condensed = CondensedGraph::Build(g);
-  const size_t edges_before = g.num_edges();
-  const LabeledEdge victim = g.OutEdges(0)[0];
-  ASSERT_TRUE(g.DeleteEdge(0, victim.label, victim.node));
-  NodeId fresh_dst = 0;
-  while (g.HasEdge(0, victim.label, fresh_dst)) ++fresh_dst;
-  ASSERT_TRUE(g.InsertEdge(0, victim.label, fresh_dst));
-  ASSERT_EQ(g.num_edges(), edges_before);
-  ASSERT_NE(stale_condensed.graph_version(), g.version());
-
-  const Dfa goal = QueryOn(g, "(tram+bus)*.cinema");
-  const Oracle oracle = Oracle::FromQuery(g, goal);
-  SessionOptions options;
-  options.seed = 11;
-  options.eval.condense = CondenseMode::kOn;
-  const SessionResult ground_truth = RunInteractiveSession(g, oracle, options);
-
-  SessionOptions with_stale = options;
-  with_stale.eval.condensed_cache = &stale_condensed;
-  const SessionResult result = RunInteractiveSession(g, oracle, with_stale);
-  CheckSessionsIdentical(g, ground_truth, result);
-}
-
-TEST(SessionTest, MaintainedDynamicGraphCachesMatchACacheFreeSession) {
-  DynamicGraph dynamic(Figure1Geographic());
-  dynamic.MaintainCondensation();
-
-  // Mutate through the holder so the snapshot is repaired in place.
-  const Graph& g = dynamic.graph();
-  const LabeledEdge victim = g.OutEdges(0)[0];
-  ASSERT_TRUE(dynamic.DeleteEdge(0, victim.label, victim.node));
-  NodeId fresh_dst = 0;
-  while (g.HasEdge(0, victim.label, fresh_dst)) ++fresh_dst;
-  ASSERT_TRUE(dynamic.InsertEdge(0, victim.label, fresh_dst));
-  EXPECT_EQ(dynamic.stats().inserts, 1u);
-  EXPECT_EQ(dynamic.stats().deletes, 1u);
-  ASSERT_EQ(dynamic.condensed()->graph_version(), g.version());
-
-  const Dfa goal = QueryOn(g, "(tram+bus)*.cinema");
-  const Oracle oracle = Oracle::FromQuery(g, goal);
-  SessionOptions options;
-  options.seed = 11;
-  options.eval.condense = CondenseMode::kOn;
-  const SessionResult ground_truth = RunInteractiveSession(g, oracle, options);
-
-  SessionOptions cached = options;
-  cached.eval = dynamic.WithCaches(cached.eval);
-  ASSERT_EQ(cached.eval.condensed_cache, dynamic.condensed());
-  const SessionResult result = RunInteractiveSession(g, oracle, cached);
-  CheckSessionsIdentical(g, ground_truth, result);
 }
 
 /// One recorded session of PinnedSessionsOnSyntheticGraph.
