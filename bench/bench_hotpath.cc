@@ -623,7 +623,8 @@ struct EngineFacadeResult {
 
 /// The Engine facade's warm path versus cold evaluation: a repeat monadic
 /// query against a warm engine (plan-cache hit + retained fixed point) vs an
-/// engine with both caches disabled (every call compiles and sweeps). Both
+/// engine with the plan cache disabled (every call compiles a fresh plan,
+/// whose first run sweeps). Both
 /// are checked bit-identical to the free-function result before timing, and
 /// the warm run's telemetry is asserted so the reported ratio provably
 /// timed the warm path. Gated in bench/baseline.json as
@@ -645,7 +646,6 @@ EngineFacadeResult BenchEngineFacade(uint32_t num_nodes, int trials) {
   EngineOptions cold_options;
   cold_options.eval = eval;
   cold_options.plan_cache_capacity = 0;
-  cold_options.cache_monadic_results = false;
   Engine cold(graph, cold_options);
   EngineOptions warm_options;
   warm_options.eval = eval;

@@ -1,9 +1,8 @@
 // Query-server throughput bench: an in-process RpqServer under N concurrent
-// wire clients, measuring sustained queries/sec, the plan-cache hit rate,
-// and the request-batching coalescer — with every reply checked bit-for-bit
-// against a direct Engine evaluation of the same graph. Results go to
-// BENCH_server.json; machine-independent health metrics (hit rate,
-// coalesced-batch count, reply correctness) are gated in
+// wire clients, measuring sustained queries/sec and the plan-cache hit rate,
+// with every reply checked bit-for-bit against a direct Engine evaluation
+// of the same graph. Results go to BENCH_server.json; machine-independent
+// health metrics (hit rate, reply correctness) are gated in
 // bench/baseline_server.json by the CI perf job.
 //
 // Knobs (see bench_common.h): RPQ_SERVER_PORT, RPQ_SERVER_EXECUTORS,
@@ -213,10 +212,9 @@ int main() {
 
   // Throughput phase: every client pipelines bursts of binary queries over
   // a small rotation of source sets, all against one regex — the shape that
-  // exercises the plan cache (one compile, then hits) and the batching
-  // coalescer (queued same-regex binary queries merge into one
-  // RunBinaryBatch). Each reply is checked against its precomputed expected
-  // bytes, so the bench doubles as a concurrency bit-identity test.
+  // exercises the plan cache (one compile, then hits). Each reply is checked
+  // against its precomputed expected bytes, so the bench doubles as a
+  // concurrency bit-identity test.
   const Workload& workload = dataset.queries[1];  // syn2, 15% selectivity
   constexpr uint32_t kSourceSets = 8;
   constexpr uint32_t kSourcesPerSet = 16;
@@ -275,26 +273,7 @@ int main() {
       static_cast<uint64_t>(num_clients) * requests_per_client;
   const double qps = static_cast<double>(total_requests) / elapsed_seconds;
 
-  // With pipelined bursts and few executors, coalescing is effectively
-  // certain — but the CI gate must not flake on scheduler luck, so if no
-  // batch formed, drive one deterministically: a single write carrying many
-  // identical binary queries sits in the queue together, and the first pop
-  // coalesces the rest.
   std::map<std::string, double> stats = FetchStats(port);
-  for (int attempt = 0;
-       attempt < 20 && stats["server.coalesced_batches"] < 1.0; ++attempt) {
-    LineClient client(port);
-    std::string wire;
-    for (int i = 0; i < 32; ++i) wire += commands[0];
-    client.Send(wire);
-    for (int i = 0; i < 32; ++i) {
-      if (client.ReadReply() != expected[0]) {
-        mismatches.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    stats = FetchStats(port);
-  }
-
   const double plan_hits = stats["engine.plan_hits"];
   const double plan_misses = stats["engine.plan_misses"];
   const double hit_rate =
@@ -308,11 +287,9 @@ int main() {
   std::printf(
       "  %.0f queries/sec (%llu requests in %.3fs)\n"
       "  plan cache: %.0f hits / %.0f misses (hit rate %.4f)\n"
-      "  batching: %.0f coalesced batches covering %.0f requests\n"
       "  reply mismatches vs direct engine: %llu\n",
       qps, static_cast<unsigned long long>(total_requests), elapsed_seconds,
-      plan_hits, plan_misses, hit_rate, stats["server.coalesced_batches"],
-      stats["server.batched_requests"],
+      plan_hits, plan_misses, hit_rate,
       static_cast<unsigned long long>(mismatch_count));
 
   FILE* out = std::fopen("BENCH_server.json", "w");
@@ -327,14 +304,11 @@ int main() {
       "    \"elapsed_seconds\": %.6f,\n"
       "    \"queries_per_second\": %.2f,\n"
       "    \"plan_cache_hit_rate\": %.6f,\n"
-      "    \"coalesced_batches\": %.0f,\n"
-      "    \"batched_requests\": %.0f,\n"
       "    \"replies_bit_identical\": %d\n"
       "  }\n"
       "}\n",
       num_clients, requests_per_client, dataset.graph.num_nodes(),
-      elapsed_seconds, qps, hit_rate, stats["server.coalesced_batches"],
-      stats["server.batched_requests"], mismatch_count == 0 ? 1 : 0);
+      elapsed_seconds, qps, hit_rate, mismatch_count == 0 ? 1 : 0);
   std::fclose(out);
   std::printf("wrote BENCH_server.json\n");
   return mismatch_count == 0 ? 0 : 1;

@@ -47,8 +47,8 @@ void BM_EnginePlanRunWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_EnginePlanRunWarm)->Arg(1000)->Arg(5000)->Arg(10000);
 
-/// The facade's cold path (caching disabled): every iteration recompiles
-/// the plan and resweeps — the facade-overhead-included analogue of
+/// The facade's cold path (plan cache disabled): every iteration compiles a
+/// fresh plan, whose run sweeps — the facade-overhead-included analogue of
 /// BM_EvalMonadic.
 void BM_EnginePlanRunCold(benchmark::State& state) {
   Dataset dataset =
@@ -56,7 +56,6 @@ void BM_EnginePlanRunCold(benchmark::State& state) {
   const Dfa& query = dataset.queries[1].query;
   EngineOptions options;
   options.plan_cache_capacity = 0;
-  options.cache_monadic_results = false;
   Engine engine(dataset.graph, options);
   for (auto _ : state) {
     auto plan = engine.Plan(query);

@@ -21,13 +21,6 @@ StatusOr<MonadicNodes> QueryPlan::RunMonadic(ExecContext* exec) const {
   if (!options.ok()) return options.status();
 
   std::lock_guard<std::mutex> lock(monadic_mutex_);
-  if (!engine_->options_.cache_monadic_results) {
-    StatusOr<BitVector> nodes = EvalMonadic(engine_->graph(), dfa_, *options);
-    if (!nodes.ok()) return nodes.status();
-    // Moved out, not retained: the caller reads its result after this lock
-    // is released, so concurrent cold runs must never share storage.
-    return MonadicNodes(*std::move(nodes));
-  }
   if (monadic_ == nullptr) {
     // The retained materialization must never keep a per-request context:
     // Create() uses `exec` for this one build only (see build_exec).
@@ -38,17 +31,14 @@ StatusOr<MonadicNodes> QueryPlan::RunMonadic(ExecContext* exec) const {
                                     options->exec);
     if (!created.ok()) return created.status();
     monadic_ = std::move(*created);
-    StatusOr<const BitVector*> built = monadic_->Results();
-    if (!built.ok()) return built.status();  // unreachable: just built
-    return MonadicNodes(*built);
+    return monadic_->Results();
   }
   const uint64_t warm_before = monadic_->stats().warm_hits;
-  StatusOr<const BitVector*> nodes = monadic_->Results(options->exec);
-  if (!nodes.ok()) return nodes.status();
-  if (monadic_->stats().warm_hits != warm_before) {
+  StatusOr<MonadicNodes> nodes = monadic_->Results(options->exec);
+  if (nodes.ok() && monadic_->stats().warm_hits != warm_before) {
     engine_->CountMonadicWarmHit();
   }
-  return MonadicNodes(*nodes);
+  return nodes;
 }
 
 StatusOr<std::vector<std::pair<NodeId, NodeId>>> QueryPlan::RunBinary(
@@ -56,45 +46,6 @@ StatusOr<std::vector<std::pair<NodeId, NodeId>>> QueryPlan::RunBinary(
   StatusOr<EvalOptions> options = engine_->PrepareRun(exec);
   if (!options.ok()) return options.status();
   return EvalBinaryFromSources(engine_->graph(), dfa_, sources, *options);
-}
-
-StatusOr<std::vector<std::vector<std::pair<NodeId, NodeId>>>>
-QueryPlan::RunBinaryBatch(std::span<const std::span<const NodeId>> source_groups,
-                          ExecContext* exec) const {
-  std::vector<NodeId> coalesced;
-  size_t total = 0;
-  for (const auto& group : source_groups) total += group.size();
-  coalesced.reserve(total);
-  for (const auto& group : source_groups) {
-    coalesced.insert(coalesced.end(), group.begin(), group.end());
-  }
-  StatusOr<std::vector<std::pair<NodeId, NodeId>>> flat =
-      RunBinary(coalesced, exec);
-  if (!flat.ok()) return flat.status();
-
-  // Split the flat input-order-grouped pair vector back per request group.
-  // Occurrences of the same source all carry identical destination sets, so
-  // each occurrence's group length is (pairs with that src) / (occurrences
-  // of that src) — adjacent duplicate-source groups are sliced exactly.
-  std::vector<uint32_t> occurrences(engine_->graph().num_nodes(), 0);
-  std::vector<size_t> pair_counts(engine_->graph().num_nodes(), 0);
-  for (NodeId src : coalesced) ++occurrences[src];
-  for (const auto& [src, dst] : *flat) ++pair_counts[src];
-
-  std::vector<std::vector<std::pair<NodeId, NodeId>>> split;
-  split.reserve(source_groups.size());
-  size_t cursor = 0;
-  for (const auto& group : source_groups) {
-    std::vector<std::pair<NodeId, NodeId>> part;
-    for (NodeId src : group) {
-      const size_t len = pair_counts[src] / occurrences[src];
-      part.insert(part.end(), flat->begin() + cursor,
-                  flat->begin() + cursor + len);
-      cursor += len;
-    }
-    split.push_back(std::move(part));
-  }
-  return split;
 }
 
 // ------------------------------------------------------------------- Engine

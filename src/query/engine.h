@@ -11,9 +11,8 @@
 ///
 /// Each semantics the system serves has one entry point here and one
 /// product-BFS driver under it (src/query/eval.h): RunMonadic drives
-/// EvalMonadic (through a retained MaterializedMonadic when result caching
-/// is on), RunBinary drives EvalBinaryFromSources, and RunBinaryBatch
-/// coalesces several RunBinary requests into one evaluation.
+/// EvalMonadic through the plan's retained MaterializedMonadic, and
+/// RunBinary drives EvalBinaryFromSources.
 ///
 /// An `Engine` owns, per graph, a **plan cache**: an LRU of QueryPlans
 /// keyed by the structural fingerprint of the canonical query DFA
@@ -43,7 +42,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -69,31 +67,17 @@ struct EngineCounters {
   uint64_t plan_misses = 0;
   /// Plans dropped by the LRU policy (capacity overflow).
   uint64_t plan_evictions = 0;
-  /// RunMonadic / RunBinary / RunBinaryBatch calls through this engine.
+  /// RunMonadic / RunBinary calls through this engine.
   uint64_t runs = 0;
   /// Monadic runs answered from a plan's retained fixed point without a
   /// sweep (the warm path).
   uint64_t monadic_warm_hits = 0;
 };
 
-/// The result of one monadic run: either a borrowed view of the plan's
-/// retained fixed point (result caching on — no copy) or an owned column
-/// (result caching off — every run moves its result out, so concurrent cold
-/// runs never share mutable state). Dereferences like a `const BitVector*`.
-/// A borrowed view stays valid until the next run against a mutated graph;
-/// an owned column lives as long as this object.
-class MonadicNodes {
- public:
-  explicit MonadicNodes(const BitVector* borrowed) : borrowed_(borrowed) {}
-  explicit MonadicNodes(BitVector owned) : owned_(std::move(owned)) {}
-
-  const BitVector& operator*() const { return owned_ ? *owned_ : *borrowed_; }
-  const BitVector* operator->() const { return &**this; }
-
- private:
-  const BitVector* borrowed_ = nullptr;
-  std::optional<BitVector> owned_;
-};
+/// The result of one monadic run: a borrowed view of the plan's retained
+/// fixed point, valid until the next run against a mutated graph. Runs on
+/// an unchanged graph only read it, so concurrent callers share it.
+using MonadicNodes = const BitVector*;
 
 /// A compiled query bound to one Engine: canonical DFA, frozen transition
 /// tables, fingerprint identity, and the retained monadic fixed point.
@@ -110,12 +94,10 @@ class QueryPlan {
   const FrozenDfa& frozen() const { return frozen_; }
 
   /// Monadic node semantics, bit-identical to EvalMonadic under the
-  /// engine's EvalOptions. With result caching on, the returned MonadicNodes
-  /// borrows the plan's retained fixed point (valid until the next run
-  /// against a mutated graph); with caching off it owns the freshly
-  /// evaluated column outright. `exec`, when non-null, overrides the
-  /// engine-level ExecContext for this run (the server arms one per
-  /// admitted request); Status on an ExecContext trip.
+  /// engine's EvalOptions, borrowed from the plan's retained fixed point.
+  /// `exec`, when non-null, overrides the engine-level ExecContext for this
+  /// run (the server arms one per admitted request); Status on an
+  /// ExecContext trip.
   StatusOr<MonadicNodes> RunMonadic(ExecContext* exec = nullptr) const;
 
   /// Binary-from-sources semantics, bit-identical to EvalBinaryFromSources
@@ -123,16 +105,6 @@ class QueryPlan {
   /// out-of-range source or an ExecContext trip.
   StatusOr<std::vector<std::pair<NodeId, NodeId>>> RunBinary(
       std::span<const NodeId> sources, ExecContext* exec = nullptr) const;
-
-  /// Coalesced execution of several binary requests against this one plan:
-  /// the groups' sources are concatenated into a single evaluation — whose
-  /// 64-lane batches then span request boundaries — and the flat pair
-  /// result is split back per group. Element i of the result is
-  /// bit-identical to RunBinary(source_groups[i]). This is the request-
-  /// batching primitive of the query server.
-  StatusOr<std::vector<std::vector<std::pair<NodeId, NodeId>>>> RunBinaryBatch(
-      std::span<const std::span<const NodeId>> source_groups,
-      ExecContext* exec = nullptr) const;
 
  private:
   friend class Engine;
@@ -158,13 +130,9 @@ struct EngineOptions {
   /// default ExecContext and stats sink.
   EvalOptions eval;
   /// Plans kept by the LRU cache; 0 disables caching (every Plan() call
-  /// compiles afresh — for tests and cold-path benchmarks).
+  /// compiles a fresh plan, whose first monadic run sweeps — for tests and
+  /// cold-path benchmarks).
   size_t plan_cache_capacity = 32;
-  /// When true (default), monadic node requests are served through each
-  /// plan's retained fixed point — a repeat query on an unchanged graph is
-  /// a warm hit with no sweep. False forces every monadic run through a
-  /// full evaluation (cold-path benchmarks).
-  bool cache_monadic_results = true;
 };
 
 class Engine {

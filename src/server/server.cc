@@ -69,7 +69,7 @@ struct RpqServer::Connection {
 
   /// Execution-order accounting, guarded by RpqServer::queue_mutex_: how
   /// many of this connection's requests are executing, and whether one of
-  /// them is a mutation. PopRequests consults these to give pipelined
+  /// them is a mutation. PopRequest consults these to give pipelined
   /// clients read-your-writes (see FindRunnableLocked).
   size_t executing_requests = 0;
   bool executing_mutation = false;
@@ -425,24 +425,16 @@ void RpqServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
 // -------------------------------------------------------------- executors
 
 void RpqServer::ExecutorLoop() {
-  while (true) {
-    std::vector<std::unique_ptr<Request>> batch;
-    if (!PopRequests(&batch)) return;
-    if (batch.size() == 1) {
-      ExecuteSingle(*batch[0]);
-    } else {
-      ExecuteBatch(batch);
-    }
+  while (std::unique_ptr<Request> request = PopRequest()) {
+    Execute(*request);
     {
       std::lock_guard<std::mutex> lock(queue_mutex_);
-      executing_ -= batch.size();
-      for (const auto& request : batch) {
-        Connection* conn = request->conn.get();
-        --conn->executing_requests;
-        if (IsMutation(request->command)) conn->executing_mutation = false;
-      }
+      --executing_;
+      Connection* conn = request->conn.get();
+      --conn->executing_requests;
+      if (IsMutation(request->command)) conn->executing_mutation = false;
     }
-    // Completion may unblock queued requests of the finished connections.
+    // Completion may unblock queued requests of the finished connection.
     // The I/O thread needs no wake: DeliverReply already woke it for every
     // reply, and admission is decided when a line is read, never deferred.
     queue_cv_.notify_all();
@@ -469,7 +461,7 @@ size_t RpqServer::FindRunnableLocked() const {
   return queue_.size();
 }
 
-bool RpqServer::PopRequests(std::vector<std::unique_ptr<Request>>* batch) {
+std::unique_ptr<RpqServer::Request> RpqServer::PopRequest() {
   std::unique_lock<std::mutex> lock(queue_mutex_);
   size_t pos = 0;
   queue_cv_.wait(lock, [this, &pos] {
@@ -479,64 +471,19 @@ bool RpqServer::PopRequests(std::vector<std::unique_ptr<Request>>* batch) {
   if (pos >= queue_.size()) {
     // Stopping: drain FIFO. Connections are closing and replies are moot,
     // so the per-connection constraints no longer apply.
-    if (queue_.empty()) return false;
+    if (queue_.empty()) return nullptr;
     pos = 0;
   }
 
-  // Connections queued ahead of `pos` must not have later requests pulled
-  // forward by the batching scan, and a mutation ahead of `pos` pins every
-  // later query behind it.
-  bool mutation_ahead = false;
-  std::vector<const Connection*> skipped;
-  for (size_t i = 0; i < pos; ++i) {
-    skipped.push_back(queue_[i]->conn.get());
-    mutation_ahead = mutation_ahead || IsMutation(queue_[i]->command);
-  }
-
-  batch->push_back(std::move(queue_[pos]));
+  std::unique_ptr<Request> request = std::move(queue_[pos]);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pos));
-  const Request& head = *batch->front();
-
-  // Batching: coalesce queued binary QUERYs sharing the head's regex. The
-  // scan stops at the first mutation (executing past it would let a query
-  // observe a graph state its submission order precedes) and skips at most
-  // — never reorders — other requests: once a request of some connection is
-  // left in place, later requests of that connection are left too.
-  const bool batchable = !mutation_ahead && head.command.ok() &&
-                         head.command->kind == Command::Kind::kQuery &&
-                         head.command->has_sources;
-  if (batchable) {
-    for (auto it = queue_.begin() + static_cast<std::ptrdiff_t>(pos);
-         it != queue_.end();) {
-      Request& candidate = **it;
-      if (IsMutation(candidate.command)) break;
-      const bool same_shape =
-          candidate.command.ok() &&
-          candidate.command->kind == Command::Kind::kQuery &&
-          candidate.command->has_sources &&
-          candidate.command->regex == head.command->regex;
-      const Connection* conn = candidate.conn.get();
-      const bool conn_held =
-          std::find(skipped.begin(), skipped.end(), conn) != skipped.end();
-      if (same_shape && !conn_held && !candidate.conn->executing_mutation) {
-        batch->push_back(std::move(*it));
-        it = queue_.erase(it);
-        continue;
-      }
-      skipped.push_back(conn);
-      ++it;
-    }
-  }
-
-  executing_ += batch->size();
-  for (const auto& request : *batch) ++request->conn->executing_requests;
-  if (IsMutation(head.command)) {
-    batch->front()->conn->executing_mutation = true;
-  }
-  return true;
+  ++executing_;
+  ++request->conn->executing_requests;
+  if (IsMutation(request->command)) request->conn->executing_mutation = true;
+  return request;
 }
 
-void RpqServer::ExecuteSingle(Request& request) {
+void RpqServer::Execute(Request& request) {
   if (options_.execute_delay_for_testing.count() > 0) {
     std::this_thread::sleep_for(options_.execute_delay_for_testing);
   }
@@ -596,98 +543,6 @@ void RpqServer::ExecuteSingle(Request& request) {
   DeliverReply(request, std::move(reply));
 }
 
-void RpqServer::ExecuteBatch(std::vector<std::unique_ptr<Request>>& batch) {
-  if (options_.execute_delay_for_testing.count() > 0) {
-    std::this_thread::sleep_for(options_.execute_delay_for_testing);
-  }
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    counters_.batched_requests += batch.size();
-    ++counters_.coalesced_batches;
-    counters_.queries += batch.size();
-  }
-
-  ExecContext exec;
-  if (options_.request_deadline_ms > 0) {
-    exec.set_deadline_after(
-        std::chrono::milliseconds(options_.request_deadline_ms));
-  }
-  // Any participant disconnecting cancels the shared evaluation; survivors
-  // see ERR CANCELLED and may retry (documented batching trade-off).
-  for (const auto& request : batch) {
-    request->conn->RegisterExec(&exec);
-  }
-
-  std::string error;
-  // Per-request slot: an error reply, or an index into `per_request`.
-  std::vector<std::string> request_errors(batch.size());
-  std::vector<size_t> result_index(batch.size(), SIZE_MAX);
-  std::vector<std::vector<std::pair<NodeId, NodeId>>> per_request;
-  {
-    std::shared_lock<std::shared_mutex> state(state_mutex_);
-    if (engine_ == nullptr) {
-      error = FormatErrorReply(
-          Status::FailedPrecondition("no graph loaded (LOAD first)"));
-    } else {
-      StatusOr<Engine::PlanPtr> plan =
-          engine_->Plan(std::string_view(batch.front()->command->regex));
-      if (!plan.ok()) {
-        error = FormatErrorReply(plan.status());
-      } else {
-        // A request with out-of-range sources gets its own error instead of
-        // poisoning the whole coalesced evaluation.
-        const uint32_t num_nodes = engine_->graph().num_nodes();
-        std::vector<std::span<const NodeId>> groups;
-        groups.reserve(batch.size());
-        for (size_t i = 0; i < batch.size(); ++i) {
-          const std::vector<NodeId>& sources = batch[i]->command->sources;
-          const bool in_range =
-              std::all_of(sources.begin(), sources.end(),
-                          [num_nodes](NodeId v) { return v < num_nodes; });
-          if (!in_range) {
-            request_errors[i] = FormatErrorReply(
-                Status::InvalidArgument("source node out of range"));
-            continue;
-          }
-          result_index[i] = groups.size();
-          groups.push_back(sources);
-        }
-        auto split = (*plan)->RunBinaryBatch(groups, &exec);
-        if (!split.ok()) {
-          error = FormatErrorReply(split.status());
-        } else {
-          per_request = *std::move(split);
-        }
-      }
-    }
-  }
-
-  for (size_t i = 0; i < batch.size(); ++i) {
-    Request& request = *batch[i];
-    request.conn->UnregisterExec(&exec);
-    if (request.conn->closed.load()) {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.cancelled_requests;
-      continue;
-    }
-    if (!error.empty()) {
-      DeliverReply(request, error);
-      continue;
-    }
-    if (!request_errors[i].empty()) {
-      DeliverReply(request, std::move(request_errors[i]));
-      continue;
-    }
-    const auto& pairs = per_request[result_index[i]];
-    std::string reply;
-    for (const auto& [src, dst] : pairs) {
-      reply += "PAIR " + std::to_string(src) + ' ' + std::to_string(dst) + '\n';
-    }
-    reply += "OK QUERY " + std::to_string(pairs.size()) + '\n';
-    DeliverReply(request, std::move(reply));
-  }
-}
-
 void RpqServer::DeliverReply(Request& request, std::string reply) {
   const std::shared_ptr<Connection>& conn = request.conn;
   {
@@ -739,12 +594,6 @@ std::string RpqServer::HandleQuery(const Command& command, ExecContext* exec) {
   if (!plan.ok()) return FormatErrorReply(plan.status());
 
   if (command.has_sources) {
-    for (NodeId source : command.sources) {
-      if (source >= engine_->graph().num_nodes()) {
-        return FormatErrorReply(Status::InvalidArgument(
-            "source node " + std::to_string(source) + " out of range"));
-      }
-    }
     auto pairs = (*plan)->RunBinary(command.sources, exec);
     if (!pairs.ok()) return FormatErrorReply(pairs.status());
     std::string reply;
@@ -858,8 +707,10 @@ std::string RpqServer::HandleStats() {
     stat("server.queries", server.queries);
     stat("server.updates", server.updates);
     stat("server.learns", server.learns);
-    stat("server.batched_requests", server.batched_requests);
-    stat("server.coalesced_batches", server.coalesced_batches);
+    // Always 0: every request runs its own evaluation. The key stays
+    // because the traced repository benchmark reads it with .at()
+    // (perfbench/src/serving.cc).
+    stat("server.batched_requests", 0);
   }
 
   std::shared_lock<std::shared_mutex> state(state_mutex_);

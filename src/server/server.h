@@ -44,13 +44,6 @@
 /// registry whose lock orders disconnect-time Cancel() against the executor
 /// destroying the context, and which cancels all of a connection's
 /// concurrently executing requests, not just the latest.
-///
-/// Request batching: when an executor pops a binary QUERY (FROM sources),
-/// it coalesces every queued binary QUERY with the same regex into one
-/// QueryPlan::RunBinaryBatch call — the shared evaluation spans request
-/// boundaries with its 64-lane source batches. Coalescing never reorders a
-/// query past a queued mutation and never reorders two requests of the same
-/// connection.
 
 #include <atomic>
 #include <chrono>
@@ -85,7 +78,7 @@ struct ServerOptions {
   /// Protocol-line length bound (see LineBuffer).
   size_t max_line_bytes = kMaxLineBytes;
   /// Engine configuration applied to every loaded graph (eval knobs, plan
-  /// cache capacity, monadic result caching).
+  /// cache capacity).
   EngineOptions engine;
   /// Default interaction bound of LEARN sessions (a client MAX clause wins).
   size_t learn_max_interactions = 256;
@@ -109,10 +102,6 @@ struct ServerCounters {
   uint64_t queries = 0;
   uint64_t updates = 0;
   uint64_t learns = 0;
-  /// Binary queries executed inside a coalesced batch of size >= 2, and the
-  /// number of such batch executions.
-  uint64_t batched_requests = 0;
-  uint64_t coalesced_batches = 0;
 };
 
 class RpqServer {
@@ -158,11 +147,10 @@ class RpqServer {
   /// per-connection ordering rules (read-your-writes around mutations), or
   /// queue_.size() when none may. Requires queue_mutex_ held.
   size_t FindRunnableLocked() const;
-  /// Pops the next runnable request plus any batchable companions (see
-  /// batching contract above). Returns false when stopping.
-  bool PopRequests(std::vector<std::unique_ptr<Request>>* batch);
-  void ExecuteSingle(Request& request);
-  void ExecuteBatch(std::vector<std::unique_ptr<Request>>& batch);
+  /// Pops the next runnable request; null when stopping.
+  std::unique_ptr<Request> PopRequest();
+  /// Runs one request under its own ExecContext and delivers its reply.
+  void Execute(Request& request);
   /// Formats and delivers one terminal reply (payload lines already in
   /// `payload`), keeping the per-connection flush order.
   void DeliverReply(Request& request, std::string reply);

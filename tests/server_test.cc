@@ -28,7 +28,7 @@ namespace {
 // Loopback integration tests of the query server: concurrent clients get
 // replies bit-identical to direct Engine calls, malformed input degrades to
 // typed ERR replies (never a disconnect), admission and cancellation are
-// observable, and the batching coalescer preserves per-request results.
+// observable, and a pipelined request is answered as if it came alone.
 
 /// A blocking loopback client for tests: writes whole commands, reads
 /// newline-framed replies. A read that waits longer than 30 s gives up, so
@@ -212,6 +212,13 @@ TEST_F(ServerTest, LoadThenQueryMatchesDirectEngine) {
   EXPECT_EQ(client.Ask("QUERY l0.l1 FROM 1 2 3 2"),
             ExpectedBinaryReply(direct, ParseQuery(graph, "l0.l1"),
                                 {1, 2, 3, 2}));
+  // A source past the last node is a typed error naming it, and the
+  // connection survives it.
+  const std::string past_end = std::to_string(graph.num_nodes());
+  const std::string out_of_range = client.Ask("QUERY l0 FROM " + past_end);
+  EXPECT_EQ(out_of_range.rfind("ERR INVALID_ARGUMENT ", 0), 0u) << out_of_range;
+  EXPECT_NE(out_of_range.find(" " + past_end + " "), std::string::npos)
+      << out_of_range;
   EXPECT_EQ(client.Ask("PING"), "OK PING\n");
   EXPECT_EQ(client.Ask("QUIT"), "OK BYE\n");
 }
@@ -300,11 +307,15 @@ TEST_F(ServerTest, EightConcurrentClientsAreBitIdenticalToDirectCalls) {
   EXPECT_EQ(server.counters().queries, 8u * 20u * 2u);
 }
 
-TEST_F(ServerTest, PipelinedSameRegexQueriesCoalesceBitIdentically) {
+TEST_F(ServerTest, PipelinedBinaryQueriesReplyAsIfSentAlone) {
+  // Regression: pipelined binary queries on one regex used to be evaluated
+  // together, and an out-of-range request in such a group lost the node id
+  // from its error. Each pipelined reply must be the bytes the same line
+  // gets on a fresh connection.
   const Graph graph = TestGraph();
   const std::string path = WriteGraphFile(graph);
-  // One slow executor guarantees the pipelined burst is still queued when
-  // the first pop happens, so the coalescer must engage.
+  // One slow executor keeps the pipelined burst queued behind the first
+  // request.
   options_.executors = 1;
   options_.execute_delay_for_testing = std::chrono::milliseconds(20);
   RpqServer server(options_);
@@ -315,24 +326,78 @@ TEST_F(ServerTest, PipelinedSameRegexQueriesCoalesceBitIdentically) {
   ASSERT_EQ(client.Ask("LOAD " + path).rfind("OK LOAD", 0), 0u);
 
   const Dfa query = ParseQuery(graph, "(l0+l1)*.l2");
+  constexpr NodeId kMissing = 99999;
+  ASSERT_LT(graph.num_nodes(), kMissing);
   std::vector<std::vector<NodeId>> source_sets;
+  std::vector<std::string> lines;
   std::string wire;
-  for (int i = 0; i < 8; ++i) {
-    source_sets.push_back({static_cast<NodeId>(3 * i),
-                           static_cast<NodeId>(3 * i + 1),
-                           static_cast<NodeId>(i)});
-    wire += "QUERY (l0+l1)*.l2 FROM";
-    for (NodeId v : source_sets.back()) wire += ' ' + std::to_string(v);
-    wire += '\n';
+  for (NodeId i = 0; i < 6; ++i) {
+    source_sets.push_back({i == 3 ? kMissing : i, i + 7});
+    std::string line = "QUERY (l0+l1)*.l2 FROM";
+    for (NodeId v : source_sets.back()) line += ' ' + std::to_string(v);
+    lines.push_back(line);
+    wire += line + '\n';
   }
   client.Send(wire);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(client.ReadReply(),
-              ExpectedBinaryReply(direct, query, source_sets[i]))
-        << "request " << i;
+  std::vector<std::string> pipelined;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    pipelined.push_back(client.ReadReply());
   }
-  EXPECT_GT(server.counters().coalesced_batches, 0u);
-  EXPECT_GT(server.counters().batched_requests, 0u);
+
+  for (size_t i = 0; i < lines.size(); ++i) {
+    TestClient alone(server.port());
+    EXPECT_EQ(pipelined[i], alone.Ask(lines[i])) << lines[i];
+    if (i == 3) {
+      EXPECT_EQ(pipelined[i].rfind("ERR INVALID_ARGUMENT ", 0), 0u)
+          << pipelined[i];
+      EXPECT_NE(pipelined[i].find(std::to_string(kMissing)), std::string::npos)
+          << pipelined[i];
+    } else {
+      EXPECT_EQ(pipelined[i],
+                ExpectedBinaryReply(direct, query, source_sets[i]))
+          << lines[i];
+    }
+  }
+}
+
+TEST_F(ServerTest, OneClientsDisconnectNeverCancelsAnotherClientsQuery) {
+  // Regression: two clients' queued binary queries on one regex used to
+  // share one evaluation and one ExecContext, so the first client's
+  // disconnect cancelled the second client's query.
+  const Graph graph = TestGraph();
+  const std::string path = WriteGraphFile(graph);
+  options_.executors = 1;
+  options_.execute_delay_for_testing = std::chrono::milliseconds(100);
+  RpqServer server(options_);
+  ASSERT_TRUE(server.Start().ok());
+  {
+    TestClient loader(server.port());
+    ASSERT_EQ(loader.Ask("LOAD " + path).rfind("OK LOAD", 0), 0u);
+  }
+
+  Engine direct(graph);
+  const std::vector<NodeId> sources = {4, 8, 15};
+  const std::string expected =
+      ExpectedBinaryReply(direct, ParseQuery(graph, "(l0+l1)*.l2"), sources);
+  const std::string command = "QUERY (l0+l1)*.l2 FROM 4 8 15\n";
+
+  // A PING holds the only executor while both queries queue behind it.
+  TestClient holder(server.port());
+  TestClient leaving(server.port());
+  TestClient staying(server.port());
+  holder.Send("PING\n");
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  leaving.Send(command);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  staying.Send(command);
+  ASSERT_EQ(holder.ReadReply(), "OK PING\n");
+  // The executor has taken the first query; its client leaves mid-run.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  leaving.Close();
+
+  const std::string reply = staying.ReadReply();
+  // Compared with == so that a mismatch prints a short note, not pairs.
+  EXPECT_TRUE(reply == expected) << reply.substr(0, 200);
 }
 
 TEST_F(ServerTest, AdmissionBoundRejectsWithResourceExhausted) {
@@ -577,6 +642,17 @@ TEST_F(ServerTest, StatsReportServerEngineAndGraphTelemetry) {
             std::string::npos);
   EXPECT_NE(stats.find("STAT engine.plan_hits 1\n"), std::string::npos);
   EXPECT_NE(stats.find("STAT engine.monadic_warm_hits 1\n"),
+            std::string::npos);
+  // The repository benchmark's read_write workload reads the two engine
+  // keys above and the keys below: graph.edges through std::map::operator[]
+  // (a missing key would read 0), the others through .at() (a missing key
+  // would abort a traced run).
+  EXPECT_NE(stats.find("STAT graph.edges " +
+                       std::to_string(graph.num_edges()) + "\n"),
+            std::string::npos);
+  EXPECT_NE(stats.find("STAT engine.plan_misses 1\n"), std::string::npos);
+  EXPECT_NE(stats.find("STAT engine.plan_evictions 0\n"), std::string::npos);
+  EXPECT_NE(stats.find("STAT server.batched_requests 0\n"),
             std::string::npos);
   EXPECT_NE(stats.find("OK STATS "), std::string::npos);
 }
