@@ -621,15 +621,32 @@ struct EngineFacadeResult {
   uint64_t warm_hits = 0;
 };
 
+/// Seconds per call of `call`, over as many calls as take at least 50 ms,
+/// so that timer resolution and one-off stalls do not set the figure of a
+/// call that takes microseconds. Stores the number of calls in `*calls`.
+template <typename Call>
+double SecondsPerCall(const Call& call, uint64_t* calls) {
+  constexpr double kMinSeconds = 0.05;
+  uint64_t n = 0;
+  WallTimer timer;
+  do {
+    call();
+    ++n;
+  } while (timer.ElapsedSeconds() < kMinSeconds);
+  *calls = n;
+  return timer.ElapsedSeconds() / static_cast<double>(n);
+}
+
 /// The Engine facade's warm path versus cold evaluation: a repeat monadic
 /// query against a warm engine (plan-cache hit + retained fixed point) vs an
 /// engine with the plan cache disabled (every call compiles a fresh plan,
 /// whose first run sweeps). Both
 /// are checked bit-identical to the free-function result before timing, and
 /// the warm run's telemetry is asserted so the reported ratio provably
-/// timed the warm path. Gated in bench/baseline.json as
+/// timed the warm path. Each side is timed over at least 50 ms of calls (a
+/// warm call takes microseconds). Gated in bench/baseline.json as
 /// engine_facade.warm_vs_cold_speedup.
-EngineFacadeResult BenchEngineFacade(uint32_t num_nodes, int trials) {
+EngineFacadeResult BenchEngineFacade(uint32_t num_nodes) {
   ScaleFreeOptions graph_options;
   graph_options.num_nodes = num_nodes;
   graph_options.num_edges = 3 * static_cast<size_t>(num_nodes);
@@ -660,30 +677,23 @@ EngineFacadeResult BenchEngineFacade(uint32_t num_nodes, int trials) {
         << "Engine facade monadic result diverged from EvalMonadic";
   }
 
+  auto run = [&](const Engine& engine) {
+    auto plan = engine.Plan(query);
+    auto nodes = (*plan)->RunMonadic();
+    RPQ_CHECK_EQ((*nodes)->Count(), expected->Count());
+  };
   EngineFacadeResult result;
-  const int facade_trials = trials * 5;
-  WallTimer timer;
-  for (int t = 0; t < facade_trials; ++t) {
-    auto plan = cold.Plan(query);
-    auto nodes = (*plan)->RunMonadic();
-    RPQ_CHECK_EQ((*nodes)->Count(), expected->Count());
-  }
-  result.cold_seconds = timer.ElapsedSeconds() / facade_trials;
-
-  timer.Restart();
-  for (int t = 0; t < facade_trials; ++t) {
-    auto plan = warm.Plan(query);
-    auto nodes = (*plan)->RunMonadic();
-    RPQ_CHECK_EQ((*nodes)->Count(), expected->Count());
-  }
-  result.warm_seconds = timer.ElapsedSeconds() / facade_trials;
+  uint64_t cold_calls = 0;
+  uint64_t warm_calls = 0;
+  result.cold_seconds = SecondsPerCall([&] { run(cold); }, &cold_calls);
+  result.warm_seconds = SecondsPerCall([&] { run(warm); }, &warm_calls);
 
   const EngineCounters counters = warm.counters();
   result.plan_hits = counters.plan_hits;
   result.warm_hits = counters.monadic_warm_hits;
-  RPQ_CHECK(counters.plan_hits >= static_cast<uint64_t>(facade_trials))
+  RPQ_CHECK(counters.plan_hits >= warm_calls)
       << "warm engine missed its plan cache";
-  RPQ_CHECK(counters.monadic_warm_hits >= static_cast<uint64_t>(facade_trials))
+  RPQ_CHECK(counters.monadic_warm_hits >= warm_calls)
       << "warm engine swept instead of serving the retained fixed point";
   return result;
 }
@@ -832,7 +842,7 @@ int main() {
   PrintIncremental(incremental);
 
   // --- engine facade: warm plan + retained fixed point vs cold ----------
-  auto facade = BenchEngineFacade(eval_nodes, trials);
+  auto facade = BenchEngineFacade(eval_nodes);
   const double facade_speedup =
       Speedup(facade.cold_seconds, facade.warm_seconds);
   std::printf("engine facade (repeat monadic query, 1 thread): cold %.6fs  "

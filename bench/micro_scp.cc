@@ -1,12 +1,13 @@
 // Microbenchmarks of the learning-specific machinery: negative-coverage
-// subset automaton construction, SCP search, k-informativeness and a full
-// learner invocation.
+// subset automaton construction, SCP search, k-informativeness, the kS
+// pick and a full learner invocation.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
 #include "graph/graph_nfa.h"
 #include "interact/informative.h"
+#include "interact/strategy.h"
 #include "learn/coverage.h"
 #include "learn/learner.h"
 #include "learn/scp.h"
@@ -31,6 +32,14 @@ struct Setup {
         rng.SampleWithoutReplacement(dataset.graph.num_nodes(), 150);
     sample = Sample::FromGoal(goal, nodes);
   }
+
+  /// The negatives' coverage automaton at k = 2.
+  StatusOr<SubsetCoverage> CoverageAtK2() const {
+    SubsetCoverage::Options options;
+    options.k = 2;
+    return SubsetCoverage::Build(GraphToNfa(dataset.graph, sample.negative),
+                                 options);
+  }
 };
 
 void BM_CoverageBuild(benchmark::State& state) {
@@ -46,10 +55,7 @@ BENCHMARK(BM_CoverageBuild)->Arg(2)->Arg(3);
 
 void BM_ScpSearch(benchmark::State& state) {
   Setup setup;
-  Nfa negatives = GraphToNfa(setup.dataset.graph, setup.sample.negative);
-  SubsetCoverage::Options options;
-  options.k = 2;
-  auto coverage = SubsetCoverage::Build(negatives, options);
+  auto coverage = setup.CoverageAtK2();
   if (!coverage.ok()) {
     state.SkipWithError("coverage cap");
     return;
@@ -67,10 +73,7 @@ BENCHMARK(BM_ScpSearch);
 
 void BM_KInformative(benchmark::State& state) {
   Setup setup;
-  Nfa negatives = GraphToNfa(setup.dataset.graph, setup.sample.negative);
-  SubsetCoverage::Options options;
-  options.k = 2;
-  auto coverage = SubsetCoverage::Build(negatives, options);
+  auto coverage = setup.CoverageAtK2();
   if (!coverage.ok()) {
     state.SkipWithError("coverage cap");
     return;
@@ -81,6 +84,24 @@ void BM_KInformative(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KInformative);
+
+void BM_KSmallestPick(benchmark::State& state) {
+  Setup setup;
+  auto coverage = setup.CoverageAtK2();
+  if (!coverage.ok()) {
+    state.SkipWithError("coverage cap");
+    return;
+  }
+  const BitVector informative =
+      ComputeKInformative(setup.dataset.graph, coverage.value());
+  Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PickNextNode(
+        setup.dataset.graph, setup.sample, coverage.value(), informative,
+        StrategyKind::kSmallestPaths, &rng));
+  }
+}
+BENCHMARK(BM_KSmallestPick);
 
 void BM_FullLearner(benchmark::State& state) {
   Setup setup;

@@ -10,10 +10,15 @@ std::optional<NodeId> PickNextNode(const Graph& graph, const Sample& sample,
                                    const SubsetCoverage& coverage,
                                    const BitVector& informative,
                                    StrategyKind kind, Rng* rng) {
-  std::vector<NodeId> candidates;
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    if (informative.Test(v) && !sample.IsLabeled(v)) candidates.push_back(v);
-  }
+  RPQ_CHECK_EQ(informative.size(), graph.num_nodes());
+  // S+ ∪ S− is marked once per call, so a candidate costs a bit test
+  // rather than a search of both lists.
+  BitVector labeled(graph.num_nodes());
+  for (NodeId v : sample.positive) labeled.Set(v);
+  for (NodeId v : sample.negative) labeled.Set(v);
+  BitVector unlabeled_informative = informative;
+  unlabeled_informative.SubtractWith(labeled);
+  const std::vector<NodeId> candidates = unlabeled_informative.ToIndices();
   if (candidates.empty()) return std::nullopt;
 
   switch (kind) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <numeric>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -81,6 +84,48 @@ BitVector KInformativeReference(const Graph& graph,
   return informative;
 }
 
+/// A random graph over 90 labels, so a label mask takes two 64-bit words.
+/// Most edges carry one of a few labels on both sides of the word boundary,
+/// so negatives share paths with other nodes; the rest spread over the
+/// whole alphabet. Out-degrees are 1..4.
+Graph WideAlphabetGraph(uint32_t num_nodes, uint64_t seed) {
+  constexpr uint32_t kNumLabels = 90;
+  constexpr Symbol kCommon[] = {0, 1, 62, 63, 64, 65, 89};
+  GraphBuilder b;
+  std::vector<std::string> labels;
+  for (uint32_t a = 0; a < kNumLabels; ++a) {
+    labels.push_back("l" + std::to_string(a));
+  }
+  b.InternLabels(labels);
+  b.AddNodes(num_nodes);
+  Rng rng(seed);
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    const uint64_t degree = 1 + rng.NextBelow(4);
+    for (uint64_t i = 0; i < degree; ++i) {
+      const Symbol a =
+          rng.NextBernoulli(0.7)
+              ? kCommon[rng.NextBelow(std::size(kCommon))]
+              : static_cast<Symbol>(rng.NextBelow(kNumLabels));
+      b.AddEdge(v, a, static_cast<NodeId>(rng.NextBelow(num_nodes)));
+    }
+  }
+  return b.Build();
+}
+
+/// True iff some node has out-edges labelled both below 64 and at 64 or
+/// above, so its out-label mask has a bit set in each of two words.
+bool SomeNodeSpansTwoMaskWords(const Graph& g) {
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    bool low = false;
+    bool high = false;
+    for (const LabeledEdge& e : g.OutEdges(v)) {
+      (e.label < 64 ? low : high) = true;
+    }
+    if (low && high) return true;
+  }
+  return false;
+}
+
 TEST(InformativeTest, MatchesDefinitionOnFig3) {
   // k-informative ⟺ some path of length ≤ k is uncovered by S−.
   Graph g = Figure3G0();
@@ -102,9 +147,16 @@ TEST(InformativeTest, MatchesDefinitionOnFig3) {
 }
 
 TEST(InformativeTest, ForwardSearchMatchesBackwardReference) {
+  // Eight synthetic graphs (24 labels) and, as seed 9, one whose label
+  // masks take two words.
+  std::vector<Graph> graphs;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    const Dataset dataset = BuildSyntheticDataset(300, seed);
-    const Graph& g = dataset.graph;
+    graphs.push_back(BuildSyntheticDataset(300, seed).graph);
+  }
+  graphs.push_back(WideAlphabetGraph(120, 9));
+  ASSERT_TRUE(SomeNodeSpansTwoMaskWords(graphs.back()));
+  for (uint64_t seed = 1; seed <= graphs.size(); ++seed) {
+    const Graph& g = graphs[seed - 1];
     std::vector<NodeId> order(g.num_nodes());
     std::iota(order.begin(), order.end(), NodeId{0});
     Rng rng(seed);
@@ -196,34 +248,47 @@ TEST(InformativeTest, KInformativeImpliesInformative) {
   }
 }
 
+/// Brute force for UncoveredPathCounter: enumerates the node sequences of
+/// length ≤ `remaining` from a node and counts those whose word no negative
+/// has a path for.
+struct UncoveredPathWalker {
+  const Graph& g;
+  const std::vector<NodeId>& negatives;
+  uint64_t count = 0;
+
+  void Walk(NodeId node, Word word, uint32_t remaining) {
+    if (std::none_of(negatives.begin(), negatives.end(),
+                     [&](NodeId n) { return g.HasPathFrom(n, word); })) {
+      ++count;
+    }
+    if (remaining == 0) return;
+    for (const LabeledEdge& e : g.OutEdges(node)) {
+      Word next = word;
+      next.push_back(e.label);
+      Walk(e.node, std::move(next), remaining - 1);
+    }
+  }
+};
+
 TEST(UncoveredPathCounterTest, CountsMatchBruteForce) {
   // k = 0 and 1 never reach the memo, and the root is never memoized, so
-  // each budget class takes its own path.
-  Graph g = Figure3G0();
-  for (uint32_t k = 0; k <= 4; ++k) {
-    SubsetCoverage cov = CoverageOf(g, {1, 6}, k);
-    UncoveredPathCounter counter(g, cov);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      // Brute force: enumerate node sequences of length ≤ k from v and
-      // count those whose word is uncovered.
-      uint64_t expected = 0;
-      struct Walker {
-        const Graph& g;
-        uint64_t count = 0;
-        void Walk(NodeId node, Word word, uint32_t remaining) {
-          if (!g.HasPathFrom(1, word) && !g.HasPathFrom(6, word)) ++count;
-          if (remaining == 0) return;
-          for (const LabeledEdge& e : g.OutEdges(node)) {
-            Word next = word;
-            next.push_back(e.label);
-            Walk(e.node, std::move(next), remaining - 1);
-          }
-        }
-      };
-      Walker walker{g};
-      walker.Walk(v, {}, k);
-      expected = walker.count;
-      EXPECT_EQ(counter.Count(v), expected) << "k=" << k << " node " << v;
+  // each budget class takes its own path. The second graph's label masks
+  // take two words.
+  const Graph fig3 = Figure3G0();
+  const Graph wide = WideAlphabetGraph(40, 3);
+  ASSERT_TRUE(SomeNodeSpansTwoMaskWords(wide));
+  const std::vector<std::pair<const Graph*, std::vector<NodeId>>> cases = {
+      {&fig3, {1, 6}}, {&wide, {0, 7, 19, 33}}};
+  for (const auto& [g, negatives] : cases) {
+    for (uint32_t k = 0; k <= 4; ++k) {
+      SubsetCoverage cov = CoverageOf(*g, negatives, k);
+      UncoveredPathCounter counter(*g, cov);
+      for (NodeId v = 0; v < g->num_nodes(); ++v) {
+        UncoveredPathWalker walker{*g, negatives};
+        walker.Walk(v, {}, k);
+        EXPECT_EQ(counter.Count(v), walker.count)
+            << g->num_symbols() << " labels, k=" << k << " node " << v;
+      }
     }
   }
 }
