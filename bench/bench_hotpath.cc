@@ -349,8 +349,9 @@ struct IncrementalPointResult {
   double full_seconds = 0;
   double compact_seconds = 0;
   uint64_t insert_repairs = 0;
-  uint64_t delete_fallbacks = 0;
+  uint64_t delete_repairs = 0;
   uint64_t delta_cells_seeded = 0;
+  uint64_t overdeleted_cells = 0;
 };
 
 struct IncrementalTraceResult {
@@ -362,6 +363,7 @@ struct IncrementalBenchResult {
   uint32_t nodes = 0;
   size_t edges = 0;
   double single_insert_speedup = 0;
+  double single_delete_speedup = 0;
   std::vector<IncrementalTraceResult> traces;
 };
 
@@ -401,15 +403,17 @@ std::vector<BenchUpdate> DrawBenchUpdates(const Graph& base, uint64_t seed,
 
 /// Incremental result maintenance versus re-evaluation: a
 /// MaterializedMonadic — the class a QueryPlan keeps as its warm monadic
-/// result — registered on a DynamicGraph absorbs k updates (delta-frontier
-/// insert repairs, per-label delete fallbacks) and serves Results(),
+/// result — registered on a DynamicGraph queues k updates and serves
+/// Results(), which repairs them as one batch (delta-frontier inserts,
+/// delete-and-rederive deletes),
 /// against (a) applying the same k updates to a pristine copy and
 /// re-running EvalMonadic through the overlay, and (b) the same plus a
 /// Compact() into a clean CSR first. All three sides are checked
 /// bit-identical per point before timing; setup (the graph copy and the
 /// initial fixed-point build) stays outside the timed region, so a point
-/// times exactly "k updates arrive, then the result is read". The headline
-/// `single_insert.speedup` — insert-heavy trace at k=1 — is gated in
+/// times exactly "k updates arrive, then the result is read". The headlines
+/// `single_insert.speedup` (insert-heavy trace at k=1) and
+/// `single_delete.speedup` (delete-heavy trace at k=1) are gated in
 /// bench/baseline.json.
 IncrementalBenchResult BenchIncremental(uint32_t num_nodes, int trials) {
   ScaleFreeOptions graph_options;
@@ -437,17 +441,26 @@ IncrementalBenchResult BenchIncremental(uint32_t num_nodes, int trials) {
   for (const auto& spec : kTraces) {
     std::vector<BenchUpdate> updates =
         DrawBenchUpdates(base, spec.seed, spec.insert_bias);
-    // The insert-heavy stream leads with an update that actually lands a
-    // delta frontier, so the k=1 headline times the in-place repair path
-    // rather than the (much cheaper) empty-frontier no-op detection.
-    if (spec.insert_bias == 1.0) {
+    // The insert- and delete-heavy streams lead with an update whose repair
+    // has work to do (a delta frontier to seed, cells to over-delete), so
+    // the k=1 headlines time the repair path rather than the (much cheaper)
+    // detection that there is nothing to repair.
+    if (spec.insert_bias == 1.0 || spec.insert_bias == 0.0) {
       for (size_t i = 0; i < updates.size(); ++i) {
         DynamicGraph probe(base);
         probe.set_auto_compact_threshold(0);
         auto mm = bench::UnwrapOrExit(probe.MaterializeMonadic(query, options),
                                       "MaterializeMonadic");
-        probe.InsertEdge(updates[i].src, updates[i].label, updates[i].dst);
-        if (mm->stats().insert_repairs == 1) {
+        const BenchUpdate& u = updates[i];
+        if (u.is_insert) {
+          probe.InsertEdge(u.src, u.label, u.dst);
+        } else {
+          probe.DeleteEdge(u.src, u.label, u.dst);
+        }
+        // Repairs run, and count, at the read.
+        bench::UnwrapOrExit(mm->Results(), "mm->Results");
+        if (mm->stats().insert_repairs == 1 ||
+            mm->stats().overdeleted_cells > 0) {
           std::rotate(updates.begin(),
                       updates.begin() + static_cast<ptrdiff_t>(i),
                       updates.end());
@@ -501,8 +514,9 @@ IncrementalBenchResult BenchIncremental(uint32_t num_nodes, int trials) {
             << "materialized result diverged from re-evaluation, trace="
             << spec.name << " k=" << k;
         point.insert_repairs = mm->stats().insert_repairs;
-        point.delete_fallbacks = mm->stats().delete_fallbacks;
+        point.delete_repairs = mm->stats().delete_repairs;
         point.delta_cells_seeded = mm->stats().delta_cells_seeded;
+        point.overdeleted_cells = mm->stats().overdeleted_cells;
       }
 
       WallTimer timer;
@@ -546,6 +560,10 @@ IncrementalBenchResult BenchIncremental(uint32_t num_nodes, int trials) {
         result.single_insert_speedup =
             Speedup(point.full_seconds, point.incremental_seconds);
       }
+      if (std::string(spec.name) == "delete_heavy" && k == 1) {
+        result.single_delete_speedup =
+            Speedup(point.full_seconds, point.incremental_seconds);
+      }
       trace.points.push_back(point);
     }
     result.traces.push_back(trace);
@@ -554,27 +572,31 @@ IncrementalBenchResult BenchIncremental(uint32_t num_nodes, int trials) {
 }
 
 void PrintIncremental(const IncrementalBenchResult& r) {
-  std::printf("incremental materialized monadic eval (delta-frontier "
-              "repair vs EvalMonadic re-evaluation, %u nodes, %zu edges, "
-              "1 thread; RPQ_EVAL_INCREMENTAL gates the fuzz diff):\n",
+  std::printf("incremental materialized monadic eval (batched repair vs "
+              "EvalMonadic re-evaluation, %u nodes, %zu edges, 1 thread; "
+              "RPQ_EVAL_INCREMENTAL gates the fuzz diff):\n",
               r.nodes, r.edges);
   for (const IncrementalTraceResult& trace : r.traces) {
     std::printf("  %s:\n", trace.name);
     for (const IncrementalPointResult& p : trace.points) {
       std::printf("    k=%-4u incremental %10.6fs  full %10.6fs (%.1fx)  "
-                  "compact+eval %10.6fs  (%llu repairs, %llu fallbacks, "
-                  "%llu cells seeded)\n",
+                  "compact+eval %10.6fs  (%llu insert repairs, %llu delete "
+                  "repairs, %llu cells seeded, %llu over-deleted)\n",
                   p.updates, p.incremental_seconds, p.full_seconds,
                   Speedup(p.full_seconds, p.incremental_seconds),
                   p.compact_seconds,
                   static_cast<unsigned long long>(p.insert_repairs),
-                  static_cast<unsigned long long>(p.delete_fallbacks),
-                  static_cast<unsigned long long>(p.delta_cells_seeded));
+                  static_cast<unsigned long long>(p.delete_repairs),
+                  static_cast<unsigned long long>(p.delta_cells_seeded),
+                  static_cast<unsigned long long>(p.overdeleted_cells));
     }
   }
   std::printf("  single-insert headline: incremental %.1fx vs full "
               "re-evaluation\n",
               r.single_insert_speedup);
+  std::printf("  single-delete headline: incremental %.1fx vs full "
+              "re-evaluation\n",
+              r.single_delete_speedup);
 }
 
 void PrintIncrementalJson(FILE* out, const IncrementalBenchResult& r) {
@@ -584,8 +606,12 @@ void PrintIncrementalJson(FILE* out, const IncrementalBenchResult& r) {
                "    \"edges\": %zu,\n"
                "    \"single_insert\": {\n"
                "      \"speedup\": %.2f\n"
+               "    },\n"
+               "    \"single_delete\": {\n"
+               "      \"speedup\": %.2f\n"
                "    },\n",
-               r.nodes, r.edges, r.single_insert_speedup);
+               r.nodes, r.edges, r.single_insert_speedup,
+               r.single_delete_speedup);
   for (size_t i = 0; i < r.traces.size(); ++i) {
     const IncrementalTraceResult& trace = r.traces[i];
     std::fprintf(out, "    \"%s\": {\n", trace.name);
@@ -598,15 +624,17 @@ void PrintIncrementalJson(FILE* out, const IncrementalBenchResult& r) {
                    "        \"compact_seconds\": %.6f,\n"
                    "        \"incremental_vs_full_speedup\": %.2f,\n"
                    "        \"insert_repairs\": %llu,\n"
-                   "        \"delete_fallbacks\": %llu,\n"
-                   "        \"delta_cells_seeded\": %llu\n"
+                   "        \"delete_repairs\": %llu,\n"
+                   "        \"delta_cells_seeded\": %llu,\n"
+                   "        \"overdeleted_cells\": %llu\n"
                    "      }%s\n",
                    p.updates, p.incremental_seconds, p.full_seconds,
                    p.compact_seconds,
                    Speedup(p.full_seconds, p.incremental_seconds),
                    static_cast<unsigned long long>(p.insert_repairs),
-                   static_cast<unsigned long long>(p.delete_fallbacks),
+                   static_cast<unsigned long long>(p.delete_repairs),
                    static_cast<unsigned long long>(p.delta_cells_seeded),
+                   static_cast<unsigned long long>(p.overdeleted_cells),
                    j + 1 < trace.points.size() ? "," : "");
     }
     std::fprintf(out, "    }%s\n", i + 1 < r.traces.size() ? "," : "");

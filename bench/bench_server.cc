@@ -1,7 +1,9 @@
 // Query-server throughput bench: an in-process RpqServer under N concurrent
 // wire clients, measuring sustained queries/sec and the plan-cache hit rate,
 // with every reply checked bit-for-bit against a direct Engine evaluation
-// of the same graph. Results go to BENCH_server.json; machine-independent
+// of the same graph. A second phase times a monadic QUERY sent right after
+// an UPDATE on a label it reads, the request that repairs the plan's
+// retained fixed point. Results go to BENCH_server.json; machine-independent
 // health metrics (hit rate, reply correctness) are gated in
 // bench/baseline_server.json by the CI perf job.
 //
@@ -24,6 +26,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -129,6 +132,14 @@ std::string ExpectedMonadicReply(const Engine& engine, const Dfa& query) {
   }
   reply += "OK QUERY " + std::to_string(count) + '\n';
   return reply;
+}
+
+/// The p-th percentile (0..1) of `values`, nearest rank; 0 when empty.
+double Percentile(std::vector<double> values, double p) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const size_t rank = static_cast<size_t>(p * (values.size() - 1) + 0.5);
+  return values[rank];
 }
 
 std::map<std::string, double> FetchStats(uint16_t port) {
@@ -273,12 +284,70 @@ int main() {
       static_cast<uint64_t>(num_clients) * requests_per_client;
   const double qps = static_cast<double>(total_requests) / elapsed_seconds;
 
+  // UPDATE-then-QUERY phase: one client deletes and re-inserts edges on a
+  // label the workload regex reads, each UPDATE followed by the monadic
+  // QUERY, which must repair the plan's fixed point. Only the QUERY is
+  // timed; each reply is checked against the direct engine over a graph
+  // that mirrors the updates. Every edge is restored, so the served graph
+  // ends as it started.
+  Symbol read_label = 0;
+  while (read_label < reference.num_symbols()) {
+    bool reads = false;
+    for (StateId q = 0; q < workload.query.num_states(); ++q) {
+      reads |= workload.query.Next(q, read_label) != kNoState;
+    }
+    if (reads) break;
+    ++read_label;
+  }
+  RPQ_CHECK(read_label < reference.num_symbols()) << "regex reads no label";
+  std::vector<std::pair<NodeId, NodeId>> toggled;
+  for (NodeId u = 0; u < reference.num_nodes() && toggled.size() < 16; ++u) {
+    for (NodeId v : reference.OutNeighbors(u, read_label)) {
+      toggled.emplace_back(u, v);
+      break;
+    }
+  }
+  constexpr uint32_t kUpdateQueries = 200;
+  std::vector<double> update_then_query_ms;
+  {
+    LineClient client(port);
+    const std::string& label = reference.alphabet().Name(read_label);
+    for (uint32_t i = 0; i < kUpdateQueries; ++i) {
+      const auto [u, v] = toggled[(i / 2) % toggled.size()];
+      const bool insert = i % 2 == 1;
+      if (insert) {
+        reference.InsertEdge(u, read_label, v);
+      } else {
+        reference.DeleteEdge(u, read_label, v);
+      }
+      const std::string want = ExpectedMonadicReply(direct, workload.query);
+      client.Send(std::string("UPDATE ") + (insert ? '+' : '-') + '(' +
+                  std::to_string(u) + ',' + label + ',' + std::to_string(v) +
+                  ")\n");
+      const std::string applied = client.ReadReply();
+      if (applied != "OK UPDATE 1\n") {
+        mismatches.fetch_add(1, std::memory_order_relaxed);
+      }
+      const auto sent = std::chrono::steady_clock::now();
+      client.Send("QUERY " + workload.regex + "\n");
+      const std::string got = client.ReadReply();
+      update_then_query_ms.push_back(
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - sent)
+              .count());
+      if (got != want) mismatches.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  const double update_query_p50 = Percentile(update_then_query_ms, 0.5);
+  const double update_query_p99 = Percentile(update_then_query_ms, 0.99);
+
   std::map<std::string, double> stats = FetchStats(port);
   const double plan_hits = stats["engine.plan_hits"];
   const double plan_misses = stats["engine.plan_misses"];
   const double hit_rate =
       plan_hits + plan_misses > 0 ? plan_hits / (plan_hits + plan_misses)
                                   : 0.0;
+  const double monadic_repairs = stats["engine.monadic_repairs"];
   const uint64_t mismatch_count = mismatches.load();
 
   rpq_server.Stop();
@@ -287,9 +356,12 @@ int main() {
   std::printf(
       "  %.0f queries/sec (%llu requests in %.3fs)\n"
       "  plan cache: %.0f hits / %.0f misses (hit rate %.4f)\n"
+      "  UPDATE-then-QUERY: %u monadic queries, p50 %.3f ms, p99 %.3f ms "
+      "(%.0f repaired in place)\n"
       "  reply mismatches vs direct engine: %llu\n",
       qps, static_cast<unsigned long long>(total_requests), elapsed_seconds,
-      plan_hits, plan_misses, hit_rate,
+      plan_hits, plan_misses, hit_rate, kUpdateQueries, update_query_p50,
+      update_query_p99, monadic_repairs,
       static_cast<unsigned long long>(mismatch_count));
 
   FILE* out = std::fopen("BENCH_server.json", "w");
@@ -304,11 +376,14 @@ int main() {
       "    \"elapsed_seconds\": %.6f,\n"
       "    \"queries_per_second\": %.2f,\n"
       "    \"plan_cache_hit_rate\": %.6f,\n"
+      "    \"update_then_query_ms_p50\": %.4f,\n"
+      "    \"update_then_query_ms_p99\": %.4f,\n"
       "    \"replies_bit_identical\": %d\n"
       "  }\n"
       "}\n",
       num_clients, requests_per_client, dataset.graph.num_nodes(),
-      elapsed_seconds, qps, hit_rate, mismatch_count == 0 ? 1 : 0);
+      elapsed_seconds, qps, hit_rate, update_query_p50, update_query_p99,
+      mismatch_count == 0 ? 1 : 0);
   std::fclose(out);
   std::printf("wrote BENCH_server.json\n");
   return mismatch_count == 0 ? 0 : 1;

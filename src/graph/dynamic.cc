@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "query/engine.h"
+
 namespace rpqlearn {
 
 StatusOr<MaterializedMonadic*> DynamicGraph::MaterializeMonadic(
@@ -20,7 +22,7 @@ bool DynamicGraph::InsertEdge(NodeId src, Symbol a, NodeId dst) {
     return false;
   }
   ++stats_.inserts;
-  for (const auto& view : materialized_) view->OnInsertEdge(src, a, dst);
+  Route(src, a, dst, /*insert=*/true);
   MaybeAutoCompact();
   return true;
 }
@@ -31,9 +33,16 @@ bool DynamicGraph::DeleteEdge(NodeId src, Symbol a, NodeId dst) {
     return false;
   }
   ++stats_.deletes;
-  for (const auto& view : materialized_) view->OnDeleteEdge(src, a, dst);
+  Route(src, a, dst, /*insert=*/false);
   MaybeAutoCompact();
   return true;
+}
+
+void DynamicGraph::Route(NodeId src, Symbol a, NodeId dst, bool insert) {
+  for (const auto& view : materialized_) {
+    view->QueueUpdate(src, a, dst, insert);
+  }
+  for (Engine* engine : engines_) engine->QueueUpdate(src, a, dst, insert);
 }
 
 void DynamicGraph::MaybeAutoCompact() {

@@ -13,6 +13,8 @@
 
 namespace rpqlearn {
 
+class Engine;
+
 /// Telemetry of update routing: how many updates applied, were rejected,
 /// and how often the overlay was compacted.
 struct MaintenanceStats {
@@ -31,21 +33,26 @@ struct MaintenanceStats {
   uint64_t auto_compactions = 0;
 };
 
-/// Owns a Graph and routes every InsertEdge / DeleteEdge to the
-/// materialized monadic results registered on it (MaterializeMonadic),
-/// whose retained fixed points are repaired in place by delta-frontier
-/// re-seeding as edges arrive; it also runs the auto-compaction policy.
-/// This is the serving shape for a mutating graph: the query server's
-/// Engine runs over graph().
+/// Owns a Graph and routes every applied InsertEdge / DeleteEdge to the
+/// materialized monadic results that depend on it: the ones registered
+/// here (MaterializeMonadic) and the cached plans of every Engine built over
+/// it (src/query/engine.h). Routing only queues the update on each
+/// materialization that reads its label; the repair runs at that
+/// materialization's next Results(). It also runs the auto-compaction
+/// policy. This is the serving shape for a mutating graph: the query
+/// server's Engine is built over a DynamicGraph.
 ///
 /// Mutations must be externally synchronized against readers, exactly like
 /// Graph itself. All maintenance is deterministic: a DynamicGraph that
 /// replayed the same updates holds bit-identical materialized results.
+/// Neither copyable nor movable: subscribed engines hold its address.
 class DynamicGraph {
  public:
   static constexpr size_t kDefaultAutoCompactThreshold = 256;
 
   explicit DynamicGraph(Graph graph) : graph_(std::move(graph)) {}
+  DynamicGraph(const DynamicGraph&) = delete;
+  DynamicGraph& operator=(const DynamicGraph&) = delete;
 
   const Graph& graph() const { return graph_; }
 
@@ -55,17 +62,18 @@ class DynamicGraph {
 
   /// Registers a materialized monadic query (src/query/eval_incremental.h)
   /// maintained by this DynamicGraph: every subsequent successful update is
-  /// routed to it (delta-frontier repair on inserts, per-label invalidation
-  /// on deletes) in registration order. The returned pointer is owned by
-  /// this DynamicGraph and stays valid for its lifetime.
+  /// queued on it, and its next Results() repairs the batch. The returned
+  /// pointer is owned by this DynamicGraph and stays valid for its
+  /// lifetime.
   StatusOr<MaterializedMonadic*> MaterializeMonadic(
       const Dfa& query, const EvalOptions& options = {});
 
-  /// Graph::InsertEdge / DeleteEdge plus incremental repair of every
-  /// registered materialized query. Returns whether the graph mutated.
-  /// After repairs, the auto-compaction policy may fold the delta overlay
-  /// (see set_auto_compact_threshold) — by construction never
-  /// mid-evaluation, since evaluations only run between updates.
+  /// Graph::InsertEdge / DeleteEdge, then the update is queued on every
+  /// registered materialization and every subscribed engine's plans; no
+  /// repair runs here. Returns whether the graph mutated. The
+  /// auto-compaction policy may then fold the delta overlay (see
+  /// set_auto_compact_threshold) — by construction never mid-evaluation,
+  /// since evaluations only run between updates.
   bool InsertEdge(NodeId src, Symbol a, NodeId dst);
   bool DeleteEdge(NodeId src, Symbol a, NodeId dst);
 
@@ -92,11 +100,18 @@ class DynamicGraph {
   const MaintenanceStats& stats() const { return stats_; }
 
  private:
+  /// Engine's DynamicGraph constructor subscribes and its destructor
+  /// unsubscribes.
+  friend class Engine;
+
+  void Route(NodeId src, Symbol a, NodeId dst, bool insert);
   void MaybeAutoCompact();
 
   Graph graph_;
   /// Registered materialized queries, notified in registration order.
   std::vector<std::unique_ptr<MaterializedMonadic>> materialized_;
+  /// Engines built over this graph; each must be destroyed before it.
+  std::vector<Engine*> engines_;
   size_t auto_compact_threshold_ = kDefaultAutoCompactThreshold;
   MaintenanceStats stats_;
 };

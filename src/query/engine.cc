@@ -33,12 +33,16 @@ StatusOr<MonadicNodes> QueryPlan::RunMonadic(ExecContext* exec) const {
     monadic_ = std::move(*created);
     return monadic_->Results();
   }
-  const uint64_t warm_before = monadic_->stats().warm_hits;
+  const MaterializedStats before = monadic_->stats();
   StatusOr<MonadicNodes> nodes = monadic_->Results(options->exec);
-  if (nodes.ok() && monadic_->stats().warm_hits != warm_before) {
-    engine_->CountMonadicWarmHit();
-  }
+  if (nodes.ok()) engine_->CountMonadicRun(before, monadic_->stats());
   return nodes;
+}
+
+void QueryPlan::QueueUpdate(NodeId src, Symbol label, NodeId dst,
+                            bool insert) const {
+  std::lock_guard<std::mutex> lock(monadic_mutex_);
+  if (monadic_ != nullptr) monadic_->QueueUpdate(src, label, dst, insert);
 }
 
 StatusOr<std::vector<std::pair<NodeId, NodeId>>> QueryPlan::RunBinary(
@@ -55,17 +59,44 @@ Engine::Engine(const Graph& graph, EngineOptions options)
       options_(std::move(options)),
       validated_(ValidateEvalOptions(options_.eval)) {}
 
-Engine::Engine(const DynamicGraph& dynamic, EngineOptions options)
-    : Engine(dynamic.graph(), std::move(options)) {}
+Engine::Engine(DynamicGraph& dynamic, EngineOptions options)
+    : Engine(dynamic.graph(), std::move(options)) {
+  dynamic_ = &dynamic;
+  dynamic.engines_.push_back(this);
+}
 
-StatusOr<Engine::PlanPtr> Engine::Plan(const Dfa& query) const {
+Engine::~Engine() {
+  if (dynamic_ != nullptr) std::erase(dynamic_->engines_, this);
+}
+
+void Engine::QueueUpdate(NodeId src, Symbol label, NodeId dst, bool insert) {
+  // Copy the list and release mutex_ before taking any plan's lock: a
+  // monadic run holds its plan's lock and then takes mutex_.
+  std::vector<std::shared_ptr<QueryPlan>> plans;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    plans = plans_;
+  }
+  for (const auto& plan : plans) plan->QueueUpdate(src, label, dst, insert);
+}
+
+Status Engine::ValidateQuery(const Dfa& query) const {
   if (!validated_.ok()) return validated_.status();
   if (query.num_symbols() > graph_->num_symbols()) {
     return Status::InvalidArgument(
         "query alphabet has " + std::to_string(query.num_symbols()) +
         " symbols but the graph has " + std::to_string(graph_->num_symbols()));
   }
-  Dfa canonical = Canonicalize(query);
+  return Status::Ok();
+}
+
+StatusOr<Engine::PlanPtr> Engine::Plan(const Dfa& query) const {
+  Status valid = ValidateQuery(query);
+  if (!valid.ok()) return valid;
+  return PlanCanonical(Canonicalize(query));
+}
+
+StatusOr<Engine::PlanPtr> Engine::PlanCanonical(Dfa canonical) const {
   const FrozenDfa frozen(canonical);
   const uint64_t fingerprint = DfaFingerprint(frozen);
 
@@ -102,7 +133,9 @@ StatusOr<Engine::PlanPtr> Engine::Plan(std::string_view regex) const {
   StatusOr<PathQuery> parsed =
       PathQuery::Parse(regex, &alphabet, graph_->num_symbols());
   if (!parsed.ok()) return parsed.status();
-  return Plan(parsed->dfa());
+  Status valid = ValidateQuery(parsed->dfa());
+  if (!valid.ok()) return valid;
+  return PlanCanonical(parsed->dfa());
 }
 
 EngineCounters Engine::counters() const {
@@ -110,9 +143,14 @@ EngineCounters Engine::counters() const {
   return counters_;
 }
 
-void Engine::CountMonadicWarmHit() const {
+void Engine::CountMonadicRun(const MaterializedStats& before,
+                             const MaterializedStats& after) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  ++counters_.monadic_warm_hits;
+  if (after.warm_hits != before.warm_hits) {
+    ++counters_.monadic_warm_hits;
+  } else if (after.repairs != before.repairs) {
+    ++counters_.monadic_repairs;
+  }
 }
 
 StatusOr<EvalOptions> Engine::PrepareRun(ExecContext* exec) const {

@@ -32,12 +32,22 @@
 /// Every result is bit-identical to the corresponding eval.h call with the
 /// same options: plans are pure reuse, never a different algorithm.
 ///
+/// An `Engine` built over a `DynamicGraph` subscribes to it: every applied
+/// update is queued on each cached plan whose retained fixed point reads
+/// the update's label, and that plan's next monadic run repairs the batch
+/// in place (src/query/eval_incremental.h) instead of sweeping from
+/// scratch. Over a plain `Graph`, or for a plan evicted from the cache, the
+/// per-label version check turns an unqueued mutation into a rebuild.
+///
 /// Thread-safety: Plan() and the QueryPlan runs are safe to call
 /// concurrently from any number of threads **as long as the graph is not
 /// mutated concurrently** — exactly Graph's own contract. Callers that
 /// interleave updates (the query server) serialize them against runs
-/// externally (reader/writer lock); the version keying then guarantees the
-/// first run after an update refreshes whatever the update invalidated.
+/// externally (reader/writer lock). An update's fan-out copies the plan
+/// list under the engine lock, releases it, and then takes each plan's
+/// lock in turn to queue, so it never holds both (a monadic run holds its
+/// plan's lock and then the engine lock); the first run after an update
+/// then repairs or refreshes whatever the update touched.
 
 #include <cstdint>
 #include <memory>
@@ -69,9 +79,12 @@ struct EngineCounters {
   uint64_t plan_evictions = 0;
   /// RunMonadic / RunBinary calls through this engine.
   uint64_t runs = 0;
-  /// Monadic runs answered from a plan's retained fixed point without a
-  /// sweep (the warm path).
+  /// Monadic runs answered from a plan's retained fixed point with no work
+  /// (the warm path).
   uint64_t monadic_warm_hits = 0;
+  /// Monadic runs answered by repairing the plan's retained fixed point
+  /// with the updates queued on it.
+  uint64_t monadic_repairs = 0;
 };
 
 /// The result of one monadic run: a borrowed view of the plan's retained
@@ -111,6 +124,9 @@ class QueryPlan {
 
   QueryPlan(const Engine* engine, Dfa dfa);
 
+  /// Queues an applied update on the retained fixed point, if any.
+  void QueueUpdate(NodeId src, Symbol label, NodeId dst, bool insert) const;
+
   const Engine* engine_;
   Dfa dfa_;
   FrozenDfa frozen_;
@@ -141,9 +157,12 @@ class Engine {
 
   /// An engine over a borrowed graph; `graph` must outlive the engine.
   explicit Engine(const Graph& graph, EngineOptions options = {});
-  /// An engine over `dynamic.graph()`; `dynamic` must outlive the engine,
-  /// and its updates still require external serialization against runs.
-  explicit Engine(const DynamicGraph& dynamic, EngineOptions options = {});
+  /// An engine over `dynamic.graph()` that subscribes to its updates (see
+  /// above); `dynamic` must outlive the engine, and its updates still
+  /// require external serialization against runs.
+  explicit Engine(DynamicGraph& dynamic, EngineOptions options = {});
+  /// Unsubscribes from the DynamicGraph, if any.
+  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -155,7 +174,8 @@ class Engine {
   StatusOr<PlanPtr> Plan(const Dfa& query) const;
 
   /// Parses `regex` against the graph's alphabet (the paper's syntax, see
-  /// src/regex/parser.h; labels must exist on the graph) and plans it.
+  /// src/regex/parser.h; labels must exist on the graph) and plans it. The
+  /// parser's DFA is already canonical, so it is not canonicalized again.
   StatusOr<PlanPtr> Plan(std::string_view regex) const;
 
   const Graph& graph() const { return *graph_; }
@@ -166,14 +186,28 @@ class Engine {
 
  private:
   friend class QueryPlan;
+  friend class DynamicGraph;
+
+  /// Checks the engine and the query's width against the graph.
+  Status ValidateQuery(const Dfa& query) const;
+  /// The cached or fresh plan of an already canonical query DFA.
+  StatusOr<PlanPtr> PlanCanonical(Dfa canonical) const;
 
   /// The engine's EvalOptions for one run, the run's ExecContext (when
   /// non-null) overriding the engine-level one.
   StatusOr<EvalOptions> PrepareRun(ExecContext* exec) const;
 
-  void CountMonadicWarmHit() const;
+  /// Counts a monadic run as a warm hit or a repair from the plan's
+  /// MaterializedStats before and after it.
+  void CountMonadicRun(const MaterializedStats& before,
+                       const MaterializedStats& after) const;
+
+  /// Called by the subscribed DynamicGraph for every applied update.
+  void QueueUpdate(NodeId src, Symbol label, NodeId dst, bool insert);
 
   const Graph* graph_;
+  /// The graph this engine subscribed to, or null over a plain Graph.
+  DynamicGraph* dynamic_ = nullptr;
   EngineOptions options_;
   StatusOr<EvalOptions> validated_;
 

@@ -18,7 +18,8 @@ namespace eval_internal {
 /// entries. The reached set grows monotonically to the least fixed point
 /// of backward reachability, which is what the seed reference computes.
 /// `hook(v, q)` fires once per fresh pair; the materialized monadic result
-/// (eval_incremental.h) uses it to maintain its selected-node column.
+/// (eval_incremental.h) uses it to maintain its selected-node column, and
+/// repairs a retained fixed point with Unmark() and ForEachPredecessor().
 class MonadicSweeper {
  public:
   MonadicSweeper(const Graph& graph, const BinaryTables& tables)
@@ -28,6 +29,9 @@ class MonadicSweeper {
 
   size_t frontier_pairs() const { return frontier_.size(); }
   const BitVector& reached() const { return reached_; }
+  bool Reached(NodeId v, StateId q) const {
+    return reached_.Test(static_cast<size_t>(v) * tables_.nq + q);
+  }
 
   /// Marks (v, q) reached and queues it in the pending frontier; no-op when
   /// already reached. Callable between rounds only.
@@ -40,6 +44,23 @@ class MonadicSweeper {
     hook(v, q);
   }
 
+  /// Clears (v, q) from the reached set. Callable between rounds only.
+  void Unmark(NodeId v, StateId q) {
+    reached_.Reset(static_cast<size_t>(v) * tables_.nq + q);
+  }
+
+  /// Calls `fn(u, p)` for every predecessor pair of (v, q) over the live
+  /// graph: every edge (u, a, v) and state p with δ(p, a) = q.
+  template <typename Fn>
+  void ForEachPredecessor(NodeId v, StateId q, Fn&& fn) const {
+    for (const auto& entry : tables_.frozen->ReverseInto(q)) {
+      if (entry.symbol >= tables_.num_shared) break;
+      for (NodeId u : graph_.InNeighbors(v, entry.symbol)) {
+        for (StateId p : tables_.frozen->EntrySources(entry)) fn(u, p);
+      }
+    }
+  }
+
   /// Expands the pending frontier by exactly one level; fresh discoveries
   /// form the next pending frontier and fire `hook` once each.
   template <typename VisitHook>
@@ -48,23 +69,25 @@ class MonadicSweeper {
     const uint32_t nq = tables_.nq;
     next_.clear();
     for (auto [v, q] : frontier_) {
-      // Predecessor pairs: (u, p) with edge (u, a, v) and δ(p, a) = q.
-      for (const auto& entry : tables_.frozen->ReverseInto(q)) {
-        if (entry.symbol >= tables_.num_shared) break;
-        for (NodeId u : graph_.InNeighbors(v, entry.symbol)) {
-          for (StateId p : tables_.frozen->EntrySources(entry)) {
-            const size_t cell = static_cast<size_t>(u) * nq + p;
-            if (!reached_.Test(cell)) {
-              reached_.Set(cell);
-              next_.emplace_back(u, p);
-              hook(u, p);
-            }
-          }
+      ForEachPredecessor(v, q, [&](NodeId u, StateId p) {
+        const size_t cell = static_cast<size_t>(u) * nq + p;
+        if (!reached_.Test(cell)) {
+          reached_.Set(cell);
+          next_.emplace_back(u, p);
+          hook(u, p);
         }
-      }
+      });
     }
     std::swap(frontier_, next_);
     ++rounds->sparse;
+  }
+
+  /// Frees both frontier buffers. A converged sweep that is kept (the
+  /// materialized result) would otherwise hold the capacity of its largest
+  /// round, the seeding of every accepting pair, for its whole life.
+  void ReleaseFrontier() {
+    frontier_ = {};
+    next_ = {};
   }
 
  private:

@@ -567,6 +567,8 @@ std::string RpqServer::HandleLoad(const Command& command) {
   if (!loaded.ok()) return FormatErrorReply(loaded.status());
 
   std::unique_lock<std::shared_mutex> state(state_mutex_);
+  // The engine goes first: it is subscribed to the graph it replaces.
+  engine_.reset();
   dynamic_ = std::make_unique<DynamicGraph>(*std::move(loaded));
   engine_ = std::make_unique<Engine>(*dynamic_, options_.engine);
   {
@@ -721,6 +723,7 @@ std::string RpqServer::HandleStats() {
     stat("engine.plan_evictions", engine.plan_evictions);
     stat("engine.runs", engine.runs);
     stat("engine.monadic_warm_hits", engine.monadic_warm_hits);
+    stat("engine.monadic_repairs", engine.monadic_repairs);
   }
   if (dynamic_ != nullptr) {
     const Graph& graph = dynamic_->graph();

@@ -31,7 +31,9 @@
 /// State and consistency: the loaded graph lives in a DynamicGraph with an
 /// Engine over it. Mutations (LOAD, UPDATE) take the state lock exclusively;
 /// QUERY / LEARN / STATS share it. The engine's plan cache and each plan's
-/// retained monadic fixed point make repeat queries warm.
+/// retained monadic fixed point make repeat queries warm; an UPDATE only
+/// queues itself on the plans that read its label, and the next QUERY of
+/// such a plan repairs the fixed point in place.
 ///
 /// Admission control: at most `max_in_flight` requests may be queued or
 /// executing; a request arriving beyond that is answered
@@ -185,6 +187,8 @@ class RpqServer {
   /// Loaded graph + engine; LOAD/UPDATE exclusive, QUERY/LEARN/STATS shared.
   mutable std::shared_mutex state_mutex_;
   std::unique_ptr<DynamicGraph> dynamic_;
+  /// Subscribed to *dynamic_, so declared after it (destroyed first) and
+  /// reset before it is replaced.
   std::unique_ptr<Engine> engine_;
 
   mutable std::mutex counters_mutex_;

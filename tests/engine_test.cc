@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -91,6 +92,29 @@ TEST(EngineTest, PlanCacheHitsEquivalentQueriesAndEvictsAtCapacity) {
   // Eviction only drops the engine's reference: the held plan still runs.
   auto nodes = (*first)->RunMonadic();
   ASSERT_TRUE(nodes.ok()) << nodes.status().ToString();
+}
+
+TEST(EngineTest, RegexTextAndDfaPlansShareOneCacheEntry) {
+  // The text path skips the second canonicalization because the parser's
+  // DFA is already canonical: it must land on the very plan Plan(Dfa)
+  // builds from the same query, in either order.
+  const Graph graph = SmallScaleFree();
+  for (const char* regex : {"(l0+l1)*.l2", "l0.l1*.l3", "l2*"}) {
+    Engine engine(graph);
+    auto from_text = engine.Plan(std::string_view(regex));
+    ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
+    auto from_dfa = engine.Plan(ParseQuery(graph, regex));
+    ASSERT_TRUE(from_dfa.ok()) << from_dfa.status().ToString();
+    EXPECT_TRUE(FrozenDfaStructurallyEqual((*from_text)->frozen(),
+                                           (*from_dfa)->frozen()))
+        << regex;
+    EXPECT_EQ(from_text->get(), from_dfa->get()) << regex;
+    auto text_again = engine.Plan(std::string_view(regex));
+    ASSERT_TRUE(text_again.ok());
+    EXPECT_EQ(text_again->get(), from_text->get()) << regex;
+    EXPECT_EQ(engine.counters().plan_misses, 1u) << regex;
+    EXPECT_EQ(engine.counters().plan_hits, 2u) << regex;
+  }
 }
 
 TEST(EngineTest, ConcurrentMonadicRunsShareTheRetainedFixedPoint) {
@@ -253,6 +277,38 @@ TEST(EngineTest, DynamicGraphMutationRefreshesWarmResults) {
   auto reverted = (*plan)->RunMonadic();
   ASSERT_TRUE(reverted.ok());
   EXPECT_FALSE((*reverted)->Test(0));
+}
+
+TEST(EngineTest, EvictedPlanRebuildsAfterUpdatesItMissed) {
+  // An update is queued only on the plans in the cache. A plan held across
+  // its eviction misses the update, and its next run must notice the label
+  // version it cannot account for and rebuild.
+  GraphBuilder b;
+  b.AddNodes(4);
+  b.AddEdge(1, "a", 2);
+  b.AddEdge(2, "b", 3);
+  DynamicGraph dynamic(b.Build());
+  EngineOptions options;
+  options.plan_cache_capacity = 1;
+  Engine engine(dynamic, options);
+  auto held = engine.Plan(ParseQuery(dynamic.graph(), "a.b"));
+  ASSERT_TRUE(held.ok());
+  ASSERT_TRUE((*held)->RunMonadic().ok());
+  auto other = engine.Plan(ParseQuery(dynamic.graph(), "b"));  // evicts
+  ASSERT_TRUE(other.ok());
+  ASSERT_TRUE((*other)->RunMonadic().ok());
+  EXPECT_EQ(engine.counters().plan_evictions, 1u);
+
+  const Symbol a = *dynamic.graph().alphabet().Find("a");
+  ASSERT_TRUE(dynamic.InsertEdge(0, a, 2));
+  auto nodes = (*held)->RunMonadic();
+  ASSERT_TRUE(nodes.ok());
+  EXPECT_TRUE(**nodes == EvalMonadicOrDie(dynamic.graph(), (*held)->dfa()));
+  EXPECT_TRUE((*nodes)->Test(0));
+  // The cached plan reads no "a": the update left it warm.
+  ASSERT_TRUE((*other)->RunMonadic().ok());
+  EXPECT_EQ(engine.counters().monadic_warm_hits, 1u);
+  EXPECT_EQ(engine.counters().monadic_repairs, 0u);
 }
 
 }  // namespace

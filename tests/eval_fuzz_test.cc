@@ -3,6 +3,8 @@
 #include <array>
 #include <cstdlib>
 #include <functional>
+#include <iterator>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -15,6 +17,7 @@
 #include "graph/dynamic.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "query/engine.h"
 #include "query/eval.h"
 #include "query/eval_incremental.h"
 #include "query/eval_reference.h"
@@ -47,9 +50,10 @@ namespace {
 // insert/delete/compact/evaluate traces through the delta-edge overlay of a
 // DynamicGraph, diffing every evaluation bit-for-bit against a
 // rebuild-from-scratch oracle. The update
-// campaign additionally carries a live materialized monadic query
-// (RPQ_EVAL_INCREMENTAL, on by default) whose delta-frontier repairs are
-// held to the same bit-for-bit standard at every evaluation step.
+// campaign additionally carries a live materialized monadic query and an
+// Engine plan over the same DynamicGraph (RPQ_EVAL_INCREMENTAL, on by
+// default), whose batched repairs are held to the same bit-for-bit
+// standard at every evaluation step.
 //
 // The default run fuzzes 200 cases; set RPQ_FUZZ_ITERS for longer campaigns
 // (the nightly CI job runs 10×).
@@ -70,14 +74,16 @@ FuzzUpdates FuzzUpdatesMode() {
   return FuzzUpdates::kInvalid;
 }
 
-/// Whether the update campaign additionally carries a *live materialized
-/// query* (src/query/eval_incremental.h) through every trace — a
-/// MaterializedMonadic registered on the trace's DynamicGraph so every
-/// insert is repaired by delta-frontier re-seeding, every relevant delete
-/// falls back to a rebuild, and auto-compactions fire at a deliberately
-/// tiny threshold — diffed bit-for-bit against the rebuild oracle at every
-/// evaluation step. RPQ_EVAL_INCREMENTAL ∈ {on, off}, default on (the nightly matrix
-/// sweeps both). Any other value is a typo and fails the campaign loudly.
+/// Whether the update campaign additionally carries *live materialized
+/// queries* (src/query/eval_incremental.h) through every trace — a
+/// MaterializedMonadic registered on the trace's DynamicGraph and the plan
+/// of an Engine built over it, on which every update is queued and
+/// repaired at the next evaluation step (delta-frontier re-seeding for
+/// inserts, delete-and-rederive for deletes), with auto-compactions firing
+/// at a deliberately tiny threshold — diffed bit-for-bit against the
+/// rebuild oracle at every evaluation step. RPQ_EVAL_INCREMENTAL ∈
+/// {on, off}, default on (the nightly matrix sweeps both). Any other value
+/// is a typo and fails the campaign loudly.
 enum class FuzzIncremental { kOff, kOn, kInvalid };
 
 FuzzIncremental FuzzIncrementalMode() {
@@ -665,7 +671,8 @@ TEST(EvalFuzzTest, FaultInjectionCampaign) {
 /// One step of an update-interleaving trace. Endpoints and labels are
 /// stored raw and clamped (mod the live node/label counts) at replay, so a
 /// shrunk graph keeps every step meaningful — the same trick ClampSources
-/// plays for the from-sources templates.
+/// plays for the from-sources templates. A delete's raw `src` instead picks
+/// one of the live edges (see StepEdge).
 struct TraceStep {
   enum Kind : uint8_t { kInsert, kDelete, kCompact, kEvaluate };
   Kind kind = kInsert;
@@ -678,6 +685,23 @@ struct UpdateTrace {
   EdgeList initial;
   std::vector<TraceStep> steps;
 };
+
+using EdgeModel = std::set<std::array<uint32_t, 3>>;  // {src, label, dst}
+
+/// The edge a trace step names, given the live edge set before the step:
+/// an insert names its clamped operands; a delete names the
+/// (src mod |model|)-th live edge, so that deletes land (random operands
+/// would almost never hit a live edge of a small graph), or its clamped
+/// operands when no edge is live.
+std::array<uint32_t, 3> StepEdge(const TraceStep& step, const EdgeModel& model,
+                                 uint32_t num_nodes, uint32_t num_labels) {
+  if (step.kind == TraceStep::kDelete && !model.empty()) {
+    return *std::next(model.begin(),
+                      static_cast<ptrdiff_t>(step.src % model.size()));
+  }
+  return {step.src % num_nodes, step.label % num_labels,
+          step.dst % num_nodes};
+}
 
 std::vector<TraceStep> DrawTraceSteps(Rng* rng) {
   std::vector<TraceStep> steps;
@@ -751,11 +775,24 @@ std::string RunReferenceSerialized(const Graph& graph, const Dfa& query,
   return rendered;
 }
 
+/// A maintained monadic result rendered like RunReferenceSerialized's
+/// monadic check, or its error status.
+std::string SerializeSelected(const StatusOr<const BitVector*>& selected) {
+  if (!selected.ok()) return selected.status().ToString();
+  std::string rendered;
+  for (uint32_t v : (*selected)->ToIndices()) {
+    rendered += std::to_string(v) + ";";
+  }
+  return rendered;
+}
+
 /// Sentinel: no sabotage — the honest replay of the campaign.
 constexpr size_t kNoSabotage = static_cast<size_t>(-1);
 
 /// Which deliberate bug a replay injects, for the harness-sensitivity
-/// tests. Both flavors target the trace's last insert step.
+/// tests. The first two target the trace's last insert step, the third
+/// every delete step: one withheld re-derive seldom shows in a small graph,
+/// and the cases it shows in take the shrinker seconds to minimize.
 enum class Sabotage {
   kNone,
   /// The insert is applied to the oracle model but *withheld* from the
@@ -767,6 +804,11 @@ enum class Sabotage {
   /// re-seeding (SkipNextInsertReseedForTesting) — a wrong incremental
   /// repair only the materialized diff can catch.
   kSkipLastReseed,
+  /// Deletes reach the DynamicGraph, but the live materialized query
+  /// repairs every batch holding one without the re-derive step
+  /// (SkipNextRederiveForTesting), so over-deleted cells that keep another
+  /// derivation stay dropped.
+  kSkipRederive,
 };
 
 /// Replays `trace` and serializes every evaluation's engine result (plus
@@ -777,10 +819,12 @@ enum class Sabotage {
 /// the seed reference.
 ///
 /// With RPQ_EVAL_INCREMENTAL on (the default), the DynamicGraph also
-/// carries (query alphabet permitting) a MaterializedMonadic across the
-/// whole trace — inserts repaired in place, deletes falling back,
-/// auto-compactions firing at a tiny threshold — and every evaluation step
-/// additionally diffs the materialized result against the same oracle.
+/// carries (query alphabet permitting) a MaterializedMonadic and an Engine
+/// plan across the whole trace — the updates between two evaluation steps
+/// repaired as one batch at the second, auto-compactions firing at a tiny
+/// threshold — and every evaluation step additionally diffs both
+/// maintained results against the same oracle. Evaluation steps fall at
+/// random gaps, so batches of every size from 1 up occur.
 uint32_t ReplayTrace(const UpdateTrace& trace, const Dfa& query,
                      const UpdateRow& row, CheckKind check,
                      const std::vector<NodeId>& sources, Sabotage sabotage,
@@ -790,7 +834,8 @@ uint32_t ReplayTrace(const UpdateTrace& trace, const Dfa& query,
   if (n == 0) return 0;
 
   size_t sabotaged_step = kNoSabotage;
-  if (sabotage != Sabotage::kNone) {
+  if (sabotage == Sabotage::kDropLastInsert ||
+      sabotage == Sabotage::kSkipLastReseed) {
     for (size_t i = trace.steps.size(); i-- > 0;) {
       if (trace.steps[i].kind == TraceStep::kInsert) {
         sabotaged_step = i;
@@ -800,8 +845,7 @@ uint32_t ReplayTrace(const UpdateTrace& trace, const Dfa& query,
   }
 
   DynamicGraph dynamic(trace.initial.BuildGraph());
-  std::set<std::array<uint32_t, 3>> model;  // {src, label, dst}
-  for (const auto& e : trace.initial.edges) model.insert(e);
+  EdgeModel model(trace.initial.edges.begin(), trace.initial.edges.end());
 
   const EvalOptions options = UpdateRowOptions(row);
   const std::vector<NodeId> clamped = ClampSources(sources, n);
@@ -812,21 +856,29 @@ uint32_t ReplayTrace(const UpdateTrace& trace, const Dfa& query,
   // auto-compact threshold makes most traces compact mid-flight, covering
   // the notification path under materialized results.
   MaterializedMonadic* mm = nullptr;
+  std::unique_ptr<Engine> engine;
+  Engine::PlanPtr plan;
   if (FuzzIncrementalMode() == FuzzIncremental::kOn) {
     dynamic.set_auto_compact_threshold(6);
     if (query.num_symbols() <= num_labels) {
       StatusOr<MaterializedMonadic*> monadic =
           dynamic.MaterializeMonadic(query, options);
       if (monadic.ok()) mm = *monadic; else ++mismatch_count;
+      engine = std::make_unique<Engine>(dynamic, EngineOptions{options});
+      StatusOr<Engine::PlanPtr> planned = engine->Plan(query);
+      // The first run builds the fixed point the trace then repairs.
+      if (planned.ok() && (*planned)->RunMonadic().ok()) {
+        plan = *planned;
+      } else {
+        ++mismatch_count;
+      }
     }
   }
 
   size_t eval_index = 0;
   for (size_t i = 0; i < trace.steps.size(); ++i) {
     const TraceStep& step = trace.steps[i];
-    const NodeId src = step.src % n;
-    const NodeId dst = step.dst % n;
-    const Symbol label = static_cast<Symbol>(step.label % num_labels);
+    const auto [src, label, dst] = StepEdge(step, model, n, num_labels);
     switch (step.kind) {
       case TraceStep::kInsert:
         model.insert({src, label, dst});
@@ -841,7 +893,10 @@ uint32_t ReplayTrace(const UpdateTrace& trace, const Dfa& query,
         break;
       case TraceStep::kDelete:
         model.erase({src, label, dst});
-        if (i != sabotaged_step) dynamic.DeleteEdge(src, label, dst);
+        if (sabotage == Sabotage::kSkipRederive && mm != nullptr) {
+          mm->SkipNextRederiveForTesting();
+        }
+        dynamic.DeleteEdge(src, label, dst);
         break;
       case TraceStep::kCompact:
         dynamic.Compact();
@@ -869,26 +924,26 @@ uint32_t ReplayTrace(const UpdateTrace& trace, const Dfa& query,
                           + "\n";
         }
 
-        // The live materialized result, diffed against the same oracle.
+        // The live materialized results, diffed against the same oracle.
         if (mm != nullptr) {
-          StatusOr<const BitVector*> selected = mm->Results();
-          std::string mm_actual;
-          if (selected.ok()) {
-            for (uint32_t v : (*selected)->ToIndices()) {
-              mm_actual += std::to_string(v) + ";";
-            }
-          } else {
-            mm_actual = selected.status().ToString();
-          }
+          const std::string mm_actual = SerializeSelected(mm->Results());
           const std::string mm_expected = RunReferenceSerialized(
               oracle_graph, query, CheckKind::kMonadic, clamped);
           if (mm_actual != mm_expected) ++mismatch_count;
           if (fingerprint != nullptr) {
             *fingerprint += "  mm repairs=" +
-                            std::to_string(mm->stats().insert_repairs) +
+                            std::to_string(mm->stats().repairs) +
                             " rebuilds=" +
                             std::to_string(mm->stats().full_evals) + " -> " +
                             mm_actual + "\n";
+          }
+          if (plan != nullptr) {
+            const std::string plan_actual =
+                SerializeSelected(plan->RunMonadic());
+            if (plan_actual != mm_expected) ++mismatch_count;
+            if (fingerprint != nullptr) {
+              *fingerprint += "  plan -> " + plan_actual + "\n";
+            }
           }
         }
         ++eval_index;
@@ -965,13 +1020,19 @@ std::string UpdateReproBlock(uint64_t case_seed, CheckKind check,
     out << "  " << e[0] << " --l" << e[1] << "--> " << e[2] << "\n";
   }
   out << "trace (" << trace.steps.size() << " steps):\n";
-  const uint32_t n = trace.initial.num_nodes;
-  const uint32_t labels = trace.initial.num_labels;
+  EdgeModel model(trace.initial.edges.begin(), trace.initial.edges.end());
   for (const TraceStep& step : trace.steps) {
     out << "  " << StepName(step.kind);
     if (step.kind == TraceStep::kInsert || step.kind == TraceStep::kDelete) {
-      out << " " << (step.src % n) << " --l" << (step.label % labels)
-          << "--> " << (step.dst % n);
+      const std::array<uint32_t, 3> edge =
+          StepEdge(step, model, trace.initial.num_nodes,
+                   trace.initial.num_labels);
+      out << " " << edge[0] << " --l" << edge[1] << "--> " << edge[2];
+      if (step.kind == TraceStep::kInsert) {
+        model.insert(edge);
+      } else {
+        model.erase(edge);
+      }
     }
     out << "\n";
   }
@@ -1198,6 +1259,55 @@ TEST(EvalFuzzTest, WithheldReseedIsCaughtByTheMaterializedDiff) {
     return;  // demonstrated: caught + shrunk
   }
   FAIL() << "no corpus case exposed the withheld re-seed within 60 "
+            "iterations — the materialized diff lost its sensitivity";
+}
+
+TEST(EvalFuzzTest, WithheldRederiveIsCaughtByTheMaterializedDiff) {
+  // Harness-sensitivity proof for the delete repair: every delete reaches
+  // the DynamicGraph, but the live materialization repairs each batch
+  // holding one without the re-derive step, so a cell a delete
+  // over-deleted stays dropped although another derivation keeps it. Only
+  // the materialized diff can see it; the campaign must catch and shrink it.
+  if (FuzzUpdatesMode() == FuzzUpdates::kOff) {
+    GTEST_SKIP() << "update-interleaving campaign disabled";
+  }
+  if (FuzzIncrementalMode() != FuzzIncremental::kOn) {
+    GTEST_SKIP() << "materialized-query diff disabled; set "
+                    "RPQ_EVAL_INCREMENTAL=on to run them";
+  }
+  Rng master(0x5eedda7a);
+  for (uint32_t iteration = 0; iteration < 60; ++iteration) {
+    const uint64_t case_seed = master.Next();
+    Rng rng(case_seed);
+    const UpdateCase update = DrawUpdateCase(&rng);
+    const UpdateRow& row = kUpdateRows[iteration % kNumUpdateRows];
+    const CheckKind check = CheckKind::kBinaryAllPairs;
+    const auto buggy_fails = [&](const UpdateTrace& candidate) {
+      return ReplayTrace(candidate, update.base.query.dfa, row, check,
+                         update.sources, Sabotage::kSkipRederive,
+                         nullptr) > 0;
+    };
+    // A case exposes the bug only when a delete over-deletes a cell that
+    // keeps another derivation and no later rebuild heals it.
+    if (!buggy_fails(update.trace)) continue;
+
+    ASSERT_EQ(ReplayTrace(update.trace, update.base.query.dfa, row, check,
+                          update.sources, Sabotage::kNone, nullptr),
+              0u)
+        << "case_seed=" << case_seed;
+
+    const UpdateTrace minimized = ShrinkTrace(update.trace, buggy_fails);
+    // Minimal witness: the delete, then an evaluation that reads the
+    // repaired materialization (the graph supplies the other derivation).
+    EXPECT_LE(minimized.steps.size(), 4u);
+    EXPECT_TRUE(buggy_fails(minimized));
+    const std::string repro =
+        UpdateReproBlock(case_seed, check, row, minimized,
+                         update.base.query.description, update.sources);
+    EXPECT_NE(repro.find("delete"), std::string::npos);
+    return;  // demonstrated: caught + shrunk
+  }
+  FAIL() << "no corpus case exposed the withheld re-derive within 60 "
             "iterations — the materialized diff lost its sensitivity";
 }
 

@@ -1,22 +1,25 @@
 // Unit tests of the incremental-maintenance layer
 // (src/query/eval_incremental.h): a materialized monadic query, registered
-// on a DynamicGraph or held over a bare Graph, must stay bit-identical to
-// from-scratch evaluation across inserts (delta-frontier repair), deletes
-// (per-label invalidation + lazy rebuild), and compactions; the telemetry
-// must name the repair path every update took; and the pending-delta
-// auto-compaction policy must fire exactly at its threshold without ever
-// perturbing results.
+// on a DynamicGraph, kept by an Engine plan over one, or held over a bare
+// Graph, must stay bit-identical to from-scratch evaluation across inserts
+// (delta-frontier repair), deletes (delete-and-rederive), batches of both
+// queued between two reads, and compactions; the telemetry must name the
+// repair path every update took; and the pending-delta auto-compaction
+// policy must fire exactly at its threshold without ever perturbing
+// results.
 
 #include "query/eval_incremental.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
 #include "graph/dynamic.h"
 #include "graph/graph.h"
+#include "query/engine.h"
 #include "query/eval.h"
 #include "query/path_query.h"
 #include "util/random.h"
@@ -82,13 +85,20 @@ TEST(MaterializedMonadicTest, InsertRepairIsBitIdentical) {
   const std::vector<std::tuple<NodeId, Symbol, NodeId>> inserts = {
       {7, a, 0}, {7, b, 7}, {3, a, 4}, {2, a, 4}};
   for (const auto& [u, label, v] : inserts) {
+    const MaterializedStats before = (*mm)->stats();
     ASSERT_TRUE(dynamic.InsertEdge(u, label, v));
+    // The insert is only queued: the repair and its count wait for the read.
+    EXPECT_FALSE((*mm)->in_sync());
+    EXPECT_EQ((*mm)->stats().insert_repairs + (*mm)->stats().insert_noops,
+              before.insert_repairs + before.insert_noops);
     auto selected = (*mm)->Results();
     ASSERT_TRUE(selected.ok());
     EXPECT_EQ(**selected, EvalMonadicOrDie(dynamic.graph(), query));
+    EXPECT_TRUE((*mm)->in_sync());
   }
   // Every insert was repaired in place — no rebuild beyond the initial one.
   EXPECT_EQ((*mm)->stats().full_evals, 1u);
+  EXPECT_EQ((*mm)->stats().repairs, 4u);
   EXPECT_EQ((*mm)->stats().insert_repairs + (*mm)->stats().insert_noops, 4u);
   EXPECT_GT((*mm)->stats().insert_repairs, 0u);
   EXPECT_GT((*mm)->stats().insert_noops, 0u);
@@ -106,7 +116,7 @@ TEST(MaterializedMonadicTest, InsertAndDeleteStayBitIdentical) {
   const std::vector<std::tuple<NodeId, Symbol, NodeId, bool>> trace = {
       {0, a, 4, true},   // insert: 0 gains a path into 4's a*b suffix
       {7, a, 0, true},   // insert: 7 newly selected through 0
-      {1, a, 2, false},  // delete: fallback rebuild
+      {1, a, 2, false},  // delete: deselects 0 and 1, repaired in place
       {3, b, 3, true},   // insert: b self-loop selects 3 (and a-predecessors)
   };
   for (const auto& [u, label, v, insert] : trace) {
@@ -120,11 +130,12 @@ TEST(MaterializedMonadicTest, InsertAndDeleteStayBitIdentical) {
     EXPECT_EQ(**selected, EvalMonadicOrDie(dynamic.graph(), query));
   }
   EXPECT_GT((*mm)->stats().insert_repairs, 0u);
-  EXPECT_EQ((*mm)->stats().delete_fallbacks, 1u);
-  EXPECT_EQ((*mm)->stats().full_evals, 2u);
+  EXPECT_EQ((*mm)->stats().delete_repairs, 1u);
+  EXPECT_EQ((*mm)->stats().repairs, 4u);
+  EXPECT_EQ((*mm)->stats().full_evals, 1u);
 }
 
-TEST(MaterializedMonadicTest, DeleteFallsBackToRebuild) {
+TEST(MaterializedMonadicTest, DeleteIsRepairedAtTheNextRead) {
   DynamicGraph dynamic(SmallGraph());
   Dfa query = CompileQuery("a*.b", dynamic.graph());
   const Symbol a = *dynamic.graph().alphabet().Find("a");
@@ -134,14 +145,44 @@ TEST(MaterializedMonadicTest, DeleteFallsBackToRebuild) {
   // 0 reaches b only through 1 -a-> 2: the delete deselects 0 and 1.
   ASSERT_TRUE(dynamic.DeleteEdge(1, a, 2));
   EXPECT_FALSE((*mm)->in_sync());
-  EXPECT_EQ((*mm)->stats().delete_fallbacks, 1u);
-  EXPECT_EQ((*mm)->stats().full_evals, 1u);  // the rebuild is lazy
+  EXPECT_EQ((*mm)->stats().delete_repairs, 0u);  // the repair is lazy
   auto selected = (*mm)->Results();
   ASSERT_TRUE(selected.ok());
   EXPECT_EQ(**selected, EvalMonadicOrDie(dynamic.graph(), query));
   EXPECT_FALSE((*selected)->Test(0));
-  EXPECT_EQ((*mm)->stats().full_evals, 2u);  // initial + the fallback rebuild
+  EXPECT_FALSE((*selected)->Test(1));
+  EXPECT_TRUE((*selected)->Test(2));
+  // One build and one delete repair: no rebuild.
+  EXPECT_EQ((*mm)->stats().full_evals, 1u);
+  EXPECT_EQ((*mm)->stats().delete_repairs, 1u);
+  EXPECT_EQ((*mm)->stats().repairs, 1u);
   EXPECT_TRUE((*mm)->in_sync());
+}
+
+TEST(MaterializedMonadicTest, DeleteDropsACycleOnlyTheDeletedEdgeSupported) {
+  // 0 -a-> 1 -a-> 0 with 1 -b-> 2: each cycle cell keeps a reached
+  // successor (the other) after the b edge goes, so a repair that kept any
+  // cell with a reached successor would keep both. Neither reaches b.
+  GraphBuilder builder;
+  builder.AddNodes(4);
+  builder.AddEdge(0, "a", 1);
+  builder.AddEdge(1, "a", 0);
+  builder.AddEdge(1, "b", 2);
+  builder.AddEdge(3, "b", 2);
+  DynamicGraph dynamic(builder.Build());
+  Dfa query = CompileQuery("a*.b", dynamic.graph());
+  const Symbol b = *dynamic.graph().alphabet().Find("b");
+  auto mm = dynamic.MaterializeMonadic(query);
+  ASSERT_TRUE(mm.ok());
+  ASSERT_EQ((**(*mm)->Results()).ToIndices(),
+            (std::vector<uint32_t>{0, 1, 3}));
+
+  ASSERT_TRUE(dynamic.DeleteEdge(1, b, 2));
+  auto selected = (*mm)->Results();
+  ASSERT_TRUE(selected.ok());
+  EXPECT_EQ(**selected, EvalMonadicOrDie(dynamic.graph(), query));
+  EXPECT_EQ((*selected)->ToIndices(), std::vector<uint32_t>{3});
+  EXPECT_EQ((*mm)->stats().full_evals, 1u);
 }
 
 TEST(MaterializedMonadicTest, UpdatesOutsideTheQueryAlphabetAreUntouched) {
@@ -161,7 +202,8 @@ TEST(MaterializedMonadicTest, UpdatesOutsideTheQueryAlphabetAreUntouched) {
   EXPECT_EQ(**selected, EvalMonadicOrDie(dynamic.graph(), query));
   EXPECT_EQ((*mm)->stats().untouched_updates, 2u);
   EXPECT_EQ((*mm)->stats().insert_repairs + (*mm)->stats().insert_noops, 0u);
-  EXPECT_EQ((*mm)->stats().delete_fallbacks, 0u);
+  EXPECT_EQ((*mm)->stats().delete_repairs, 0u);
+  EXPECT_EQ((*mm)->stats().repairs, 0u);
   EXPECT_EQ((*mm)->stats().full_evals, 1u);
 }
 
@@ -214,6 +256,143 @@ TEST(MaterializedMonadicTest, WithheldReseedIsDetectable) {
   EXPECT_NE(**selected, EvalMonadicOrDie(dynamic.graph(), query));
 }
 
+TEST(MaterializedMonadicTest, WithheldRederiveIsDetectable) {
+  // The same contract for the delete repair: withholding the re-derive step
+  // loses a cell that keeps another derivation, and the next read differs
+  // from the oracle.
+  DynamicGraph dynamic(SmallGraph());
+  Dfa query = CompileQuery("a*.b", dynamic.graph());
+  const Symbol a = *dynamic.graph().alphabet().Find("a");
+  auto mm = dynamic.MaterializeMonadic(query);
+  ASSERT_TRUE(mm.ok());
+  // 0 -a-> 4 -a-> 5 -b-> 6 gives 0 a second derivation besides 1 -a-> 2.
+  ASSERT_TRUE(dynamic.InsertEdge(0, a, 4));
+  ASSERT_TRUE((*mm)->Results().ok());
+
+  (*mm)->SkipNextRederiveForTesting();
+  ASSERT_TRUE(dynamic.DeleteEdge(0, a, 1));  // 0 stays selected through 4
+  auto selected = (*mm)->Results();
+  ASSERT_TRUE(selected.ok());
+  EXPECT_NE(**selected, EvalMonadicOrDie(dynamic.graph(), query));
+}
+
+/// An 8-node graph for "a.b*.c" with one b-chain:
+/// 0 -a-> 1 -b-> 2 -b-> 3 -b-> 4 -c-> 5, and 6 -a-> 4. Nodes 0 and 6 are
+/// selected; 7 is isolated.
+Graph ChainGraph() {
+  GraphBuilder builder;
+  builder.AddNodes(8);
+  builder.AddEdge(0, "a", 1);
+  builder.AddEdge(1, "b", 2);
+  builder.AddEdge(2, "b", 3);
+  builder.AddEdge(3, "b", 4);
+  builder.AddEdge(4, "c", 5);
+  builder.AddEdge(6, "a", 4);
+  return builder.Build();
+}
+
+struct BatchedUpdate {
+  NodeId src;
+  const char* label;
+  NodeId dst;
+  bool insert;
+};
+
+struct Batch {
+  std::vector<BatchedUpdate> updates;
+  /// The nodes "a.b*.c" selects after the batch.
+  std::vector<uint32_t> selected;
+};
+
+/// Batches of updates applied between two reads of ChainGraph's
+/// materialization. Each holds a pattern that a repair taking its updates
+/// one at a time gets right and a batched repair can get wrong.
+const std::vector<Batch>& ChainBatches() {
+  static const std::vector<Batch> batches = {
+      // Two deletes along the b-chain, the downstream one first: when the
+      // upstream delete is judged, its successor cell is already dropped.
+      {{{3, "b", 4, false}, {2, "b", 3, false}}, {6}},
+      // Insert then delete of one edge: the insert must seed nothing.
+      {{{7, "a", 4, true}, {7, "a", 4, false}}, {6}},
+      // Delete then re-insert of one edge: 6 keeps its derivation.
+      {{{6, "a", 4, false}, {6, "a", 4, true}}, {6}},
+      // Mend the chain, cut it elsewhere, and mend that too.
+      {{{2, "b", 3, true},
+        {3, "b", 4, true},
+        {1, "b", 2, false},
+        {7, "a", 1, true},
+        {1, "b", 2, true}},
+       {0, 6, 7}},
+  };
+  return batches;
+}
+
+void ApplyBatch(DynamicGraph* dynamic, const Batch& batch) {
+  for (const BatchedUpdate& u : batch.updates) {
+    const Symbol label = *dynamic->graph().alphabet().Find(u.label);
+    ASSERT_TRUE(u.insert ? dynamic->InsertEdge(u.src, label, u.dst)
+                         : dynamic->DeleteEdge(u.src, label, u.dst));
+  }
+}
+
+TEST(MaterializedMonadicTest, BatchedUpdatesRepairARegisteredView) {
+  DynamicGraph dynamic(ChainGraph());
+  const Dfa query = CompileQuery("a.b*.c", dynamic.graph());
+  auto mm = dynamic.MaterializeMonadic(query);
+  ASSERT_TRUE(mm.ok()) << mm.status().ToString();
+  for (size_t i = 0; i < ChainBatches().size(); ++i) {
+    const Batch& batch = ChainBatches()[i];
+    ApplyBatch(&dynamic, batch);
+    auto selected = (*mm)->Results();
+    ASSERT_TRUE(selected.ok());
+    EXPECT_EQ(**selected, EvalMonadicOrDie(dynamic.graph(), query))
+        << "batch " << i;
+    EXPECT_EQ((*selected)->ToIndices(), batch.selected) << "batch " << i;
+  }
+  EXPECT_EQ((*mm)->stats().full_evals, 1u);
+  EXPECT_EQ((*mm)->stats().repairs, ChainBatches().size());
+}
+
+TEST(MaterializedMonadicTest, BatchedUpdatesRepairAnEnginePlan) {
+  DynamicGraph dynamic(ChainGraph());
+  Engine engine(dynamic);
+  auto plan = engine.Plan(std::string_view("a.b*.c"));
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_TRUE((*plan)->RunMonadic().ok());
+  for (size_t i = 0; i < ChainBatches().size(); ++i) {
+    const Batch& batch = ChainBatches()[i];
+    ApplyBatch(&dynamic, batch);
+    auto selected = (*plan)->RunMonadic();
+    ASSERT_TRUE(selected.ok());
+    EXPECT_EQ(**selected, EvalMonadicOrDie(dynamic.graph(), (*plan)->dfa()))
+        << "batch " << i;
+    EXPECT_EQ((*selected)->ToIndices(), batch.selected) << "batch " << i;
+  }
+  EXPECT_EQ(engine.counters().monadic_repairs, ChainBatches().size());
+  EXPECT_EQ(engine.counters().monadic_warm_hits, 0u);
+}
+
+TEST(MaterializedMonadicTest, QueuePastItsCapRebuilds) {
+  DynamicGraph dynamic(SmallGraph());
+  dynamic.set_auto_compact_threshold(0);
+  Dfa query = CompileQuery("a*.b", dynamic.graph());
+  const Symbol a = *dynamic.graph().alphabet().Find("a");
+  auto mm = dynamic.MaterializeMonadic(query);
+  ASSERT_TRUE(mm.ok());
+  // One update more than the queue holds: 7 -a-> 0 toggled, ending present.
+  for (size_t i = 0; i <= MaterializedMonadic::kMaxQueuedUpdates; ++i) {
+    ASSERT_TRUE(i % 2 == 0 ? dynamic.InsertEdge(7, a, 0)
+                           : dynamic.DeleteEdge(7, a, 0));
+  }
+  EXPECT_FALSE((*mm)->in_sync());
+  auto selected = (*mm)->Results();
+  ASSERT_TRUE(selected.ok());
+  EXPECT_EQ(**selected, EvalMonadicOrDie(dynamic.graph(), query));
+  EXPECT_TRUE((*selected)->Test(7));
+  EXPECT_EQ((*mm)->stats().full_evals, 2u);
+  EXPECT_EQ((*mm)->stats().repairs, 0u);
+}
+
 TEST(MaterializedMonadicTest, RandomizedUpdateTraceStaysBitIdentical) {
   // Six 10-node chains of l0/l1 edges and no l2 edge: every node starts
   // unselected, and an l2 insert selects its whole upstream chain over
@@ -256,8 +435,9 @@ TEST(MaterializedMonadicTest, RandomizedUpdateTraceStaysBitIdentical) {
         << "diverged at step " << step;
   }
   EXPECT_GT((*mm)->stats().insert_repairs, 0u);
-  EXPECT_GT((*mm)->stats().delete_fallbacks, 0u);
+  EXPECT_GT((*mm)->stats().delete_repairs, 0u);
   EXPECT_GT((*mm)->stats().compactions_observed, 0u);
+  EXPECT_EQ((*mm)->stats().full_evals, 1u);  // every update was repaired
 }
 
 TEST(DfaFingerprintTest, DiscriminatesAndMatchesStructure) {

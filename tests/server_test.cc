@@ -568,6 +568,38 @@ TEST_F(ServerTest, UpdateMutatesTheServedGraph) {
             std::string::npos);
 }
 
+TEST_F(ServerTest, ReloadThenUpdateThenQueryRepairsTheNewGraph) {
+  // The engine subscribes to the graph it serves, so a second LOAD must
+  // drop the old engine before the graph it is subscribed to (under ASan a
+  // reversed order is a use-after-free); the UPDATE then reaches only the
+  // new engine's plan, whose next QUERY repairs it in place.
+  GraphBuilder b;
+  b.AddNode("n0");
+  b.AddNode("n1");
+  b.AddNode("n2");
+  b.AddEdge(1, "a", 2);
+  const Graph graph = b.Build();
+  const std::string path = WriteGraphFile(graph);
+
+  RpqServer server(options_);
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client(server.port());
+  ASSERT_EQ(client.Ask("LOAD " + path).rfind("OK LOAD", 0), 0u);
+  EXPECT_EQ(client.Ask("QUERY a"), "NODE 1\nOK QUERY 1\n");
+  ASSERT_EQ(client.Ask("LOAD " + path).rfind("OK LOAD", 0), 0u);
+  EXPECT_EQ(client.Ask("QUERY a"), "NODE 1\nOK QUERY 1\n");
+  EXPECT_EQ(client.Ask("UPDATE +(0,a,1)"), "OK UPDATE 1\n");
+  EXPECT_EQ(client.Ask("QUERY a"), "NODE 0\nNODE 1\nOK QUERY 2\n");
+
+  const std::string stats = client.Ask("STATS");
+  EXPECT_NE(stats.find("STAT server.loads 2\n"), std::string::npos);
+  EXPECT_NE(stats.find("STAT engine.monadic_repairs 1\n"), std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find("STAT engine.monadic_warm_hits 0\n"),
+            std::string::npos)
+      << stats;
+}
+
 TEST_F(ServerTest, PipelinedUpdateThenQueryReadsYourWrites) {
   // Regression: with several executors, a pipelined UPDATE-then-QUERY from
   // one connection could execute out of order — the QUERY winning the state
@@ -643,6 +675,7 @@ TEST_F(ServerTest, StatsReportServerEngineAndGraphTelemetry) {
   EXPECT_NE(stats.find("STAT engine.plan_hits 1\n"), std::string::npos);
   EXPECT_NE(stats.find("STAT engine.monadic_warm_hits 1\n"),
             std::string::npos);
+  EXPECT_NE(stats.find("STAT engine.monadic_repairs 0\n"), std::string::npos);
   // The repository benchmark's read_write workload reads the two engine
   // keys above and the keys below: graph.edges through std::map::operator[]
   // (a missing key would read 0), the others through .at() (a missing key
